@@ -135,8 +135,7 @@ def _parse_dims(args, theorem):
 # compute
 
 
-def cmd_compute(args) -> int:
-    tol = _policy_from(args)
+def cmd_compute(args, tol: TolerancePolicy) -> int:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
     if kind not in _COMPUTE_KINDS:
         return _fail(f"unknown kind {args.kind!r}; choose from "
@@ -199,8 +198,7 @@ def cmd_compute(args) -> int:
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "hypotheses_not_met": 4}
 
 
-def cmd_verify(args) -> int:
-    tol = _policy_from(args)
+def cmd_verify(args, tol: TolerancePolicy) -> int:
     theorem = args.theorem
     if theorem not in THEOREM_SYMBOLS:
         return _fail(f"unknown theorem id {theorem!r}; known: "
@@ -234,8 +232,7 @@ def cmd_verify(args) -> int:
 # fuzz
 
 
-def cmd_fuzz(args) -> int:
-    tol = _policy_from(args)
+def cmd_fuzz(args, tol: TolerancePolicy) -> int:
     theorem = args.theorem
     if theorem not in THEOREM_SYMBOLS:
         return _fail(f"unknown theorem id {theorem!r}; known: "
@@ -298,8 +295,7 @@ def cmd_fuzz(args) -> int:
 # example33
 
 
-def cmd_example33(args) -> int:
-    tol = _policy_from(args)
+def cmd_example33(args, tol: TolerancePolicy) -> int:
     report = reproduce_example_3_3(tol)
     out = {
         "command": "example33",
@@ -358,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        tol = _policy_from(args)
+    except ValueError as exc:
+        return _fail(str(exc))
+    try:
+        return args.fn(args, tol)
     except BrokenPipeError:
         return 2
 

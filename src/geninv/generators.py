@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_POLICY, TolerancePolicy, frobenius
-from .inverses import drazin, index, pseudo_core
+from .inverses import index, pseudo_core, spectral_idempotent
 
 __all__ = [
     "MAX_DIM",
@@ -304,7 +304,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
     m = ka + kd + 1
-    api = np.eye(na, dtype=np.complex128) - a @ drazin(a).inverse
+    api = spectral_idempotent(a)
     terms = [(np.linalg.matrix_power(a, i - 1) @ api,
               np.linalg.matrix_power(d, m - i)) for i in range(1, m + 1)]
     b, nullity = _nullspace_sample(rg, (na, nd), [(terms, [])], scale)
@@ -473,7 +473,7 @@ def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     iA = index(A)
     b_eqs = [([(IA, C)], []), ([(C, ID)], [])]
     if iA >= 1:
-        api = IA - A @ drazin(A).inverse
+        api = spectral_idempotent(A)
         terms = [(np.linalg.matrix_power(A, i - 1) @ api,
                   np.linalg.matrix_power(D, iA - i)) for i in range(1, iA + 1)]
         b_eqs.append((terms, []))
@@ -500,7 +500,7 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     iA = index(A)
     c_eqs = [([(B, IA)], []), ([(ID, B)], [])]
     if iA >= 1:
-        api = IA - A @ drazin(A).inverse
+        api = spectral_idempotent(A)
         SA = np.zeros((nA, nA), dtype=np.complex128)
         for i in range(1, iA + 1):
             SA += np.linalg.matrix_power(A, i - 1) @ api

@@ -10,18 +10,20 @@ of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _require_square,
+    _scaled_powers,
     as_matrix,
     frobenius,
-    power_rank_chain,
+    numerical_rank,
     rel_residual,
     same_column_space,
-    scaled_power,
 )
 
 __all__ = [
@@ -70,20 +72,33 @@ class GenInverseResult:
         return self.max_residual <= tol.residual_tol
 
 
+def _analysis(A, tol):
+    """Index k of a square matrix A and its scaled power A^max(k,1).
+
+    Walks the scaled powers only until rank(A^k) = rank(A^(k+1)): k + 1
+    rank decisions, or n when the index is the dimension n.  The ranks and
+    the power are those of :func:`power_rank_chain` and :func:`scaled_power`
+    bit for bit.  The power is None when it collapsed to zero.
+    """
+    n = A.shape[0]
+    rank, kept, steps = n, None, 0
+    for steps, P in enumerate(islice(_scaled_powers(A, tol), n), start=1):
+        r = numerical_rank(P, tol)
+        if r == rank:
+            return steps - 1, kept if steps > 1 else P
+        rank, kept = r, P
+    if steps < n:       # A^(steps+1) collapsed, so its rank repeats at once
+        return steps + 1, None
+    return n, kept
+
+
 def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Smallest k >= 0 with rank(A^k) = rank(A^(k+1)); at most the dimension."""
-    ranks = power_rank_chain(A, tol)
-    for k in range(len(ranks) - 1):
-        if ranks[k] == ranks[k + 1]:
-            return k
-    return as_matrix(A).shape[0]
+    """Smallest k >= 0 with rank(A^k) = rank(A^(k+1)); at most the dimension.
 
-
-def _require_square(A):
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return A
+    The walk over the scaled powers stops at the first repeated rank, so it
+    takes k + 1 rank decisions instead of one per power up to the dimension.
+    """
+    return _analysis(_require_square(A), tol)[0]
 
 
 def _svd_pinv(A, tol):
@@ -132,13 +147,13 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     return GenInverseResult("one_three", X, 0, residuals)
 
 
-def _core_subspace(A, k, tol):
+def _core_subspace(P, tol):
     """Orthonormal bases of range(A^k) and range((A^k)*) via one SVD.
 
+    P is the scaled power A^k from :func:`_analysis`, None when it collapsed.
     Returns (r, Ur, Vr); r = 0 signals that A^k vanishes numerically.
     """
-    P, collapsed = scaled_power(A, k, tol)
-    if collapsed:
+    if P is None:
         return 0, None, None
     U, s, Vh = np.linalg.svd(P)
     r = int(np.sum(s > tol.rank_rel_tol * s[0])) if s[0] > 0 else 0
@@ -161,16 +176,17 @@ def _refined_inverse(Ahat):
     return (2.0 * eye - Y @ Ahat) @ Y
 
 
-def _drazin_matrix(A, k, tol):
+def _drazin_matrix(A, P, tol):
     """Drazin inverse through the invariant core subspace range(A^k).
 
     With U an orthonormal basis of range(A^k) and V one of range((A^k)*),
     the restriction U* A U is invertible and the oblique projector onto the
     core along the nilpotent part is U (V*U)^{-1} V*; the Drazin inverse is
     the restricted inverse composed with that projector.  This avoids the
-    ill-conditioned pseudoinverse of a high matrix power.
+    ill-conditioned pseudoinverse of a high matrix power.  P is the scaled
+    power A^k from :func:`_analysis`.
     """
-    r, Ur, Vr = _core_subspace(A, max(k, 1), tol)
+    r, Ur, Vr = _core_subspace(P, tol)
     if r == 0:
         return np.zeros_like(A)
     Ahat = Ur.conj().T @ A @ Ur
@@ -178,6 +194,19 @@ def _drazin_matrix(A, k, tol):
     W0 = np.linalg.solve(VU, Vr.conj().T)
     W = W0 + np.linalg.solve(VU, Vr.conj().T - VU @ W0)  # refine the solve
     return Ur @ (_refined_inverse(Ahat) @ W)
+
+
+def _pcore_matrix(A, P, tol):
+    """U (U* A U)^{-1} U* with U an orthonormal basis of range(A^k).
+
+    P is the scaled power A^k from :func:`_analysis`; a vanished A^k gives
+    the zero matrix.
+    """
+    r, Ur, _ = _core_subspace(P, tol)
+    if r == 0:
+        return np.zeros_like(A)
+    Ahat = Ur.conj().T @ A @ Ur
+    return Ur @ (_refined_inverse(Ahat) @ Ur.conj().T)
 
 
 def _drazin_residuals(A, X, k):
@@ -194,18 +223,18 @@ def _drazin_residuals(A, X, k):
 def drazin(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with X A^(k+1) = A^k, A X^2 = X and AX = XA, k = index(A)."""
     A = _require_square(A)
-    k = index(A, tol)
-    X = _drazin_matrix(A, k, tol)
+    k, P = _analysis(A, tol)
+    X = _drazin_matrix(A, P, tol)
     return GenInverseResult("drazin", X, k, _drazin_residuals(A, X, k))
 
 
 def group_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """Drazin inverse restricted to index <= 1; also commutes with A."""
     A = _require_square(A)
-    k = index(A, tol)
+    k, P = _analysis(A, tol)
     if k > 1:
         raise InverseNotDefinedError("group", k)
-    X = _drazin_matrix(A, 1, tol)
+    X = _drazin_matrix(A, P, tol)
     AX = A @ X
     residuals = {
         "p1": rel_residual(A @ X @ A, A),
@@ -249,13 +278,8 @@ def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     range; it is computed in that collapsed form, X = U (U* A U)^{-1} U*.
     """
     A = _require_square(A)
-    k = index(A, tol)
-    r, Ur, _ = _core_subspace(A, max(k, 1), tol)
-    if r == 0:
-        X = np.zeros_like(A)
-    else:
-        Ahat = Ur.conj().T @ A @ Ur
-        X = Ur @ (_refined_inverse(Ahat) @ Ur.conj().T)
+    k, P = _analysis(A, tol)
+    X = _pcore_matrix(A, P, tol)
     residuals = verify_defining_triple(A, X, max(k, 1), tol)
     return GenInverseResult("pseudo_core", X, k, residuals)
 
@@ -268,15 +292,10 @@ def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     range(A), i.e. the pseudo core inverse at k = 1.
     """
     A = _require_square(A)
-    k = index(A, tol)
+    k, P = _analysis(A, tol)
     if k > 1:
         raise InverseNotDefinedError("core", k)
-    r, Ur, _ = _core_subspace(A, 1, tol)
-    if r == 0:
-        X = np.zeros_like(A)
-    else:
-        Ahat = Ur.conj().T @ A @ Ur
-        X = Ur @ (_refined_inverse(Ahat) @ Ur.conj().T)
+    X = _pcore_matrix(A, P, tol)
     residuals = {
         "p1": rel_residual(A @ X @ A, A),
         "column_space": 0.0 if same_column_space(X, A, tol) else 1.0,
@@ -294,14 +313,18 @@ def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
     """
     A = _require_square(A)
     n = A.shape[0]
-    k0 = max(index(A, tol), 1)
+    k0 = max(_analysis(A, tol)[0], 1)
+    powers = islice(_scaled_powers(A, tol), k0 - 1, n)     # A^k0, ..., A^n
     for m in range(k0, n + 1):
         # collapse-aware power: a vanished A^m is exactly zero, not dust
-        Am, _ = scaled_power(A, m, tol)
-        if index(Am, tol) > 1:
+        Am = next(powers, None)
+        if Am is None:
+            Am = np.zeros_like(A)
+        km, Pm = _analysis(Am, tol)
+        if km > 1:
             continue
         mp = _svd_pinv(Am, tol)
-        gp = _drazin_matrix(Am, 1, tol)
+        gp = _drazin_matrix(Am, Pm, tol)
         bound = tol.eq_rel_tol * max(1.0, frobenius(mp), frobenius(gp))
         if frobenius(mp - gp) <= bound:
             return True, m

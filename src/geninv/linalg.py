@@ -9,6 +9,7 @@ from the policy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -80,9 +81,12 @@ def as_matrix(data) -> np.ndarray:
     return A
 
 
-def _require_square(A):
+def _require_square(A) -> np.ndarray:
+    """:func:`as_matrix` that also rejects non-square input."""
+    A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    return A
 
 
 def conjugate_transpose(A) -> np.ndarray:
@@ -118,8 +122,7 @@ def scale(alpha, A) -> np.ndarray:
 
 def power(A, k: int) -> np.ndarray:
     """Integer power of a square matrix; ``A^0`` is the identity."""
-    A = as_matrix(A)
-    _require_square(A)
+    A = _require_square(A)
     if k < 0:
         raise ValueError(f"exponent must be >= 0, got {k}")
     return np.linalg.matrix_power(A, k)
@@ -168,9 +171,26 @@ def same_column_space(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 
 def is_projection(P, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff P is idempotent and Hermitian under the policy."""
-    P = as_matrix(P)
-    _require_square(P)
+    P = _require_square(P)
     return approx_equal(P @ P, P, tol) and approx_equal(P.conj().T, P, tol)
+
+
+def _scaled_powers(A, tol: TolerancePolicy):
+    """Yield A^1, A^2, ... of a square matrix, each scaled to unit norm.
+
+    Each step is ``P = P @ A`` from ``P = I``, then the collapse test against
+    ``rank_rel_tol * ||A||``, then ``P / ||P||``.  The walk ends at the first
+    collapse: that power and every later one is numerically zero.
+    """
+    nA = frobenius(A)
+    P = np.eye(A.shape[0], dtype=np.complex128)
+    while True:
+        P = P @ A
+        nf = frobenius(P)
+        if nf <= tol.rank_rel_tol * nA:
+            return
+        P = P / nf
+        yield P
 
 
 def scaled_power(A, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -182,54 +202,28 @@ def scaled_power(A, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
     case P is exactly zero.  Renormalizing keeps rank decisions meaningful for
     high powers without overflow or underflow.
     """
-    A = as_matrix(A)
-    _require_square(A)
-    n = A.shape[0]
-    P = np.eye(n, dtype=np.complex128)
-    if k == 0:
-        return P, False
-    nA = frobenius(A)
-    if nA == 0.0:
-        return np.zeros_like(A), True
+    A = _require_square(A)
+    P = np.eye(A.shape[0], dtype=np.complex128)
+    powers = _scaled_powers(A, tol)
     for _ in range(k):
-        P = P @ A
-        nf = frobenius(P)
-        if nf <= tol.rank_rel_tol * nA:
+        P = next(powers, None)
+        if P is None:
             return np.zeros_like(A), True
-        P = P / nf
     return P, False
 
 
 def power_rank_chain(A, tol: TolerancePolicy = DEFAULT_POLICY):
     """Ranks of A^0, A^1, ..., A^n (n = dimension), computed on scaled powers."""
-    A = as_matrix(A)
-    _require_square(A)
+    A = _require_square(A)
     n = A.shape[0]
-    ranks = [n]
-    nA = frobenius(A)
-    if nA == 0.0:
-        return ranks + [0] * n
-    P = np.eye(n, dtype=np.complex128)
-    dead = False
-    for _ in range(n):
-        if dead:
-            ranks.append(0)
-            continue
-        P = P @ A
-        nf = frobenius(P)
-        if nf <= tol.rank_rel_tol * nA:
-            dead = True
-            ranks.append(0)
-            continue
-        P = P / nf
-        ranks.append(numerical_rank(P, tol))
-    return ranks
+    ranks = [n] + [numerical_rank(P, tol)
+                   for P in islice(_scaled_powers(A, tol), n)]
+    return ranks + [0] * (n + 1 - len(ranks))
 
 
 def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff the n-th scaled power of the n-by-n input has rank zero."""
-    A = as_matrix(A)
-    _require_square(A)
+    A = _require_square(A)
     if A.shape[0] == 0:
         return True
     P, collapsed = scaled_power(A, A.shape[0], tol)

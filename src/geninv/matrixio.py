@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON ``true``/``false`` decode to bool, which is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_matrix(obj) -> np.ndarray:
     """Decode one matrix object, validating shape and finiteness."""
     if not isinstance(obj, dict):
@@ -31,8 +36,7 @@ def parse_matrix(obj) -> np.ndarray:
     if missing:
         raise ValueError(f"matrix object missing fields {missing}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int)
-            and rows >= 1 and cols >= 1):
+    if not (_is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1):
         raise ValueError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ValueError(f"data must be a list of {rows} rows")
@@ -42,7 +46,8 @@ def parse_matrix(obj) -> np.ndarray:
             raise ValueError(f"row {i} must contain {cols} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+                    or not all(_is_int(v) or isinstance(v, float)
+                               for v in entry)):
                 raise ValueError(
                     f"entry ({i},{j}) must be a [real, imaginary] pair")
             re, im = float(entry[0]), float(entry[1])
@@ -74,7 +79,7 @@ def parse_instance(obj, symbols) -> dict:
         value = obj[name]
         if isinstance(value, dict):
             out[name] = parse_matrix(value)
-        elif isinstance(value, int):
+        elif _is_int(value):
             out[name] = value
         else:
             raise ValueError(f"symbol {name!r} must be a matrix object or int")

@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _require_square,
     as_matrix,
     frobenius,
     is_nilpotent,
@@ -37,6 +38,7 @@ from .inverses import (
     one_three,
     core_inverse,
     pseudo_core,
+    spectral_idempotent,
     verify_defining_triple,
 )
 
@@ -236,7 +238,7 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 
 def _triangular_sum(a, b, d, m, tol=DEFAULT_POLICY):
     """sum_{i=1..m} a^(i-1) a_pi b d^(m-i) plus its factor-scale."""
-    api = np.eye(a.shape[0], dtype=np.complex128) - a @ drazin(a, tol).inverse
+    api = spectral_idempotent(a, tol)
     total = np.zeros_like(b)
     scale_acc = 0.0
     for i in range(1, m + 1):
@@ -302,10 +304,8 @@ def check_lemma_2_5_converse(x, split: int,
     diagonal blocks to be invertible in the pseudo-core sense and the coupling
     sum to vanish inside the search window.
     """
-    x = as_matrix(x)
+    x = _require_square(x)
     n = x.shape[0]
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got {x.shape}")
     if not (0 < split < n):
         raise ValueError(f"split must lie strictly inside (0, {n}), got {split}")
     lower = x[split:, :split]
@@ -341,8 +341,7 @@ def check_lemma_2_5_converse(x, split: int,
 def _perturbation_sum(a, b, w, tol, lo, hi):
     """First m in [lo, hi] killing
     sum_i w^(i-1) a^(i-1) w_pi a (a a_pc - a_pc a) (a+b)^(m-i), else 0."""
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    wpi = eye - w @ drazin(w, tol).inverse
+    wpi = spectral_idempotent(w, tol)
     apc = pseudo_core(a, tol).inverse
     bracket = a @ apc - apc @ a
     s = a + b
@@ -373,7 +372,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
 
     eye = np.eye(a.shape[0], dtype=np.complex128)
     apc = pseudo_core(a, tol)
-    api = eye - a @ drazin(a, tol).inverse
+    api = spectral_idempotent(a, tol)
     s = a + b
     spc = pseudo_core(s, tol)
     ann_value, ann_zero = _zero_product([api, spc.inverse, a, apc.inverse], tol)
@@ -381,9 +380,8 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
 
     w = eye + apc.inverse @ b
     wpc = pseudo_core(w, tol)
-    lo = max(index(w, tol), 1)
-    hi = index(w, tol) + a.shape[0]
-    m = _perturbation_sum(a, b, w, tol, lo, hi)
+    kw = index(w, tol)
+    m = _perturbation_sum(a, b, w, tol, max(kw, 1), kw + a.shape[0])
     rhs = wpc.certified(tol) and m > 0
 
     report.conclusion_checks = [
@@ -448,7 +446,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 
     commutator = a @ b - b @ a
     spc = pseudo_core(a + b, tol)
-    api = eye - a @ drazin(a, tol).inverse
+    api = spectral_idempotent(a, tol)
     annihilation = api @ spc.inverse @ a @ apc.inverse
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
 
@@ -476,9 +474,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 
 def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Cross-check of the equivalent existence routes on one instance."""
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got {A.shape}")
+    A = _require_square(A)
     report = TheoremReport("T1_1", policy=tol)
     k = max(index(A, tol), 1)
     # the scaled power is exactly zero once the true power collapses, so the
@@ -694,7 +690,7 @@ def check_corollary_4_6(A, B, C, D,
     bc_value, bc_zero = _zero_product([B, C], tol)
     cb_value, cb_zero = _zero_product([C, B], tol)
     iA = index(A, tol)
-    api = np.eye(A.shape[0], dtype=np.complex128) - A @ drazin(A, tol).inverse
+    api = spectral_idempotent(A, tol)
     total = np.zeros_like(C)
     scale_acc = 0.0
     for i in range(1, iA + 1):

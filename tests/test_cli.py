@@ -133,6 +133,43 @@ class TestCompute:
         assert out["certified"] is False
 
 
+class TestMalformedInput:
+    """Malformed input ends with exit 2 and an error line, not a traceback."""
+
+    def test_boolean_dimension_exits_2(self, capsys, tmp_path):
+        obj = {"rows": True, "cols": 1, "data": [[[1.0, 0.0]]]}
+        path = write(tmp_path, "a.json", obj)
+        code, out, err = run(capsys, ["compute", "--kind", "pcore",
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err.startswith("error:")
+
+    def test_boolean_entry_exits_2(self, capsys, tmp_path):
+        obj = {"rows": 1, "cols": 1, "data": [[[True, 0.0]]]}
+        path = write(tmp_path, "a.json", obj)
+        code, out, err = run(capsys, ["compute", "--kind", "pcore",
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err.startswith("error:")
+
+    def test_boolean_split_exits_2(self, capsys, tmp_path):
+        x = matrix_to_obj(np.eye(4))
+        path = write(tmp_path, "x.json", {"x": x, "split": True})
+        code, out, err = run(capsys, ["verify", "--theorem", "L2_5b",
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--rank-tol", "--eq-tol", "--res-tol"])
+    @pytest.mark.parametrize("value", ["nan", "-1e-9", "1", "inf"])
+    def test_tolerance_out_of_range_exits_2(self, capsys, tmp_path, flag, value):
+        path = write(tmp_path, "a.json", A33_OBJ)
+        code, out, err = run(capsys, ["compute", "--kind", "pcore",
+                                      "--input", path, f"{flag}={value}"])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "must lie in [0, 1)" in err
+
+
 class TestVerify:
     def test_noncommuting_pair_exits_4(self, capsys, tmp_path):
         path = write(tmp_path, "inst.json", {"a": A33_OBJ, "b": NILP_OBJ})

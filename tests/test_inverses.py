@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from geninv.linalg import DEFAULT_POLICY, approx_equal
+from geninv.linalg import (
+    DEFAULT_POLICY,
+    DimensionError,
+    approx_equal,
+    power_rank_chain,
+)
 from geninv.inverses import (
     InverseNotDefinedError,
     core_inverse,
@@ -51,6 +56,56 @@ class TestIndex:
             if rg.integers(0, 2) and n > 1:
                 A[:, 0] = A[:, 1]
             assert 0 <= index(A) <= n
+
+
+def first_repeated_rank(A):
+    """The index read off the full rank chain: its first repeated rank."""
+    ranks = power_rank_chain(A)
+    return next((k for k in range(len(ranks) - 1) if ranks[k] == ranks[k + 1]),
+                len(ranks) - 1)
+
+
+class TestEarlyStoppingIndex:
+    """index() stops its walk at the first repeated rank; the full chain
+    must give the same answer."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_generated_matches_full_chain(self, scale):
+        for n in range(1, 17):
+            for k in range(0, min(n - 1, 5) + 1):
+                ranks = [n] if k == 0 else sorted({0, (n - k) // 2, n - k})
+                for r in ranks:
+                    A = scale * gen_with_index(
+                        n, k, r, np.random.SeedSequence([n, k, r]))
+                    assert index(A) == first_repeated_rank(A), (n, k, r)
+
+    def test_empty_matrix(self):
+        A = np.zeros((0, 0), dtype=complex)
+        assert index(A) == first_repeated_rank(A) == 0
+
+    def test_zero_matrices(self):
+        for n in range(1, 17):
+            A = np.zeros((n, n), dtype=complex)
+            assert index(A) == first_repeated_rank(A) == 1
+
+    def test_nilpotent_jordan_block_has_full_index(self):
+        for n in range(1, 17):
+            A = np.diag(np.ones(n - 1), 1).astype(complex)
+            assert index(A) == first_repeated_rank(A) == n
+
+    def test_invertible(self):
+        rg = np.random.default_rng(23)
+        for n in range(1, 17):
+            A = crandn(rg, n, n)
+            assert index(A) == first_repeated_rank(A) == 0
+
+
+@pytest.mark.parametrize("fn", [index, one_three, group_inverse, drazin,
+                                core_inverse, pseudo_core, is_star_dmp,
+                                spectral_idempotent])
+def test_non_square_input_raises_dimension_error(fn):
+    with pytest.raises(DimensionError, match=r"got shape \(3, 4\)"):
+        fn(np.ones((3, 4)))
 
 
 class TestMoorePenrose:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -19,6 +21,7 @@ from geninv.linalg import (
     power_rank_chain,
     same_column_space,
     scale,
+    scaled_power,
     subtract,
 )
 
@@ -218,6 +221,67 @@ class TestRankChain:
                 A[:, :2] = 0
             ranks = power_rank_chain(A)
             assert all(ranks[i + 1] <= ranks[i] for i in range(len(ranks) - 1))
+
+
+def loop_scaled_power(A, k, tol=DEFAULT_POLICY):
+    """Reference: the scaled power as a plain loop of multiply, collapse
+    test, renormalize."""
+    P = np.eye(A.shape[0], dtype=complex)
+    nA = np.linalg.norm(A)
+    for _ in range(k):
+        P = P @ A
+        nf = np.linalg.norm(P)
+        if nf <= tol.rank_rel_tol * nA:
+            return np.zeros_like(A), True
+        P = P / nf
+    return P, False
+
+
+class TestScaledPower:
+    # sha256 prefixes of scaled_power(A, k)[0].tobytes(); real matrices whose
+    # products are exact, so the bytes do not depend on the BLAS kernel
+    PINNED = {
+        ("J", 1): "648225a018dcdd7c", ("J", 2): "89a6fa4b42d7a714",
+        ("J", 3): "b4f55b9443093cae", ("J", 5): "19e70bb14146999c",
+        ("N", 1): "67044ea8f5856ff9", ("N", 2): "01399f43033ed14d",
+        ("N", 3): "a11d0fa11e6d07d4", ("N", 5): "5341e6b2646979a7",
+        ("E", 1): "9cbc8a404b4c9c36", ("E", 2): "ff7ab40b8b3fded1",
+        ("E", 3): "1d87097df968f479", ("E", 5): "5693cb346acc5ac4",
+    }
+    MATRICES = {
+        "J": 2 * np.eye(4) + np.diag(np.ones(3), 1),   # Jordan block of 2
+        "N": np.diag([1.0, 2.0, 3.0], 1),              # nilpotent, index 4
+        "E": np.array([[3.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+    }
+
+    def test_pinned_bytes(self):
+        for (name, k), digest in self.PINNED.items():
+            P, collapsed = scaled_power(self.MATRICES[name], k)
+            assert collapsed == (name == "N" and k >= 4)
+            assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == digest
+
+    def test_bitwise_equal_to_loop(self):
+        rg = np.random.default_rng(13)
+        for n in (1, 2, 5, 9):
+            A = crandn(rg, n, n)
+            A[:, 0] = 0
+            N = np.triu(crandn(rg, n, n), 1)
+            for M in (A, 1e-6 * A, 1e6 * A, N, np.zeros((n, n), complex)):
+                for k in range(n + 2):
+                    P, collapsed = scaled_power(M, k)
+                    Q, ref_collapsed = loop_scaled_power(M, k)
+                    assert collapsed == ref_collapsed
+                    assert P.tobytes() == Q.tobytes()
+
+    def test_rank_chain_uses_the_same_powers(self):
+        rg = np.random.default_rng(14)
+        A = crandn(rg, 6, 6)
+        A[:, :2] = 0
+        expected = [6] + [numerical_rank(scaled_power(A, k)[0])
+                          for k in range(1, 7)]
+        assert power_rank_chain(A) == expected
+        assert power_rank_chain(np.zeros((3, 3))) == [3, 0, 0, 0]
+        assert power_rank_chain(np.zeros((0, 0))) == [0]
 
 
 class TestTolerancePolicy:
