@@ -11,6 +11,7 @@ Exit codes partition outcomes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -311,7 +312,15 @@ def cmd_example33(args, tol: TolerancePolicy) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``geninv`` argument parser, built once per process.
+
+    The first call builds it and every later call returns the same object, so
+    repeated :func:`main` calls in one process parse with one parser.
+    ``parse_args`` returns a fresh namespace each time, so no option value
+    carries over from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="geninv",
         description="Generalized inverses of dense complex matrices with "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_POLICY, TolerancePolicy, frobenius
+from .linalg import DEFAULT_POLICY, frobenius, is_nilpotent_product
 from .inverses import index, pseudo_core, spectral_idempotent
 
 __all__ = [
@@ -213,9 +213,12 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
         X = _crandn(rg, p, q)
         return X * (scale / frobenius(X)), 2 * p * q
     A = np.vstack(rows)
-    s = np.linalg.svd(A, compute_uv=False)
+    # Every stack built here is tall or square, so the thin Vh holds the whole
+    # null space: an equation with square L and R adds a square 2pq-by-2pq
+    # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
+    # rows than columns is kept whenever the other one is.
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    _, _, Vh = np.linalg.svd(A)
     basis = Vh[rank:].T
     nullity = basis.shape[1]
     if nullity == 0:
@@ -361,22 +364,13 @@ def _intertwined_both_star(rg, nA, nD, product_factors, scale):
         Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
         if nullity == 0:
             break
-        if _coupling_nilpotent(product_factors(A, B, Cc, D)):
+        if is_nilpotent_product(product_factors(A, B, Cc, D)):
             C = Cc
             break
     if C is None:
         C = np.zeros((nD, nA), dtype=np.complex128)
         degenerate = True
     return A, B, C, D, degenerate
-
-
-def _coupling_nilpotent(factors, tol: TolerancePolicy = DEFAULT_POLICY):
-    from .linalg import is_nilpotent, product_with_scale
-
-    P, scale_acc = product_with_scale(factors)
-    if frobenius(P) <= tol.residual_tol * max(1.0, scale_acc):
-        return True
-    return is_nilpotent(P, tol)
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
@@ -422,7 +416,7 @@ def _intertwined_one_star(rg, nA, nD, star_on_b, product_factors, scale):
         Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
         if nullity == 0:
             break
-        if _coupling_nilpotent(product_factors(A, B, Cc, D)):
+        if is_nilpotent_product(product_factors(A, B, Cc, D)):
             C = Cc
             break
     if C is None:

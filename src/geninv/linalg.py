@@ -36,6 +36,7 @@ __all__ = [
     "power_rank_chain",
     "product_with_scale",
     "is_zero_product",
+    "is_nilpotent_product",
 ]
 
 
@@ -268,3 +269,12 @@ def is_zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     if frobenius(P) <= tol.residual_tol * max(1.0, scale_acc):
         return True
     return numerical_rank(P, tol) == 0
+
+
+def is_nilpotent_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Is the product of the factors nilpotent?  A product that cancelled to
+    rounding dust at the factors' own scale counts as the zero matrix."""
+    P, scale_acc = product_with_scale(factors)
+    if frobenius(P) <= tol.residual_tol * max(1.0, scale_acc):
+        return True
+    return is_nilpotent(P, tol)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from geninv.cli import main
+from geninv.cli import build_parser, main
+from geninv.linalg import DEFAULT_POLICY
 from geninv.matrixio import dumps_report, matrix_to_obj, parse_instance, parse_matrix
 
 A33_OBJ = {"rows": 2, "cols": 2,
@@ -282,6 +283,26 @@ class TestFuzz:
                                     "--trials", "3", "--seed", "1"])
         assert code == 5
         assert out["summary"]["hypotheses_not_met"] == 3
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_option_value_does_not_carry_over(self, capsys):
+        argv = ["fuzz", "--theorem", "L2_1", "--dim", "2", "--trials", "1"]
+        _, out, _ = run(capsys, argv + ["--res-tol", "1e-7"])
+        assert out["policy"]["residual_tol"] == 1e-7
+        _, out, _ = run(capsys, argv)
+        assert out["policy"]["residual_tol"] == DEFAULT_POLICY.residual_tol
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "--theorem" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["example33"])
+        assert code == 0 and out["report"]["verdict"] == "pass"
 
 
 class TestExample33Command:

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from geninv import generators
 from geninv.linalg import DEFAULT_POLICY, is_zero_product
 from geninv.inverses import index, is_star_dmp, pseudo_core
 from geninv.generators import (
@@ -10,6 +13,7 @@ from geninv.generators import (
     gen_commutant_pair,
     gen_intertwined_4_1,
     gen_intertwined_4_3,
+    gen_intertwined_4_4,
     gen_lemma_2_5_instance,
     gen_star_dmp,
     gen_with_index,
@@ -234,3 +238,75 @@ class TestSpecAndDispatch:
                 inst = instance_for(theorem_id, (3, 3), seed=trial_seed(88, t))
                 report = run_check(theorem_id, inst.matrices)
                 assert report.verdict != "hypotheses_not_met", (theorem_id, t)
+
+
+def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
+    """Reference: the nullspace draw with a rank-only SVD and a full SVD."""
+    rtol = DEFAULT_POLICY.rank_rel_tol if rtol is None else rtol
+    p, q = shape
+    rows = []
+    for lin, conj in equations:
+        block, ref = generators._equation_rows(shape, lin, conj)
+        if np.linalg.norm(block) > rtol * max(1.0, ref):
+            rows.append(block)
+    if not rows:
+        X = generators._crandn(rg, p, q)
+        return X * (scale / np.linalg.norm(X)), 2 * p * q
+    A = np.vstack(rows)
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    _, _, Vh = np.linalg.svd(A)
+    basis = Vh[rank:].T
+    nullity = basis.shape[1]
+    if nullity == 0:
+        return np.zeros((p, q), dtype=np.complex128), 0
+    v = basis @ rg.standard_normal(nullity)
+    X = (v[: p * q] + 1j * v[p * q:]).reshape((p, q), order="F")
+    nf = np.linalg.norm(X)
+    if nf > 0:
+        X = X * (scale / nf)
+    return X, nullity
+
+
+class TestNullspaceSample:
+    """The one-SVD draw reproduces the two-SVD reference bit for bit on the
+    systems the generators build."""
+
+    def _compare_draws(self, monkeypatch, make):
+        sample = generators._nullspace_sample
+        draws = []
+
+        def spy(rg, shape, equations, scale=1.0, rtol=None):
+            ref_rg = copy.deepcopy(rg)
+            X, nullity = sample(rg, shape, equations, scale, rtol)
+            X_ref, nullity_ref = _two_svd_nullspace_sample(
+                ref_rg, shape, equations, scale, rtol)
+            draws.append(nullity)
+            assert nullity == nullity_ref
+            assert X.tobytes() == X_ref.tobytes()
+            assert rg.bit_generator.state == ref_rg.bit_generator.state
+            return X, nullity
+
+        monkeypatch.setattr(generators, "_nullspace_sample", spy)
+        for seed in range(6):
+            make(seed)
+        return draws
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_commutant_systems(self, monkeypatch, n):
+        draws = self._compare_draws(
+            monkeypatch, lambda seed: gen_commutant_pair(n, seed=700 + seed))
+        assert len(draws) == 6 and min(draws) > 0
+
+    def test_conjugate_term_systems(self, monkeypatch):
+        def make(seed):
+            gen_intertwined_4_3(3, 2, seed=710 + seed)   # B*A = DB* on B
+            gen_intertwined_4_4(2, 3, seed=720 + seed)   # AC* = C*D on C
+
+        draws = self._compare_draws(monkeypatch, make)
+        assert len(draws) >= 24
+
+    def test_single_square_equation(self, monkeypatch):
+        draws = self._compare_draws(
+            monkeypatch, lambda seed: gen_lemma_2_5_instance(3, 4, seed=730 + seed))
+        assert len(draws) == 6

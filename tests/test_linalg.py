@@ -13,6 +13,7 @@ from geninv.linalg import (
     as_matrix,
     conjugate_transpose,
     is_nilpotent,
+    is_nilpotent_product,
     is_projection,
     multiply,
     null_space_basis,
@@ -181,6 +182,13 @@ class TestIsNilpotent:
         S = np.eye(4) + 0.2 * crandn(rg, 4, 4)
         N = np.diag(np.ones(3), 1)
         assert is_nilpotent(S @ N @ np.linalg.inv(S))
+
+    def test_product(self):
+        rg = np.random.default_rng(8)
+        S = np.eye(4) + 0.2 * crandn(rg, 4, 4)
+        N = np.diag(np.ones(3), 1)
+        assert is_nilpotent_product([S, N, np.linalg.inv(S)])
+        assert not is_nilpotent_product([S, np.eye(4), np.linalg.inv(S)])
 
 
 class TestNullSpaceBasis:
