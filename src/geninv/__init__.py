@@ -44,7 +44,7 @@ from .theorems import (
     reproduce_example_3_3,
     run_check,
 )
-from .generators import Instance, InstanceSpec, generate, instance_for
+from .generators import Instance, instance_for
 
 __all__ = [
     "__version__",
@@ -79,7 +79,5 @@ __all__ = [
     "reproduce_example_3_3",
     "run_check",
     "Instance",
-    "InstanceSpec",
-    "generate",
     "instance_for",
 ]

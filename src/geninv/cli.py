@@ -118,7 +118,7 @@ def _fail(message: str, code: int = 2) -> int:
 
 
 def _parse_dims(args, theorem):
-    if getattr(args, "dims", None):
+    if getattr(args, "dims", None) is not None:
         parts = args.dims.split(",")
         try:
             dims = tuple(int(p) for p in parts)
@@ -127,7 +127,7 @@ def _parse_dims(args, theorem):
         if len(dims) not in (1, 2):
             raise ValueError("--dims takes one or two comma-separated integers")
         return dims
-    if getattr(args, "dim", None):
+    if getattr(args, "dim", None) is not None:
         return (args.dim,)
     return _DEFAULT_FUZZ_DIMS.get(theorem, (4,))
 

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_POLICY, frobenius, is_nilpotent_product
+from .linalg import DEFAULT_POLICY, _rank_cut, frobenius, is_nilpotent_product
 from .inverses import index, pseudo_core, spectral_idempotent
 
 __all__ = [
     "MAX_DIM",
     "MAX_BLOCK_DIM",
-    "InstanceSpec",
     "Instance",
     "trial_seed",
     "gen_with_index",
@@ -36,37 +35,12 @@ __all__ = [
     "gen_intertwined_4_4",
     "gen_zero_product_4_5",
     "gen_zero_product_4_6",
-    "generate",
     "instance_for",
 ]
 
 MAX_DIM = 16        # nullspace solves stay desk-scale below this
 MAX_BLOCK_DIM = 8   # per-block cap for the 2x2 block samplers
 _RETRY_CAP = 64
-
-SPEC_KINDS = ("plain", "with_index", "commutant_pair", "star_dmp",
-              "annihilating_pair", "lemma_2_5", "intertwined_4_1",
-              "intertwined_4_3", "zero_product_4_5")
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Seeded recipe for one structured instance."""
-
-    kind: str
-    dims: tuple
-    seed: int
-    target_index: int | None = None
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in SPEC_KINDS:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
-        if any(d < 1 or d > MAX_DIM for d in self.dims):
-            raise ValueError(f"dims must lie in [1, {MAX_DIM}], got {self.dims}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
 
 @dataclass
 class Instance:
@@ -218,8 +192,7 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
     # rows than columns is kept whenever the other one is.
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
-    basis = Vh[rank:].T
+    basis = Vh[_rank_cut(s, rtol):].T
     nullity = basis.shape[1]
     if nullity == 0:
         return np.zeros((p, q), dtype=np.complex128), 0
@@ -292,6 +265,14 @@ def gen_annihilating_pair(n: int, seed, scale: float = 1.0):
     return a, b
 
 
+def _coupling_terms(a, d, m):
+    """Linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling sum
+    sum_i a^(i-1) a_pi X d^(m-i) in the unknown X."""
+    api = spectral_idempotent(a)
+    return [(np.linalg.matrix_power(a, i - 1) @ api,
+             np.linalg.matrix_power(d, m - i)) for i in range(1, m + 1)]
+
+
 def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     """(a, b, d) with the triangular coupling sum vanishing at
     m = index(a) + index(d) + 1 by construction.
@@ -306,10 +287,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     kd, rd = _draw_index_rank(rg, nd)
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
-    m = ka + kd + 1
-    api = spectral_idempotent(a)
-    terms = [(np.linalg.matrix_power(a, i - 1) @ api,
-              np.linalg.matrix_power(d, m - i)) for i in range(1, m + 1)]
+    terms = _coupling_terms(a, d, ka + kd + 1)
     b, nullity = _nullspace_sample(rg, (na, nd), [(terms, [])], scale)
     return a, b, d, nullity == 0
 
@@ -349,14 +327,11 @@ def _check_block_dims(nA, nD):
         raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
 
 
-def _intertwined_both_star(rg, nA, nD, product_factors, scale):
-    """Common body of the fully-starred intertwined samplers."""
-    A, D = _shared_block_pair(rg, nA, nD)
-    IA = np.eye(nA, dtype=np.complex128)
-    ID = np.eye(nD, dtype=np.complex128)
-    st = lambda M: M.conj().T
-    b_eqs = [([(A, ID), (-IA, D)], []), ([(st(A), ID), (-IA, st(D))], [])]
-    c_eqs = [([(D, IA), (-ID, A)], []), ([(st(D), IA), (-ID, st(A))], [])]
+def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
+    """Draw B from its equations, then redraw C from its own until the
+    coupling product is nilpotent; C = 0 and degenerate after _RETRY_CAP
+    draws or when C's solution space is trivial."""
+    nA, nD = A.shape[0], D.shape[0]
     B, _ = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
     degenerate = frobenius(B) == 0.0
     C = None
@@ -371,6 +346,17 @@ def _intertwined_both_star(rg, nA, nD, product_factors, scale):
         C = np.zeros((nD, nA), dtype=np.complex128)
         degenerate = True
     return A, B, C, D, degenerate
+
+
+def _intertwined_both_star(rg, nA, nD, product_factors, scale):
+    """Common body of the fully-starred intertwined samplers."""
+    A, D = _shared_block_pair(rg, nA, nD)
+    IA = np.eye(nA, dtype=np.complex128)
+    ID = np.eye(nD, dtype=np.complex128)
+    st = lambda M: M.conj().T
+    b_eqs = [([(A, ID), (-IA, D)], []), ([(st(A), ID), (-IA, st(D))], [])]
+    c_eqs = [([(D, IA), (-ID, A)], []), ([(st(D), IA), (-ID, st(A))], [])]
+    return _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale)
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
@@ -409,20 +395,7 @@ def _intertwined_one_star(rg, nA, nD, star_on_b, product_factors, scale):
     else:
         # AC* = C*D, conjugate-linear in C
         c_eqs.append(([], [(A, ID), (-IA, D)]))
-    B, _ = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
-    degenerate = frobenius(B) == 0.0
-    C = None
-    for _ in range(_RETRY_CAP):
-        Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
-        if nullity == 0:
-            break
-        if is_nilpotent_product(product_factors(A, B, Cc, D)):
-            C = Cc
-            break
-    if C is None:
-        C = np.zeros((nD, nA), dtype=np.complex128)
-        degenerate = True
-    return A, B, C, D, degenerate
+    return _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale)
 
 
 def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
@@ -467,10 +440,7 @@ def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     iA = index(A)
     b_eqs = [([(IA, C)], []), ([(C, ID)], [])]
     if iA >= 1:
-        api = spectral_idempotent(A)
-        terms = [(np.linalg.matrix_power(A, i - 1) @ api,
-                  np.linalg.matrix_power(D, iA - i)) for i in range(1, iA + 1)]
-        b_eqs.append((terms, []))
+        b_eqs.append((_coupling_terms(A, D, iA), []))
     B, nullity = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
     if nullity == 0 or frobenius(B) == 0.0:
         degenerate = True
@@ -506,42 +476,7 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# Dispatchers
-
-
-def generate(spec: InstanceSpec) -> Instance:
-    """Materialize an :class:`InstanceSpec` into named matrices."""
-    rg = _rng(spec.seed)
-    dims = spec.dims
-    if spec.kind == "plain":
-        return Instance({"a": spec.scale * _crandn(rg, dims[0], dims[0])})
-    if spec.kind == "with_index":
-        n = dims[0]
-        k, r = _draw_index_rank(rg, n, spec.target_index)
-        return Instance({"a": _with_index_rng(rg, n, k, r)})
-    if spec.kind == "commutant_pair":
-        a, b = gen_commutant_pair(dims[0], spec.seed, spec.target_index, spec.scale)
-        return Instance({"a": a, "b": b})
-    if spec.kind == "star_dmp":
-        n = dims[0]
-        k, r = _draw_index_rank(rg, n, spec.target_index, kmax=2)
-        a = gen_star_dmp(n, r, k, spec.seed, spec.scale)
-        return Instance({"a": a})
-    if spec.kind == "annihilating_pair":
-        a, b = gen_annihilating_pair(dims[0], spec.seed, spec.scale)
-        return Instance({"a": a, "b": b})
-    if spec.kind == "lemma_2_5":
-        na, nd = dims if len(dims) == 2 else (dims[0], dims[0])
-        a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, spec.seed, spec.scale)
-        return Instance({"a": a, "b": b, "d": d}, degenerate)
-    samplers = {
-        "intertwined_4_1": gen_intertwined_4_1,
-        "intertwined_4_3": gen_intertwined_4_3,
-        "zero_product_4_5": gen_zero_product_4_5,
-    }
-    nA, nD = dims if len(dims) == 2 else (dims[0], dims[0])
-    A, B, C, D, degenerate = samplers[spec.kind](nA, nD, spec.seed, spec.scale)
-    return Instance({"A": A, "B": B, "C": C, "D": D}, degenerate)
+# Dispatcher
 
 
 def _l2_4_instance(rg, n, scale):

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _rank_cut,
     _require_square,
     _scaled_powers,
     as_matrix,
@@ -107,7 +108,7 @@ def _svd_pinv(A, tol):
     if A.size == 0 or frobenius(A) == 0.0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
     U, s, Vh = np.linalg.svd(A)
-    r = int(np.sum(s > tol.rank_rel_tol * s[0]))
+    r = _rank_cut(s, tol.rank_rel_tol)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
@@ -156,7 +157,7 @@ def _core_subspace(P, tol):
     if P is None:
         return 0, None, None
     U, s, Vh = np.linalg.svd(P)
-    r = int(np.sum(s > tol.rank_rel_tol * s[0])) if s[0] > 0 else 0
+    r = _rank_cut(s, tol.rank_rel_tol)
     if r == 0:
         return 0, None, None
     return r, U[:, :r], Vh[:r].conj().T

@@ -19,11 +19,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "as_matrix",
     "conjugate_transpose",
-    "add",
-    "subtract",
-    "multiply",
-    "scale",
-    "power",
     "frobenius",
     "rel_residual",
     "numerical_rank",
@@ -35,7 +30,7 @@ __all__ = [
     "scaled_power",
     "power_rank_chain",
     "product_with_scale",
-    "is_zero_product",
+    "zero_product",
     "is_nilpotent_product",
 ]
 
@@ -95,40 +90,6 @@ def conjugate_transpose(A) -> np.ndarray:
     return as_matrix(A).conj().T
 
 
-def add(A, B) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"cannot add shapes {A.shape} and {B.shape}")
-    return A + B
-
-
-def subtract(A, B) -> np.ndarray:
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionError(f"cannot subtract shapes {A.shape} and {B.shape}")
-    return A - B
-
-
-def multiply(A, B) -> np.ndarray:
-    """Matrix product with explicit conformability checking (no broadcasting)."""
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape[1] != B.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {A.shape} and {B.shape}")
-    return A @ B
-
-
-def scale(alpha, A) -> np.ndarray:
-    return complex(alpha) * as_matrix(A)
-
-
-def power(A, k: int) -> np.ndarray:
-    """Integer power of a square matrix; ``A^0`` is the identity."""
-    A = _require_square(A)
-    if k < 0:
-        raise ValueError(f"exponent must be >= 0, got {k}")
-    return np.linalg.matrix_power(A, k)
-
-
 def frobenius(A) -> float:
     return float(np.linalg.norm(A))
 
@@ -138,15 +99,20 @@ def rel_residual(X, Y) -> float:
     return frobenius(np.asarray(X) - np.asarray(Y)) / max(1.0, frobenius(Y))
 
 
+def _rank_cut(s, rtol: float) -> int:
+    """Count of the descending singular values ``s`` above ``rtol * s[0]``;
+    0 for an empty or all-zero spectrum.  The one rank decision."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
 def numerical_rank(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Count of singular values above ``rank_rel_tol`` times the largest."""
     A = as_matrix(A)
     if A.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rel_tol * s[0]))
+    return _rank_cut(np.linalg.svd(A, compute_uv=False), tol.rank_rel_tol)
 
 
 def approx_equal(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -263,12 +229,17 @@ def product_with_scale(factors):
     return P, scale_acc
 
 
-def is_zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Does the product of the factors vanish, at the factors' own scale?"""
+def zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY):
+    """Does the product of the factors vanish, at the factors' own scale?
+
+    Returns ``(value, vanishes)`` with value ``||P||_F / max(1, scale)``;
+    a product above the residual threshold still vanishes at rank zero.
+    """
     P, scale_acc = product_with_scale(factors)
-    if frobenius(P) <= tol.residual_tol * max(1.0, scale_acc):
-        return True
-    return numerical_rank(P, tol) == 0
+    value = frobenius(P) / max(1.0, scale_acc)
+    if value <= tol.residual_tol:
+        return value, True
+    return value, numerical_rank(P, tol) == 0
 
 
 def is_nilpotent_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:

@@ -250,9 +250,14 @@ class TestFuzz:
         assert code == 2
 
     def test_oversized_dims_exit_2(self, capsys):
-        code, _, _ = run(capsys, ["fuzz", "--theorem", "T4_1",
-                                  "--dims", "12,12", "--trials", "1"])
-        assert code == 2
+        # a zero or empty dimension must not fall back to the default dims
+        for theorem, dims in (("T4_1", ["--dims", "12,12"]),
+                              ("L2_1", ["--dim", "0"]),
+                              ("L2_1", ["--dims", ""])):
+            code, out, err = run(capsys, ["fuzz", "--theorem", theorem, *dims,
+                                          "--trials", "1"])
+            assert code == 2, dims
+            assert out is None and err.startswith("error:"), dims
 
     def test_summary_counts_sum_to_trials(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--theorem", "L2_5a",

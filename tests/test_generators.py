@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from geninv import generators
-from geninv.linalg import DEFAULT_POLICY, is_zero_product
+from geninv.linalg import DEFAULT_POLICY, zero_product
 from geninv.inverses import index, is_star_dmp, pseudo_core
 from geninv.generators import (
-    Instance,
-    InstanceSpec,
     gen_annihilating_pair,
     gen_commutant_pair,
     gen_intertwined_4_1,
+    gen_intertwined_4_2,
     gen_intertwined_4_3,
     gen_intertwined_4_4,
     gen_lemma_2_5_instance,
     gen_star_dmp,
     gen_with_index,
     gen_zero_product_4_5,
-    generate,
     instance_for,
     trial_seed,
 )
@@ -134,9 +132,9 @@ class TestStarDmp:
 class TestAnnihilatingPair:
     def test_zero_products_exact(self):
         a, b = gen_annihilating_pair(6, seed=30)
-        assert is_zero_product([a, b])
-        assert is_zero_product([b, a])
-        assert is_zero_product([a.conj().T, b])
+        assert zero_product([a, b])[1]
+        assert zero_product([b, a])[1]
+        assert zero_product([a.conj().T, b])[1]
 
     def test_small_split(self):
         a, b = gen_annihilating_pair(2, seed=31)
@@ -196,8 +194,8 @@ class TestBlockSamplers:
 
     def test_45_zero_products_and_sum(self):
         A, B, C, D, degenerate = gen_zero_product_4_5(3, 3, seed=52)
-        assert is_zero_product([B, C])
-        assert is_zero_product([C, B])
+        assert zero_product([B, C])[1]
+        assert zero_product([C, B])[1]
 
     def test_degenerate_fraction_bounded(self):
         for sampler in (gen_intertwined_4_1, gen_intertwined_4_3,
@@ -212,26 +210,6 @@ class TestBlockSamplers:
 
 
 class TestSpecAndDispatch:
-    def test_instance_spec_validation(self):
-        with pytest.raises(ValueError):
-            InstanceSpec(kind="nope", dims=(3,), seed=1)
-        with pytest.raises(ValueError):
-            InstanceSpec(kind="plain", dims=(99,), seed=1)
-        with pytest.raises(ValueError):
-            InstanceSpec(kind="plain", dims=(3,), seed=1, scale=0.0)
-
-    def test_generate_each_kind(self):
-        kinds_dims = {
-            "plain": (4,), "with_index": (4,), "commutant_pair": (4,),
-            "star_dmp": (4,), "annihilating_pair": (4,), "lemma_2_5": (3, 3),
-            "intertwined_4_1": (3, 3), "intertwined_4_3": (3, 3),
-            "zero_product_4_5": (3, 3),
-        }
-        for kind, dims in kinds_dims.items():
-            inst = generate(InstanceSpec(kind=kind, dims=dims, seed=77))
-            assert isinstance(inst, Instance)
-            assert inst.matrices
-
     def test_every_theorem_instance_meets_hypotheses(self):
         for theorem_id in THEOREM_SYMBOLS:
             for t in range(5):
@@ -310,3 +288,73 @@ class TestNullspaceSample:
         draws = self._compare_draws(
             monkeypatch, lambda seed: gen_lemma_2_5_instance(3, 4, seed=730 + seed))
         assert len(draws) == 6
+
+
+def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
+    """Reference: the B-then-C rejection loop as each intertwined sampler
+    once spelled it out."""
+    nA, nD = A.shape[0], D.shape[0]
+    B, _ = generators._nullspace_sample(rg, (nA, nD), b_eqs, scale)
+    degenerate = np.linalg.norm(B) == 0.0
+    C = None
+    for _ in range(generators._RETRY_CAP):
+        Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs, scale)
+        if nullity == 0:
+            break
+        if generators.is_nilpotent_product(product_factors(A, B, Cc, D)):
+            C = Cc
+            break
+    if C is None:
+        C = np.zeros((nD, nA), dtype=np.complex128)
+        degenerate = True
+    return A, B, C, D, degenerate
+
+
+class TestRejectionSampler:
+    """The shared B-then-C sampler reproduces the reference loop bit for bit
+    inside every intertwined generator."""
+
+    SAMPLERS = (gen_intertwined_4_1, gen_intertwined_4_2,
+                gen_intertwined_4_3, gen_intertwined_4_4)
+
+    def _compare(self, monkeypatch, seeds):
+        sample = generators._sample_b_then_c
+        results = []
+
+        def spy(rg, A, D, b_eqs, c_eqs, product_factors, scale):
+            ref_rg = copy.deepcopy(rg)
+            out = sample(rg, A, D, b_eqs, c_eqs, product_factors, scale)
+            ref = _loop_b_then_c(ref_rg, A, D, b_eqs, c_eqs, product_factors,
+                                 scale)
+            for M, M_ref in zip(out[:4], ref[:4]):
+                assert M.tobytes() == M_ref.tobytes()
+            assert out[4] == ref[4]
+            assert rg.bit_generator.state == ref_rg.bit_generator.state
+            results.append(out)
+            return out
+
+        monkeypatch.setattr(generators, "_sample_b_then_c", spy)
+        for sampler in self.SAMPLERS:
+            for nA, nD in ((2, 2), (3, 2), (3, 3)):
+                for seed in seeds:
+                    sampler(nA, nD, seed=seed)
+        assert len(results) == len(self.SAMPLERS) * 3 * len(seeds)
+        return results
+
+    def test_matches_reference_loop(self, monkeypatch):
+        self._compare(monkeypatch, range(900, 904))
+
+    def test_retry_cap_fallback(self, monkeypatch):
+        tests = []
+
+        def never_nilpotent(factors, tol=DEFAULT_POLICY):
+            tests.append(len(factors))
+            return False
+
+        monkeypatch.setattr(generators, "is_nilpotent_product", never_nilpotent)
+        results = self._compare(monkeypatch, (910,))
+        # both the sampler and the reference draw C _RETRY_CAP times per call
+        assert len(tests) == 2 * generators._RETRY_CAP * len(results)
+        for A, B, C, D, degenerate in results:
+            assert degenerate
+            assert not C.any() and C.shape == (D.shape[0], A.shape[0])

@@ -8,22 +8,17 @@ from geninv.linalg import (
     DEFAULT_POLICY,
     DimensionError,
     TolerancePolicy,
-    add,
     approx_equal,
     as_matrix,
     conjugate_transpose,
     is_nilpotent,
     is_nilpotent_product,
     is_projection,
-    multiply,
     null_space_basis,
     numerical_rank,
-    power,
     power_rank_chain,
     same_column_space,
-    scale,
     scaled_power,
-    subtract,
 )
 
 from oracles import exact_power_is_zero, exact_rank
@@ -58,34 +53,6 @@ class TestConjugateTranspose:
 
 
 class TestArithmetic:
-    def test_nilpotent_square(self):
-        A = [[0, 1], [0, 0]]
-        assert np.array_equal(power(A, 2), np.zeros((2, 2)))
-
-    def test_zeroth_power_is_identity(self):
-        rg = np.random.default_rng(3)
-        assert np.array_equal(power(crandn(rg, 2, 2), 0), np.eye(2))
-
-    def test_example_sum(self):
-        a = [[1j, 0], [0, 0]]
-        b = [[0, 0], [1, 0]]
-        assert np.array_equal(add(a, b), [[1j, 0], [1, 0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            add(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionError):
-            subtract(np.eye(2), np.zeros((1, 2)))
-        with pytest.raises(DimensionError):
-            multiply(np.eye(2), np.zeros((3, 3)))
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            power(np.eye(2), -1)
-
-    def test_scale(self):
-        assert np.array_equal(scale(2j, np.eye(2)), 2j * np.eye(2))
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_matrix([[np.nan, 0], [0, 0]])

@@ -37,6 +37,7 @@ from geninv.generators import (
     gen_zero_product_4_5,
     gen_zero_product_4_6,
     instance_for,
+    trial_seed,
 )
 
 A33 = np.array([[1j, 0], [0, 0]], dtype=complex)
@@ -413,3 +414,40 @@ class TestDispatch:
         report = check_lemma_2_1(A33, B33)
         assert any(not c.passed for c in report.hypothesis_checks)
         assert report.verdict == "hypotheses_not_met"
+
+
+class TestDualArrangement:
+    """Each corollary's dual_arrangement_certified check equals the
+    m_certified check of its theorem run on [[A*, C*], [B*, D*]]."""
+
+    MIRRORS = (("C4_2", check_corollary_4_2, check_theorem_4_1),
+               ("C4_4", check_corollary_4_4, check_theorem_4_3),
+               ("C4_6", check_corollary_4_6, check_theorem_4_5))
+
+    @staticmethod
+    def _instances(theorem_id):
+        rg = np.random.default_rng(4100)
+        for t in range(4):
+            inst = instance_for(theorem_id, (3, 2), seed=trial_seed(4100, t))
+            yield [inst.matrices[s] for s in "ABCD"]
+        for nA, nD in ((2, 2), (3, 2), (2, 3)):
+            A, D = crandn(rg, nA, nA), crandn(rg, nD, nD)
+            B, C = crandn(rg, nA, nD), crandn(rg, nD, nA)
+            yield [A, B, C, D]
+            # a zero column in D and a tiny B leave M nearly singular, and
+            # some of these copies miss the certificate
+            D[:, 0] = 0.0
+            yield [A, B * 1e-9, C, D]
+
+    @pytest.mark.parametrize("theorem_id,corollary,theorem", MIRRORS)
+    def test_equals_mirrored_theorem(self, theorem_id, corollary, theorem):
+        st = lambda M: M.conj().T
+        flags = set()
+        for A, B, C, D in self._instances(theorem_id):
+            dual = next(c for c in corollary(A, B, C, D).conclusion_checks
+                        if c.label == "dual_arrangement_certified")
+            full = next(c for c in theorem(st(A), st(C), st(B), st(D))
+                        .conclusion_checks if c.label == "m_certified")
+            assert (dual.value, dual.passed) == (full.value, full.passed)
+            flags.add(dual.passed)
+        assert flags == {True, False}
