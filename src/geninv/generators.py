@@ -1,10 +1,12 @@
 """Seeded generators for structured instances satisfying theorem hypotheses.
 
-Hypotheses that are linear (or conjugate-linear) in one unknown block are
-satisfied exactly by sampling from the nullspace of the corresponding
-realified constraint system; the one nonlinear hypothesis (nilpotency of a
-coupling product) is handled by rejection with a capped retry count and a
-guaranteed zero fallback, flagged as degenerate.
+Hypotheses that are linear in one unknown block are satisfied exactly by
+sampling from the nullspace of the complex-linear constraint system, taken
+from one complex thin SVD.  A conjugate-linear hypothesis is imposed through
+its adjoint, which is complex-linear and has the same solutions: B*A = DB*
+as A*B = BD*, and AC* = C*D as CA* = D*C.  The one nonlinear hypothesis
+(nilpotency of a coupling product) is handled by rejection with a capped
+retry count and a guaranteed zero fallback, flagged as degenerate.
 
 Every generator is a pure function of its arguments: equal seeds give
 bit-identical output.
@@ -124,84 +126,75 @@ def _draw_index_rank(rg, n, target_index=None, kmax=3):
 
 
 # ---------------------------------------------------------------------------
-# Realified homogeneous constraint systems
+# Complex-linear homogeneous constraint systems
 
 
-def _commutation_matrix(p, q):
-    K = np.zeros((p * q, p * q))
-    for i in range(p):
-        for j in range(q):
-            K[j + i * q, i + j * p] = 1.0
-    return K
+def _equation_rows(terms):
+    """Rows of one equation sum L X R = 0 in the column-major vec(X).
 
-
-def _equation_rows(shape, lin_terms, conj_terms):
-    """Realified rows of one equation sum L X R + sum M X* N = 0.
-
-    Returns (rows, ref_scale); ref_scale is the natural coefficient magnitude
-    (sum of the term factors' norm products), against which an equation whose
-    coefficients cancelled to rounding dust can be recognized and dropped.
+    terms: list of (L, R).  The rows are sum kron(R^T, L), built by
+    broadcasting.  Returns (rows, ref_scale); ref_scale is the natural
+    coefficient magnitude (sum of the term factors' norm products), against
+    which an equation whose coefficients cancelled to rounding dust can be
+    recognized and dropped.
     """
-    p, q = shape
     ref = 0.0
     S = None
-    for L, R in lin_terms:
+    for L, R in terms:
         L, R = np.asarray(L), np.asarray(R)
         ref += frobenius(L) * frobenius(R)
-        part = np.kron(R.T, L)
+        part = (R.T[:, None, :, None] * L[None, :, None, :]).reshape(
+            R.shape[1] * L.shape[0], R.shape[0] * L.shape[1])
         S = part if S is None else S + part
-    T = None
-    if conj_terms:
-        K = _commutation_matrix(p, q)
-        for M, N in conj_terms:
-            M, N = np.asarray(M), np.asarray(N)
-            ref += frobenius(M) * frobenius(N)
-            part = np.kron(N.T, M) @ K
-            T = part if T is None else T + part
-    if S is not None and T is not None:
-        rows = np.block([[S.real + T.real, -S.imag + T.imag],
-                         [S.imag + T.imag, S.real - T.real]])
-    elif S is not None:
-        rows = np.block([[S.real, -S.imag], [S.imag, S.real]])
-    else:
-        rows = np.block([[T.real, T.imag], [T.imag, -T.real]])
-    return rows, ref
+    return S, ref
 
 
 def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     """Random solution of the stacked homogeneous equations, or zero.
 
-    equations: list of (lin_terms, conj_terms) as in :func:`_equation_rows`.
-    Equations whose coefficients vanish at their factors' scale are dropped
-    as identically-zero constraints.  Returns (X, nullity); X has Frobenius
-    norm ``scale`` unless the solution space is trivial.
+    equations: list of term lists as in :func:`_equation_rows`.  Equations
+    whose coefficients vanish at their factors' scale are dropped as
+    identically-zero constraints.  Returns (X, nullity), the nullity counted
+    in real dimensions; X has Frobenius norm ``scale`` unless the solution
+    space is trivial.
     """
     rtol = DEFAULT_POLICY.rank_rel_tol if rtol is None else rtol
     p, q = shape
     rows = []
-    for lin, conj in equations:
-        block, ref = _equation_rows(shape, lin, conj)
-        if np.linalg.norm(block) > rtol * max(1.0, ref):
+    for terms in equations:
+        block, ref = _equation_rows(terms)
+        # sqrt(2) ||block|| is the norm of the realified rows
+        # [[Re, -Im], [Im, Re]], so the drop decision is the realified one
+        if np.sqrt(2.0) * frobenius(block) > rtol * max(1.0, ref):
             rows.append(block)
     if not rows:
         X = _crandn(rg, p, q)
         return X * (scale / frobenius(X)), 2 * p * q
-    A = np.vstack(rows)
     # Every stack built here is tall or square, so the thin Vh holds the whole
-    # null space: an equation with square L and R adds a square 2pq-by-2pq
+    # null space: an equation with square L and R adds a square pq-by-pq
     # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
     # rows than columns is kept whenever the other one is.
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    basis = Vh[_rank_cut(s, rtol):].T
-    nullity = basis.shape[1]
-    if nullity == 0:
+    _, s, Vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    basis = Vh[_rank_cut(s, rtol):].conj().T
+    k = basis.shape[1]
+    if k == 0:
         return np.zeros((p, q), dtype=np.complex128), 0
-    v = basis @ rg.standard_normal(nullity)
-    X = (v[: p * q] + 1j * v[p * q:]).reshape((p, q), order="F")
+    # 2k real normals, as many as a draw from the realified basis takes
+    g = rg.standard_normal(2 * k)
+    X = (basis @ (g[:k] + 1j * g[k:])).reshape((p, q), order="F")
     nf = frobenius(X)
     if nf > 0:
         X = X * (scale / nf)
-    return X, nullity
+    return X, 2 * k
+
+
+def _intertwining_eqs(A, D):
+    """Equations AB = BD, A*B = BD* on B and DC = CA, D*C = CA* on C."""
+    IA = np.eye(A.shape[0], dtype=np.complex128)
+    ID = np.eye(D.shape[0], dtype=np.complex128)
+    st = lambda M: M.conj().T
+    return ([[(A, ID), (-IA, D)], [(st(A), ID), (-IA, st(D))]],
+            [[(D, IA), (-ID, A)], [(st(D), IA), (-ID, st(A))]])
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +213,7 @@ def gen_commutant_pair(n: int, seed, target_index=None, scale: float = 1.0):
 
 def _commutant_sample(rg, a, scale):
     n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    astar = a.conj().T
-    equations = [
-        ([(a, eye), (-eye, a)], []),
-        ([(astar, eye), (-eye, astar)], []),
-    ]
-    b, _ = _nullspace_sample(rg, (n, n), equations, scale)
+    b, _ = _nullspace_sample(rg, (n, n), _intertwining_eqs(a, a)[0], scale)
     return b
 
 
@@ -288,7 +275,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
     terms = _coupling_terms(a, d, ka + kd + 1)
-    b, nullity = _nullspace_sample(rg, (na, nd), [(terms, [])], scale)
+    b, nullity = _nullspace_sample(rg, (na, nd), [terms], scale)
     return a, b, d, nullity == 0
 
 
@@ -348,15 +335,13 @@ def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     return A, B, C, D, degenerate
 
 
-def _intertwined_both_star(rg, nA, nD, product_factors, scale):
-    """Common body of the fully-starred intertwined samplers."""
+def _intertwined(rg, nA, nD, b_star, c_star, product_factors, scale):
+    """B-then-C draw under AB = BD and DC = CA, plus A*B = BD* on B when
+    b_star and D*C = CA* on C when c_star."""
     A, D = _shared_block_pair(rg, nA, nD)
-    IA = np.eye(nA, dtype=np.complex128)
-    ID = np.eye(nD, dtype=np.complex128)
-    st = lambda M: M.conj().T
-    b_eqs = [([(A, ID), (-IA, D)], []), ([(st(A), ID), (-IA, st(D))], [])]
-    c_eqs = [([(D, IA), (-ID, A)], []), ([(st(D), IA), (-ID, st(A))], [])]
-    return _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale)
+    b_eqs, c_eqs = _intertwining_eqs(A, D)
+    return _sample_b_then_c(rg, A, D, b_eqs[:1 + b_star], c_eqs[:1 + c_star],
+                            product_factors, scale)
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
@@ -368,7 +353,7 @@ def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
     def factors(A, B, C, D):
         return [pseudo_core(A).inverse, B, pseudo_core(D).inverse, C]
 
-    return _intertwined_both_star(rg, nA, nD, factors, scale)
+    return _intertwined(rg, nA, nD, True, True, factors, scale)
 
 
 def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
@@ -380,27 +365,14 @@ def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
     def factors(A, B, C, D):
         return [B, pseudo_core(D).inverse, C, pseudo_core(A).inverse]
 
-    return _intertwined_both_star(rg, nA, nD, factors, scale)
-
-
-def _intertwined_one_star(rg, nA, nD, star_on_b, product_factors, scale):
-    A, D = _shared_block_pair(rg, nA, nD)
-    IA = np.eye(nA, dtype=np.complex128)
-    ID = np.eye(nD, dtype=np.complex128)
-    b_eqs = [([(A, ID), (-IA, D)], [])]
-    c_eqs = [([(D, IA), (-ID, A)], [])]
-    if star_on_b:
-        # B*A = DB*, conjugate-linear in B
-        b_eqs.append(([], [(ID, A), (-D, IA)]))
-    else:
-        # AC* = C*D, conjugate-linear in C
-        c_eqs.append(([], [(A, ID), (-IA, D)]))
-    return _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale)
+    return _intertwined(rg, nA, nD, True, True, factors, scale)
 
 
 def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, B*A=DB* exact and
-    B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate)."""
+    B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate).
+
+    B*A = DB* is imposed as its adjoint A*B = BD*."""
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
@@ -408,12 +380,14 @@ def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
         return [B, pseudo_core(C @ B).inverse, D, C,
                 pseudo_core(B @ C).inverse, A]
 
-    return _intertwined_one_star(rg, nA, nD, True, factors, scale)
+    return _intertwined(rg, nA, nD, True, False, factors, scale)
 
 
 def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, AC*=C*D exact and
-    A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate)."""
+    A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate).
+
+    AC* = C*D is imposed as its adjoint CA* = D*C."""
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
@@ -421,26 +395,25 @@ def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
         return [A, pseudo_core(B @ C).inverse, B, D,
                 pseudo_core(C @ B).inverse, C]
 
-    return _intertwined_one_star(rg, nA, nD, False, factors, scale)
+    return _intertwined(rg, nA, nD, False, True, factors, scale)
 
 
 def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with BC=0, CB=0, CA=DC, AC*=C*D and a vanishing coupling
-    sum: C is sampled first (conjugate-linear system), then B from the linear
-    system {BC = 0, CB = 0, coupling sum = 0}; returns (..., degenerate)."""
+    sum: C is sampled first from {DC = CA, D*C = CA*} (AC* = C*D through its
+    adjoint), then B from {BC = 0, CB = 0, coupling sum = 0}; returns
+    (..., degenerate)."""
     _check_block_dims(nA, nD)
     rg = _rng(seed)
     A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
     IA = np.eye(nA, dtype=np.complex128)
     ID = np.eye(nD, dtype=np.complex128)
-    C, _ = _nullspace_sample(
-        rg, (nD, nA),
-        [([(ID, A), (-D, IA)], []), ([], [(A, ID), (-IA, D)])], scale)
+    C, _ = _nullspace_sample(rg, (nD, nA), _intertwining_eqs(A, D)[1], scale)
     degenerate = frobenius(C) == 0.0
     iA = index(A)
-    b_eqs = [([(IA, C)], []), ([(C, ID)], [])]
+    b_eqs = [[(IA, C)], [(C, ID)]]
     if iA >= 1:
-        b_eqs.append((_coupling_terms(A, D, iA), []))
+        b_eqs.append(_coupling_terms(A, D, iA))
     B, nullity = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
     if nullity == 0 or frobenius(B) == 0.0:
         degenerate = True
@@ -456,19 +429,16 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
     IA = np.eye(nA, dtype=np.complex128)
     ID = np.eye(nD, dtype=np.complex128)
-    st = lambda M: M.conj().T
-    B, _ = _nullspace_sample(
-        rg, (nA, nD),
-        [([(A, ID), (-IA, D)], []), ([(st(A), ID), (-IA, st(D))], [])], scale)
+    B, _ = _nullspace_sample(rg, (nA, nD), _intertwining_eqs(A, D)[0], scale)
     degenerate = frobenius(B) == 0.0
     iA = index(A)
-    c_eqs = [([(B, IA)], []), ([(ID, B)], [])]
+    c_eqs = [[(B, IA)], [(ID, B)]]
     if iA >= 1:
         api = spectral_idempotent(A)
         SA = np.zeros((nA, nA), dtype=np.complex128)
         for i in range(1, iA + 1):
             SA += np.linalg.matrix_power(A, i - 1) @ api
-        c_eqs.append(([(ID, SA)], []))
+        c_eqs.append([(ID, SA)])
     C, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
     if nullity == 0 or frobenius(C) == 0.0:
         degenerate = True

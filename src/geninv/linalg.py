@@ -205,9 +205,8 @@ def null_space_basis(A, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     nA = frobenius(A)
     if nA == 0.0:
         return np.eye(A.shape[1], dtype=np.complex128)
-    _, _, Vh = np.linalg.svd(A / nA)
-    r = numerical_rank(A, tol)
-    return Vh[r:].conj().T
+    _, s, Vh = np.linalg.svd(A / nA)
+    return Vh[_rank_cut(s, tol.rank_rel_tol):].conj().T
 
 
 def product_with_scale(factors):

@@ -219,9 +219,9 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     return _finish(report)
 
 
-def _triangular_sum(a, b, d, m, tol=DEFAULT_POLICY):
-    """sum_{i=1..m} a^(i-1) a_pi b d^(m-i) plus its factor-scale."""
-    api = spectral_idempotent(a, tol)
+def _triangular_sum(a, api, b, d, m):
+    """sum_{i=1..m} a^(i-1) a_pi b d^(m-i) plus its factor-scale, with
+    api = a_pi; zero for m = 0."""
     total = np.zeros_like(b)
     scale_acc = 0.0
     for i in range(1, m + 1):
@@ -233,10 +233,10 @@ def _triangular_sum(a, b, d, m, tol=DEFAULT_POLICY):
     return total, scale_acc
 
 
-def _find_sum_exponent(a, b, d, tol, lo, hi):
+def _find_sum_exponent(a, api, b, d, tol, lo, hi):
     """First m in [lo, hi] for which the triangular sum vanishes, else 0."""
     for m in range(lo, hi + 1):
-        total, scale_acc = _triangular_sum(a, b, d, m, tol)
+        total, scale_acc = _triangular_sum(a, api, b, d, m)
         if frobenius(total) <= tol.residual_tol * max(1.0, scale_acc):
             return m
     return 0
@@ -262,7 +262,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
     apc = pseudo_core(a, tol)
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(a, d, tol)
-    m = _find_sum_exponent(a, b, d, tol, lo, hi)
+    m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
     report.hypothesis_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -306,7 +306,7 @@ def check_lemma_2_5_converse(x, split: int,
     apc = pseudo_core(a, tol)
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(a, d, tol)
-    m = _find_sum_exponent(a, b, d, tol, lo, hi)
+    m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
     report.conclusion_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -623,13 +623,6 @@ def check_corollary_4_4(A, B, C, D,
     return _finish(report)
 
 
-def _one_sided_sum(A, B, D, m, tol):
-    """sum_{i=1..m} A^(i-1) A_pi B D^(m-i); empty for m = 0."""
-    if m == 0:
-        return np.zeros_like(B), 0.0
-    return _triangular_sum(A, B, D, m, tol)
-
-
 def check_theorem_4_5(A, B, C, D,
                       tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Zero-product coupling: BC = CB = 0 with one-sided intertwining and a
@@ -640,13 +633,15 @@ def check_theorem_4_5(A, B, C, D,
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
     iA = index(A, tol)
-    total, scale_acc = _one_sided_sum(A, B, D, iA, tol)
+    # at index 0 the sum is empty and vanishes, so A_pi is never needed
+    api = spectral_idempotent(A, tol) if iA else None
+    total, scale_acc = _triangular_sum(A, api, B, D, iA)
     primary = frobenius(total) <= tol.residual_tol * max(1.0, scale_acc)
     if primary:
         m = iA
     else:
         lo, hi = _sum_window(A, D, tol)
-        m = _find_sum_exponent(A, B, D, tol, lo, hi)
+        m = _find_sum_exponent(A, api, B, D, tol, lo, hi)
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),
         Check("CB_zero", cb_value, cb_zero),

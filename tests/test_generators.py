@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from geninv.generators import (
     gen_star_dmp,
     gen_with_index,
     gen_zero_product_4_5,
+    gen_zero_product_4_6,
     instance_for,
     trial_seed,
 )
@@ -218,13 +220,52 @@ class TestSpecAndDispatch:
                 assert report.verdict != "hypotheses_not_met", (theorem_id, t)
 
 
+def _commutation_matrix(p, q):
+    K = np.zeros((p * q, p * q))
+    for i in range(p):
+        for j in range(q):
+            K[j + i * q, i + j * p] = 1.0
+    return K
+
+
+def _realified_rows(shape, lin_terms, conj_terms):
+    """Reference: realified rows of sum L X R + sum M X* N = 0, and the sum
+    of the term factors' norm products."""
+    p, q = shape
+    ref = 0.0
+    S = None
+    for L, R in lin_terms:
+        L, R = np.asarray(L), np.asarray(R)
+        ref += np.linalg.norm(L) * np.linalg.norm(R)
+        part = np.kron(R.T, L)
+        S = part if S is None else S + part
+    T = None
+    if conj_terms:
+        K = _commutation_matrix(p, q)
+        for M, N in conj_terms:
+            M, N = np.asarray(M), np.asarray(N)
+            ref += np.linalg.norm(M) * np.linalg.norm(N)
+            part = np.kron(N.T, M) @ K
+            T = part if T is None else T + part
+    if S is not None and T is not None:
+        rows = np.block([[S.real + T.real, -S.imag + T.imag],
+                         [S.imag + T.imag, S.real - T.real]])
+    elif S is not None:
+        rows = np.block([[S.real, -S.imag], [S.imag, S.real]])
+    else:
+        rows = np.block([[T.real, T.imag], [T.imag, -T.real]])
+    return rows, ref
+
+
 def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
-    """Reference: the nullspace draw with a rank-only SVD and a full SVD."""
+    """Reference: the nullspace draw from the realified system, with a
+    rank-only SVD and a full SVD.  equations: list of (lin_terms,
+    conj_terms)."""
     rtol = DEFAULT_POLICY.rank_rel_tol if rtol is None else rtol
     p, q = shape
     rows = []
     for lin, conj in equations:
-        block, ref = generators._equation_rows(shape, lin, conj)
+        block, ref = _realified_rows(shape, lin, conj)
         if np.linalg.norm(block) > rtol * max(1.0, ref):
             rows.append(block)
     if not rows:
@@ -246,28 +287,73 @@ def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     return X, nullity
 
 
-class TestNullspaceSample:
-    """The one-SVD draw reproduces the two-SVD reference bit for bit on the
-    systems the generators build."""
+def _linear(equations):
+    return [(terms, []) for terms in equations]
 
-    def _compare_draws(self, monkeypatch, make):
+
+def _b_star_a(equations):
+    """[AB = BD, A*B = BD*] as drawn -> [AB = BD, B*A = DB*] as stated."""
+    (A, ID), (_, D) = equations[0]
+    IA = np.eye(A.shape[0], dtype=np.complex128)
+    return [(equations[0], []), ([], [(ID, A), (-D, IA)])]
+
+
+def _a_c_star(equations):
+    """[DC = CA, D*C = CA*] as drawn -> [DC = CA, AC* = C*D] as stated."""
+    (D, IA), (_, A) = equations[0]
+    ID = np.eye(D.shape[0], dtype=np.complex128)
+    return [(equations[0], []), ([], [(A, ID), (-IA, D)])]
+
+
+def _stated_residual(X, lin, conj):
+    """||sum L X R + sum M X* N|| over max(1, sum of factor norm products)."""
+    E = sum(L @ X @ R for L, R in lin) + sum(M @ X.conj().T @ N
+                                             for M, N in conj)
+    ref = sum(np.linalg.norm(F) * np.linalg.norm(G) for F, G in lin + conj)
+    return np.linalg.norm(E) / max(1.0, ref)
+
+
+def _draw_digest(*Ms):
+    h = hashlib.sha256()
+    for M in Ms:
+        h.update(M.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestNullspaceSample:
+    """The complex draw keeps the realified reference's real nullity and
+    generator state, and meets every equation as the theorem states it,
+    the conjugate-linear ones included."""
+
+    def _compare_draws(self, monkeypatch, make, stated=None):
+        """stated(i, equations): the (lin, conj) system the i-th draw of one
+        generator call solves; purely linear unless given."""
         sample = generators._nullspace_sample
-        draws = []
+        stated = stated or (lambda i, eqs: _linear(eqs))
+        draws, current = [], []
 
         def spy(rg, shape, equations, scale=1.0, rtol=None):
+            system = stated(len(current), equations)
             ref_rg = copy.deepcopy(rg)
             X, nullity = sample(rg, shape, equations, scale, rtol)
-            X_ref, nullity_ref = _two_svd_nullspace_sample(
-                ref_rg, shape, equations, scale, rtol)
-            draws.append(nullity)
+            _, nullity_ref = _two_svd_nullspace_sample(
+                ref_rg, shape, system, scale, rtol)
             assert nullity == nullity_ref
-            assert X.tobytes() == X_ref.tobytes()
             assert rg.bit_generator.state == ref_rg.bit_generator.state
+            tol = DEFAULT_POLICY.residual_tol
+            for lin, conj in system:
+                assert _stated_residual(X, lin, conj) <= tol
+            current.append(nullity)
             return X, nullity
 
         monkeypatch.setattr(generators, "_nullspace_sample", spy)
-        for seed in range(6):
-            make(seed)
+        try:
+            for seed in range(6):
+                current.clear()
+                make(seed)
+                draws.extend(current)
+        finally:
+            monkeypatch.undo()
         return draws
 
     @pytest.mark.parametrize("n", [3, 4, 8])
@@ -276,18 +362,65 @@ class TestNullspaceSample:
             monkeypatch, lambda seed: gen_commutant_pair(n, seed=700 + seed))
         assert len(draws) == 6 and min(draws) > 0
 
-    def test_conjugate_term_systems(self, monkeypatch):
-        def make(seed):
-            gen_intertwined_4_3(3, 2, seed=710 + seed)   # B*A = DB* on B
-            gen_intertwined_4_4(2, 3, seed=720 + seed)   # AC* = C*D on C
-
-        draws = self._compare_draws(monkeypatch, make)
-        assert len(draws) >= 24
-
     def test_single_square_equation(self, monkeypatch):
         draws = self._compare_draws(
             monkeypatch, lambda seed: gen_lemma_2_5_instance(3, 4, seed=730 + seed))
         assert len(draws) == 6
+
+    def test_conjugate_term_systems(self, monkeypatch):
+        # T4_3 draws B under B*A = DB* first, then C; C4_4 draws B, then C
+        # under AC* = C*D
+        for make, stated in (
+                (lambda seed: gen_intertwined_4_3(3, 2, seed=710 + seed),
+                 lambda i, eqs: _b_star_a(eqs) if i == 0 else _linear(eqs)),
+                (lambda seed: gen_intertwined_4_4(2, 3, seed=720 + seed),
+                 lambda i, eqs: _linear(eqs) if i == 0 else _a_c_star(eqs))):
+            draws = self._compare_draws(monkeypatch, make, stated)
+            assert len(draws) >= 12 and max(draws) > 0
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 2), (4, 4)])
+    def test_zero_product_systems(self, monkeypatch, dims):
+        # T4_5 draws C under AC* = C*D, then B; C4_6 draws B, then C
+        for sampler, stated in (
+                (gen_zero_product_4_5,
+                 lambda i, eqs: _a_c_star(eqs) if i == 0 else _linear(eqs)),
+                (gen_zero_product_4_6, None)):
+            draws = self._compare_draws(
+                monkeypatch, lambda seed: sampler(*dims, seed=740 + seed),
+                stated)
+            assert len(draws) == 12 and max(draws) > 0
+
+    def test_rows_equal_kron_sum(self):
+        # broadcasting forms the same products as np.kron, so the bits agree
+        rg = np.random.default_rng(760)
+        crandn = lambda *shape: generators._crandn(rg, *shape)
+        L1, L2 = crandn(3, 2), crandn(3, 2)
+        R1, R2 = crandn(4, 5), crandn(4, 5)
+        rows, ref = generators._equation_rows([(L1, R1), (-L2, R2)])
+        assert rows.tobytes() == (
+            np.kron(R1.T, L1) + np.kron(R2.T, -L2)).tobytes()
+        norm = np.linalg.norm
+        assert ref == pytest.approx(norm(L1) * norm(R1) + norm(L2) * norm(R2))
+        X = crandn(2, 4)
+        assert np.allclose(rows @ X.reshape(-1, order="F"),
+                           (L1 @ X @ R1 - L2 @ X @ R2).reshape(-1, order="F"))
+
+    PINNED = {
+        "commutant": "9c5a336fe0935c0a",
+        "T4_3": "11552d5ce06bab9d",
+        "C4_4": "e96c88db467c3c64",
+        "T4_5": "47a44cdb4d1bafbd",
+    }
+
+    def test_pinned_draws(self):
+        # the bits of a draw change only with an announced report change
+        _, b = gen_commutant_pair(4, seed=700)
+        _, B3, C3, _, _ = gen_intertwined_4_3(3, 2, seed=710)
+        _, B4, C4, _, _ = gen_intertwined_4_4(2, 3, seed=720)
+        _, B5, C5, _, _ = gen_zero_product_4_5(3, 3, seed=740)
+        got = {"commutant": _draw_digest(b), "T4_3": _draw_digest(B3, C3),
+               "C4_4": _draw_digest(B4, C4), "T4_5": _draw_digest(B5, C5)}
+        assert got == self.PINNED
 
 
 def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):

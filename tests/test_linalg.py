@@ -186,6 +186,21 @@ class TestNullSpaceBasis:
             assert np.linalg.norm(A @ basis) <= (
                 DEFAULT_POLICY.residual_tol * max(1.0, np.linalg.norm(A)))
 
+    def test_one_svd_per_call(self, monkeypatch):
+        # the rank cut reads the singular values of the SVD that gives Vh
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rg = np.random.default_rng(10)
+        A = crandn(rg, 4, 2) @ crandn(rg, 2, 6)
+        basis = null_space_basis(A)
+        assert calls == [(4, 6)]
+        assert basis.shape == (6, 4)
+
 
 class TestRankChain:
     def test_monotone_nonincreasing(self):

@@ -376,6 +376,31 @@ class TestTheorem45:
         assert report.verdict == "pass"
 
 
+class TestCouplingSumIdempotent:
+    """Each coupling-sum check computes a_pi once, not once per candidate m."""
+
+    @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b", "T4_5"])
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    def test_one_spectral_idempotent_per_check(self, monkeypatch, theorem_id,
+                                               dims):
+        from geninv import theorems
+        real, calls = theorems.spectral_idempotent, []
+
+        def counting(a, tol):
+            calls.append(a.shape)
+            return real(a, tol)
+
+        monkeypatch.setattr(theorems, "spectral_idempotent", counting)
+        for t in range(8):
+            inst = instance_for(theorem_id, dims, trial_seed(1, t))
+            calls.clear()
+            report = run_check(theorem_id, inst.matrices)
+            assert report.verdict == "pass"
+            assert len(calls) <= 1
+            if theorem_id != "T4_5":
+                assert calls == [(dims[0], dims[0])]
+
+
 class TestCorollary46:
     def test_zero_c(self):
         rg = np.random.default_rng(40)
