@@ -31,13 +31,7 @@ from .inverses import (
 )
 from .theorems import THEOREM_SYMBOLS, reproduce_example_3_3, run_check
 from .generators import MAX_BLOCK_DIM, MAX_DIM, instance_for, trial_seed
-from .matrixio import (
-    dumps_report,
-    load_json,
-    matrix_to_obj,
-    parse_instance,
-    parse_matrix,
-)
+from .matrixio import dumps_report, load_json, parse_instance, parse_matrix
 
 _INVERSE_FNS = {
     "moore_penrose": moore_penrose,
@@ -170,7 +164,7 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
                 "commutes": frobenius(P @ A - A @ P) / max(
                     1.0, frobenius(P) * frobenius(A)),
             }
-            report["result"] = matrix_to_obj(P)
+            report["result"] = P
             report["residuals"] = residuals
             certified = max(residuals.values()) <= tol.residual_tol
             report["certified"] = certified
@@ -184,7 +178,7 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
         return 3
     except (DimensionError, ValueError) as exc:
         return _fail(str(exc))
-    report["result"] = matrix_to_obj(result.inverse)
+    report["result"] = result.inverse
     report["residuals"] = result.residuals
     report["index_used"] = result.index_used
     report["certified"] = result.certified(tol)

@@ -9,8 +9,10 @@ parameters (``split``) pass through as plain numbers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,7 +52,11 @@ def parse_matrix(obj) -> np.ndarray:
                                for v in entry)):
                 raise ValueError(
                     f"entry ({i},{j}) must be a [real, imaginary] pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:
+                raise ValueError(
+                    f"entry ({i},{j}) is too large for a float") from None
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"entry ({i},{j}) is not finite")
             out[i, j] = complex(re, im)
@@ -91,24 +97,109 @@ def load_json(path):
         return json.load(fh)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return matrix_to_obj(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+_INDENT = "  "
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json.dumps`` writes it: ``float.__repr__`` or the
+    ``NaN``/``Infinity``/``-Infinity`` tokens."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+@functools.cache
+def _row_template(cols: int, level: int) -> str:
+    """``%s`` template of one matrix row of ``cols`` [re, im] pairs, for a
+    matrix object opened at nesting ``level``; it takes the row's 2*cols
+    interleaved parts.  ``str`` of a float is ``float.__repr__``."""
+    if cols == 0:
+        return "[]"
+    pair, part = "\n" + _INDENT * (level + 3), "\n" + _INDENT * (level + 4)
+    entry = pair + "[" + part + "%s," + part + "%s" + pair + "]"
+    return "[" + ",".join([entry] * cols) + "\n" + _INDENT * (level + 2) + "]"
+
+
+def _write_matrix(A, level, out) -> None:
+    """Write ``matrix_to_obj(A)`` without building it: each row is one
+    template filled from the interleaved real and imaginary parts."""
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    rows, cols = A.shape[0], A.shape[1]
+    key = "\n" + _INDENT * (level + 1)
+    out.append(f'{{{key}"rows": {rows},{key}"cols": {cols},{key}"data": ')
+    if rows == 0:
+        out.append("[]")
+    else:
+        parts = A.view(np.float64).tolist()      # re, im interleaved
+        if not np.isfinite(A).all():
+            parts = [[_float_text(x) for x in row] for row in parts]
+        template = _row_template(cols, level)
+        sep = "\n" + _INDENT * (level + 2)
+        out.append("[" + sep + ("," + sep).join(
+            [template % tuple(row) for row in parts]) + key + "]")
+    out.append("\n" + _INDENT * level + "}")
+
+
+def _write(value, level, out) -> None:
+    """Append the ``json.dumps(..., indent=2)`` text of ``value`` to out.
+
+    ndarrays are written as :func:`matrix_to_obj` objects, numpy scalars as
+    the matching Python numbers, complex numbers as [real, imaginary] pairs,
+    tuples as lists and dict keys through ``str``.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (float, np.floating)):
+        out.append(_float_text(float(value)))
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(int.__repr__(int(value)))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "\n" + _INDENT * (level + 1)
+        opener = "{"
+        for k, v in value.items():
+            out.append(opener + sep + encode_basestring_ascii(str(k)) + ": ")
+            opener = ","
+            _write(v, level + 1, out)
+        out.append("\n" + _INDENT * level + "}")
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, level, out)
+    elif isinstance(value, np.ndarray):
+        _write_matrix(value, level, out)
+    elif isinstance(value, complex):
+        _write_list([value.real, value.imag], level, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+
+
+def _write_list(items, level, out) -> None:
+    if not items:
+        out.append("[]")
+        return
+    sep = "\n" + _INDENT * (level + 1)
+    opener = "["
+    for v in items:
+        out.append(opener + sep)
+        opener = ","
+        _write(v, level + 1, out)
+    out.append("\n" + _INDENT * level + "]")
 
 
 def dumps_report(report: dict) -> str:
-    """Serialize a report dict deterministically (canonical form)."""
-    return json.dumps(_jsonable(report), indent=2)
+    """Serialize a report in the canonical form: ``json.dumps(..., indent=2)``
+    of the report with every ndarray as its :func:`matrix_to_obj` object."""
+    out = []
+    _write(report, 0, out)
+    return "".join(out)

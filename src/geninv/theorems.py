@@ -196,7 +196,7 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     ]
     # Informational: how close a_pc + b_pc comes to the sum's defining triple.
     candidate = pseudo_core(a, tol).inverse + pseudo_core(b, tol).inverse
-    k = max(index(a + b, tol), 1)
+    k = max(spc.index_used, 1)
     report.witnesses["sum_pcore"] = spc.inverse
     report.witnesses["additive_candidate_residuals"] = verify_defining_triple(
         a + b, candidate, k, tol)
@@ -242,9 +242,10 @@ def _find_sum_exponent(a, api, b, d, tol, lo, hi):
     return 0
 
 
-def _sum_window(a, d, tol=DEFAULT_POLICY):
-    ia, idd = index(a, tol), index(d, tol)
-    return max(ia, 1), ia + idd + max(a.shape[0], d.shape[0])
+def _sum_window(ia, idd, n):
+    """Search window [lo, hi] for the coupling-sum exponent, from the
+    indices of the diagonal blocks and the larger block dimension."""
+    return max(ia, 1), ia + idd + n
 
 
 def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -261,7 +262,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
     report = TheoremReport("L2_5a", policy=tol)
     apc = pseudo_core(a, tol)
     dpc = pseudo_core(d, tol)
-    lo, hi = _sum_window(a, d, tol)
+    lo, hi = _sum_window(apc.index_used, dpc.index_used, max(na, nd))
     m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
     report.hypothesis_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
@@ -305,7 +306,7 @@ def check_lemma_2_5_converse(x, split: int,
     ]
     apc = pseudo_core(a, tol)
     dpc = pseudo_core(d, tol)
-    lo, hi = _sum_window(a, d, tol)
+    lo, hi = _sum_window(apc.index_used, dpc.index_used, max(split, n - split))
     m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
     report.conclusion_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
@@ -321,11 +322,11 @@ def check_lemma_2_5_converse(x, split: int,
 # Main additive equivalence
 
 
-def _perturbation_sum(a, b, w, tol, lo, hi):
+def _perturbation_sum(a, apc, b, w, tol, lo, hi):
     """First m in [lo, hi] killing
-    sum_i w^(i-1) a^(i-1) w_pi a (a a_pc - a_pc a) (a+b)^(m-i), else 0."""
+    sum_i w^(i-1) a^(i-1) w_pi a (a a_pc - a_pc a) (a+b)^(m-i), else 0,
+    with apc = a_pc."""
     wpi = spectral_idempotent(w, tol)
-    apc = pseudo_core(a, tol).inverse
     bracket = a @ apc - apc @ a
     s = a + b
     for m in range(lo, hi + 1):
@@ -363,8 +364,9 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
 
     w = eye + apc.inverse @ b
     wpc = pseudo_core(w, tol)
-    kw = index(w, tol)
-    m = _perturbation_sum(a, b, w, tol, max(kw, 1), kw + a.shape[0])
+    kw = wpc.index_used
+    m = _perturbation_sum(a, apc.inverse, b, w, tol, max(kw, 1),
+                          kw + a.shape[0])
     rhs = wpc.certified(tol) and m > 0
 
     report.conclusion_checks = [
@@ -640,7 +642,7 @@ def check_theorem_4_5(A, B, C, D,
     if primary:
         m = iA
     else:
-        lo, hi = _sum_window(A, D, tol)
+        lo, hi = _sum_window(iA, index(D, tol), max(A.shape[0], D.shape[0]))
         m = _find_sum_exponent(A, api, B, D, tol, lo, hi)
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),

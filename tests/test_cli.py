@@ -161,6 +161,26 @@ class TestMalformedInput:
         assert code == 2 and out is None
         assert err.startswith("error:")
 
+    # an integer entry beyond the float range, written as JSON text
+    HUGE_ENTRY = '{"rows": 1, "cols": 1, "data": [[[1' + '0' * 400 + ', 0]]]}'
+
+    def test_huge_integer_entry_compute_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(self.HUGE_ENTRY)
+        code, out, err = run(capsys, ["compute", "--kind", "pcore",
+                                      "--input", str(path)])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "entry (0,0)" in err
+
+    def test_huge_integer_entry_verify_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"a": ' + self.HUGE_ENTRY + ', "b": '
+                        + json.dumps(A33_OBJ) + '}')
+        code, out, err = run(capsys, ["verify", "--theorem", "L2_1",
+                                      "--input", str(path)])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "entry (0,0)" in err
+
     @pytest.mark.parametrize("flag", ["--rank-tol", "--eq-tol", "--res-tol"])
     @pytest.mark.parametrize("value", ["nan", "-1e-9", "1", "inf"])
     def test_tolerance_out_of_range_exits_2(self, capsys, tmp_path, flag, value):

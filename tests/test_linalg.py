@@ -11,6 +11,7 @@ from geninv.linalg import (
     approx_equal,
     as_matrix,
     conjugate_transpose,
+    frobenius,
     is_nilpotent,
     is_nilpotent_product,
     is_projection,
@@ -56,6 +57,42 @@ class TestArithmetic:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_matrix([[np.nan, 0], [0, 0]])
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan),
+                                     complex(np.inf, 0), complex(0, -np.inf)])
+    def test_non_finite_part_rejected(self, bad):
+        A = np.zeros((2, 3), dtype=np.complex128)
+        A[1, 2] = bad
+        with pytest.raises(ValueError):
+            as_matrix(A)
+        with pytest.raises(ValueError):
+            as_matrix(A.T)
+
+
+class TestFrobenius:
+    """frobenius equals np.linalg.norm bit for bit, whatever the layout."""
+
+    def cases(self):
+        rg = np.random.default_rng(70)
+        A = crandn(rg, 7, 5)
+        # a layout whose K-order sum of squares rounds differently from
+        # its C-order one, so an order other than numpy's shows
+        big = crandn(np.random.default_rng(71), 40, 30)
+        return [A, A.T, A.conj().T, big.T, np.asfortranarray(big),
+                big[::2, 1::3], big[:, ::-2].T,
+                np.asfortranarray(A), A.real, A.real.T, A.real[::2],
+                np.arange(6).reshape(2, 3), [[1.5, -2.0], [0.25, 3.0]],
+                np.zeros((0, 3), dtype=np.complex128), np.zeros((2, 0)),
+                np.zeros((3, 3), dtype=np.complex128), 1e300 * A,
+                1e-300 * A]
+
+    def test_bits_equal_numpy_norm(self):
+        for M in self.cases():
+            with np.errstate(over="ignore"):    # 1e300 * A overflows to inf
+                got = frobenius(M)
+                want = float(np.linalg.norm(M))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestNumericalRank:

@@ -401,6 +401,52 @@ class TestCouplingSumIdempotent:
                 assert calls == [(dims[0], dims[0])]
 
 
+class TestIndexReuse:
+    """A check takes an index from the pseudo-core result that already holds
+    it instead of analysing the same matrix again."""
+
+    @pytest.mark.parametrize("theorem_id,dims,analyses", [
+        ("T3_1", (4,), 5),       # a, a_pi, a + b, w, w_pi
+        ("L2_3", (4,), 3),       # a + b, a, b
+        ("L2_5a", (4, 4), 4),    # a, d, a_pi, x
+        ("L2_5b", (4, 4), 4),    # x, a, d, a_pi
+    ])
+    def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
+        from geninv import inverses
+        real, calls = inverses._analysis, []
+
+        def counting(A, tol):
+            calls.append(A.shape)
+            return real(A, tol)
+
+        monkeypatch.setattr(inverses, "_analysis", counting)
+        for t in range(4):
+            inst = instance_for(theorem_id, dims, trial_seed(1, t))
+            calls.clear()
+            run_check(theorem_id, inst.matrices)
+            assert len(calls) == analyses
+
+    def test_theorem_4_5_indexes_each_block_once(self, monkeypatch):
+        from geninv import theorems
+        real, seen = theorems.index, []
+
+        def recording(A, tol):
+            seen.append(A.tobytes())
+            return real(A, tol)
+
+        monkeypatch.setattr(theorems, "index", recording)
+        rg = np.random.default_rng(41)
+        for t in range(4):
+            # A of index 1 with a generic B: the sum at the index does not
+            # vanish, so the check searches the window, which needs index(D)
+            A = gen_with_index(3, 1, 2, 500 + t)
+            B, C, D = crandn(rg, 3, 3), crandn(rg, 3, 3), crandn(rg, 3, 3)
+            seen.clear()
+            report = check_theorem_4_5(A, B, C, D)
+            assert report.witnesses["sum_at_index_vanishes"] is False
+            assert len(seen) == len(set(seen)) == 2
+
+
 class TestCorollary46:
     def test_zero_c(self):
         rg = np.random.default_rng(40)
