@@ -234,6 +234,8 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
                      f"{sorted(THEOREM_SYMBOLS)}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}")
     try:
         dims = _parse_dims(args, theorem)
         if any(d < 1 for d in dims):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_POLICY, _rank_cut, frobenius, is_nilpotent_product
-from .inverses import index, pseudo_core, spectral_idempotent
+from .inverses import _CoreEP
 
 __all__ = [
     "MAX_DIM",
@@ -252,10 +252,10 @@ def gen_annihilating_pair(n: int, seed, scale: float = 1.0):
     return a, b
 
 
-def _coupling_terms(a, d, m):
+def _coupling_terms(ra, d, m):
     """Linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling sum
-    sum_i a^(i-1) a_pi X d^(m-i) in the unknown X."""
-    api = spectral_idempotent(a)
+    sum_i a^(i-1) a_pi X d^(m-i) in the unknown X, with ra the record of a."""
+    a, api = ra.A, ra.spectral_idempotent()
     return [(np.linalg.matrix_power(a, i - 1) @ api,
              np.linalg.matrix_power(d, m - i)) for i in range(1, m + 1)]
 
@@ -274,7 +274,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     kd, rd = _draw_index_rank(rg, nd)
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
-    terms = _coupling_terms(a, d, ka + kd + 1)
+    terms = _coupling_terms(_CoreEP(a), d, ka + kd + 1)
     b, nullity = _nullspace_sample(rg, (na, nd), [terms], scale)
     return a, b, d, nullity == 0
 
@@ -317,16 +317,20 @@ def _check_block_dims(nA, nD):
 def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     """Draw B from its equations, then redraw C from its own until the
     coupling product is nilpotent; C = 0 and degenerate after _RETRY_CAP
-    draws or when C's solution space is trivial."""
+    draws or when C's solution space is trivial.
+
+    ``product_factors(A, D)`` is called once, before the draws; it returns
+    the function of (B, C) that lists the coupling product's factors."""
     nA, nD = A.shape[0], D.shape[0]
     B, _ = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
     degenerate = frobenius(B) == 0.0
+    product = product_factors(A, D)
     C = None
     for _ in range(_RETRY_CAP):
         Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
         if nullity == 0:
             break
-        if is_nilpotent_product(product_factors(A, B, Cc, D)):
+        if is_nilpotent_product(product(B, Cc)):
             C = Cc
             break
     if C is None:
@@ -350,8 +354,9 @@ def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
-    def factors(A, B, C, D):
-        return [pseudo_core(A).inverse, B, pseudo_core(D).inverse, C]
+    def factors(A, D):
+        apc, dpc = _CoreEP(A).pcore_inverse(), _CoreEP(D).pcore_inverse()
+        return lambda B, C: [apc, B, dpc, C]
 
     return _intertwined(rg, nA, nD, True, True, factors, scale)
 
@@ -362,8 +367,9 @@ def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
-    def factors(A, B, C, D):
-        return [B, pseudo_core(D).inverse, C, pseudo_core(A).inverse]
+    def factors(A, D):
+        apc, dpc = _CoreEP(A).pcore_inverse(), _CoreEP(D).pcore_inverse()
+        return lambda B, C: [B, dpc, C, apc]
 
     return _intertwined(rg, nA, nD, True, True, factors, scale)
 
@@ -376,9 +382,9 @@ def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
-    def factors(A, B, C, D):
-        return [B, pseudo_core(C @ B).inverse, D, C,
-                pseudo_core(B @ C).inverse, A]
+    def factors(A, D):
+        return lambda B, C: [B, _CoreEP(C @ B).pcore_inverse(), D, C,
+                             _CoreEP(B @ C).pcore_inverse(), A]
 
     return _intertwined(rg, nA, nD, True, False, factors, scale)
 
@@ -391,9 +397,9 @@ def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
 
-    def factors(A, B, C, D):
-        return [A, pseudo_core(B @ C).inverse, B, D,
-                pseudo_core(C @ B).inverse, C]
+    def factors(A, D):
+        return lambda B, C: [A, _CoreEP(B @ C).pcore_inverse(), B, D,
+                             _CoreEP(C @ B).pcore_inverse(), C]
 
     return _intertwined(rg, nA, nD, False, True, factors, scale)
 
@@ -410,10 +416,11 @@ def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     ID = np.eye(nD, dtype=np.complex128)
     C, _ = _nullspace_sample(rg, (nD, nA), _intertwining_eqs(A, D)[1], scale)
     degenerate = frobenius(C) == 0.0
-    iA = index(A)
+    rA = _CoreEP(A)
+    iA = rA.k
     b_eqs = [[(IA, C)], [(C, ID)]]
     if iA >= 1:
-        b_eqs.append(_coupling_terms(A, D, iA))
+        b_eqs.append(_coupling_terms(rA, D, iA))
     B, nullity = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
     if nullity == 0 or frobenius(B) == 0.0:
         degenerate = True
@@ -431,10 +438,11 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     ID = np.eye(nD, dtype=np.complex128)
     B, _ = _nullspace_sample(rg, (nA, nD), _intertwining_eqs(A, D)[0], scale)
     degenerate = frobenius(B) == 0.0
-    iA = index(A)
+    rA = _CoreEP(A)
+    iA = rA.k
     c_eqs = [[(B, IA)], [(ID, B)]]
     if iA >= 1:
-        api = spectral_idempotent(A)
+        api = rA.spectral_idempotent()
         SA = np.zeros((nA, nA), dtype=np.complex128)
         for i in range(1, iA + 1):
             SA += np.linalg.matrix_power(A, i - 1) @ api
@@ -453,7 +461,7 @@ def _l2_4_instance(rg, n, scale):
     k, r = _draw_index_rank(rg, n)
     a = _with_index_rng(rg, n, k, r)
     if rg.integers(0, 2):
-        X = pseudo_core(a).inverse
+        X = _CoreEP(a).pcore_inverse()
         b = (X @ a) @ (scale * _crandn(rg, n, n))   # inside the range condition
     else:
         b = scale * _crandn(rg, n, n)

@@ -10,7 +10,7 @@ of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,12 +19,12 @@ from .linalg import (
     TolerancePolicy,
     _rank_cut,
     _require_square,
+    _same_space,
     _scaled_powers,
     as_matrix,
     frobenius,
     numerical_rank,
     rel_residual,
-    same_column_space,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     The walk over the scaled powers stops at the first repeated rank, so it
     takes k + 1 rank decisions instead of one per power up to the dimension.
     """
-    return _analysis(_require_square(A), tol)[0]
+    return _CoreEP(A, tol).k
 
 
 def _svd_pinv(A, tol):
@@ -177,39 +177,6 @@ def _refined_inverse(Ahat):
     return (2.0 * eye - Y @ Ahat) @ Y
 
 
-def _drazin_matrix(A, P, tol):
-    """Drazin inverse through the invariant core subspace range(A^k).
-
-    With U an orthonormal basis of range(A^k) and V one of range((A^k)*),
-    the restriction U* A U is invertible and the oblique projector onto the
-    core along the nilpotent part is U (V*U)^{-1} V*; the Drazin inverse is
-    the restricted inverse composed with that projector.  This avoids the
-    ill-conditioned pseudoinverse of a high matrix power.  P is the scaled
-    power A^k from :func:`_analysis`.
-    """
-    r, Ur, Vr = _core_subspace(P, tol)
-    if r == 0:
-        return np.zeros_like(A)
-    Ahat = Ur.conj().T @ A @ Ur
-    VU = Vr.conj().T @ Ur
-    W0 = np.linalg.solve(VU, Vr.conj().T)
-    W = W0 + np.linalg.solve(VU, Vr.conj().T - VU @ W0)  # refine the solve
-    return Ur @ (_refined_inverse(Ahat) @ W)
-
-
-def _pcore_matrix(A, P, tol):
-    """U (U* A U)^{-1} U* with U an orthonormal basis of range(A^k).
-
-    P is the scaled power A^k from :func:`_analysis`; a vanished A^k gives
-    the zero matrix.
-    """
-    r, Ur, _ = _core_subspace(P, tol)
-    if r == 0:
-        return np.zeros_like(A)
-    Ahat = Ur.conj().T @ A @ Ur
-    return Ur @ (_refined_inverse(Ahat) @ Ur.conj().T)
-
-
 def _drazin_residuals(A, X, k):
     kk = max(k, 1)
     Ak = np.linalg.matrix_power(A, kk)
@@ -221,34 +188,138 @@ def _drazin_residuals(A, X, k):
     }
 
 
+class _CoreEP:
+    """What the core-EP quantities of one square matrix are derived from.
+
+    Holds the validated matrix A, its index k and the scaled power
+    P = A^max(k,1) from one :func:`_analysis` walk, and the core subspace of
+    P, taken by one SVD on first use, so an index alone never pays for it.
+    Every inverse kind built on range(A^k) and the spectral idempotent come
+    from here; a caller that needs several of them for one matrix builds
+    one record.  Inverses come bare or certified: a certificate is computed
+    only by the methods that return a :class:`GenInverseResult`.
+    """
+
+    __slots__ = ("A", "k", "P", "tol", "_subspace")
+
+    def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
+        self.A = _require_square(A)
+        self.tol = tol
+        self.k, self.P = _analysis(self.A, tol)
+        self._subspace = None
+
+    def _core(self):
+        """(r, Ur, Vr) of :func:`_core_subspace`, computed once."""
+        if self._subspace is None:
+            self._subspace = _core_subspace(self.P, self.tol)
+        return self._subspace
+
+    def pcore_inverse(self) -> np.ndarray:
+        """U (U* A U)^{-1} U* with U an orthonormal basis of range(A^k); the
+        zero matrix when A^k vanishes.  Raises ValueError when an entry is
+        not finite, as the certificate would."""
+        r, Ur, _ = self._core()
+        if r == 0:
+            return np.zeros_like(self.A)
+        Ahat = Ur.conj().T @ self.A @ Ur
+        return as_matrix(Ur @ (_refined_inverse(Ahat) @ Ur.conj().T))
+
+    def drazin_inverse(self) -> np.ndarray:
+        """Drazin inverse through the invariant core subspace range(A^k).
+
+        With U an orthonormal basis of range(A^k) and V one of
+        range((A^k)*), the restriction U* A U is invertible and the oblique
+        projector onto the core along the nilpotent part is U (V*U)^{-1} V*;
+        the Drazin inverse is the restricted inverse composed with that
+        projector.  This avoids the ill-conditioned pseudoinverse of a high
+        matrix power.
+        """
+        r, Ur, Vr = self._core()
+        if r == 0:
+            return np.zeros_like(self.A)
+        Ahat = Ur.conj().T @ self.A @ Ur
+        VU = Vr.conj().T @ Ur
+        W0 = np.linalg.solve(VU, Vr.conj().T)
+        W = W0 + np.linalg.solve(VU, Vr.conj().T - VU @ W0)  # refine the solve
+        return Ur @ (_refined_inverse(Ahat) @ W)
+
+    def spectral_idempotent(self) -> np.ndarray:
+        """I - A A^D: the projection onto the nilpotent part along the core."""
+        return (np.eye(self.A.shape[0], dtype=np.complex128)
+                - self.A @ self.drazin_inverse())
+
+    def pseudo_core(self) -> GenInverseResult:
+        X = self.pcore_inverse()
+        residuals = verify_defining_triple(self.A, X, max(self.k, 1), self.tol)
+        return GenInverseResult("pseudo_core", X, self.k, residuals)
+
+    def drazin(self) -> GenInverseResult:
+        X = self.drazin_inverse()
+        return GenInverseResult("drazin", X, self.k,
+                                _drazin_residuals(self.A, X, self.k))
+
+    def group(self) -> GenInverseResult:
+        if self.k > 1:
+            raise InverseNotDefinedError("group", self.k)
+        A, X = self.A, self.drazin_inverse()
+        AX = A @ X
+        residuals = {
+            "p1": rel_residual(A @ X @ A, A),
+            "p2": rel_residual(X @ A @ X, X),
+            "commute": frobenius(AX - X @ A) / max(1.0, frobenius(AX)),
+        }
+        return GenInverseResult("group", X, 1, residuals)
+
+    def core(self) -> GenInverseResult:
+        if self.k > 1:
+            raise InverseNotDefinedError("core", self.k)
+        A, tol = self.A, self.tol
+        X = self.pcore_inverse()
+        rank_a = numerical_rank(A, tol)     # one rank for both spaces
+        residuals = {
+            "p1": rel_residual(A @ X @ A, A),
+            "column_space":
+                0.0 if _same_space(X, A, rank_a, tol) else 1.0,
+            "row_space":
+                0.0 if _same_space(X.conj().T, A, rank_a, tol) else 1.0,
+        }
+        return GenInverseResult("core", X, 1, residuals)
+
+    def star_dmp(self):
+        """:func:`is_star_dmp` of A.  P is A^k0 with k0 = max(k, 1), so the
+        walk on to A^n continues from it."""
+        A, tol = self.A, self.tol
+        powers = (iter(()) if self.P is None else              # A^k0, ..., A^n
+                  chain([self.P], _scaled_powers(A, tol, start=self.P)))
+        for m in range(max(self.k, 1), A.shape[0] + 1):
+            Am = next(powers, None)
+            # collapse-aware power: a vanished A^m is exactly zero, not dust
+            if Am is None:
+                Am = np.zeros_like(A)
+            rec = _CoreEP(Am, tol)
+            if rec.k > 1:
+                continue
+            mp = _svd_pinv(Am, tol)
+            gp = rec.drazin_inverse()
+            bound = tol.eq_rel_tol * max(1.0, frobenius(mp), frobenius(gp))
+            if frobenius(mp - gp) <= bound:
+                return True, m
+        return False, 0
+
+
 def drazin(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with X A^(k+1) = A^k, A X^2 = X and AX = XA, k = index(A)."""
-    A = _require_square(A)
-    k, P = _analysis(A, tol)
-    X = _drazin_matrix(A, P, tol)
-    return GenInverseResult("drazin", X, k, _drazin_residuals(A, X, k))
+    return _CoreEP(A, tol).drazin()
 
 
 def group_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """Drazin inverse restricted to index <= 1; also commutes with A."""
-    A = _require_square(A)
-    k, P = _analysis(A, tol)
-    if k > 1:
-        raise InverseNotDefinedError("group", k)
-    X = _drazin_matrix(A, P, tol)
-    AX = A @ X
-    residuals = {
-        "p1": rel_residual(A @ X @ A, A),
-        "p2": rel_residual(X @ A @ X, X),
-        "commute": frobenius(AX - X @ A) / max(1.0, frobenius(AX)),
-    }
-    return GenInverseResult("group", X, 1, residuals)
+    return _CoreEP(A, tol).group()
 
 
 def spectral_idempotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """I - A A^D: the projection onto the nilpotent part along the core."""
-    A = _require_square(A)
-    return np.eye(A.shape[0], dtype=np.complex128) - A @ drazin(A, tol).inverse
+    return _CoreEP(A, tol).spectral_idempotent()
 
 
 def verify_defining_triple(A, X, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -278,11 +349,7 @@ def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     restricted to range(A^k), conjugated by an orthonormal basis U of that
     range; it is computed in that collapsed form, X = U (U* A U)^{-1} U*.
     """
-    A = _require_square(A)
-    k, P = _analysis(A, tol)
-    X = _pcore_matrix(A, P, tol)
-    residuals = verify_defining_triple(A, X, max(k, 1), tol)
-    return GenInverseResult("pseudo_core", X, k, residuals)
+    return _CoreEP(A, tol).pseudo_core()
 
 
 def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
@@ -292,17 +359,7 @@ def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     Equals the group inverse composed with the orthogonal projector onto
     range(A), i.e. the pseudo core inverse at k = 1.
     """
-    A = _require_square(A)
-    k, P = _analysis(A, tol)
-    if k > 1:
-        raise InverseNotDefinedError("core", k)
-    X = _pcore_matrix(A, P, tol)
-    residuals = {
-        "p1": rel_residual(A @ X @ A, A),
-        "column_space": 0.0 if same_column_space(X, A, tol) else 1.0,
-        "row_space": 0.0 if same_column_space(X.conj().T, A, tol) else 1.0,
-    }
-    return GenInverseResult("core", X, 1, residuals)
+    return _CoreEP(A, tol).core()
 
 
 def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -312,21 +369,4 @@ def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
     the dimension works.  The exponent max(index(A), 1) is tried first since
     A^n has index <= 1 from the index onward.
     """
-    A = _require_square(A)
-    n = A.shape[0]
-    k0 = max(_analysis(A, tol)[0], 1)
-    powers = islice(_scaled_powers(A, tol), k0 - 1, n)     # A^k0, ..., A^n
-    for m in range(k0, n + 1):
-        # collapse-aware power: a vanished A^m is exactly zero, not dust
-        Am = next(powers, None)
-        if Am is None:
-            Am = np.zeros_like(A)
-        km, Pm = _analysis(Am, tol)
-        if km > 1:
-            continue
-        mp = _svd_pinv(Am, tol)
-        gp = _drazin_matrix(Am, Pm, tol)
-        bound = tol.eq_rel_tol * max(1.0, frobenius(mp), frobenius(gp))
-        if frobenius(mp - gp) <= bound:
-            return True, m
-    return False, 0
+    return _CoreEP(A, tol).star_dmp()

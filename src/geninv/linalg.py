@@ -140,9 +140,14 @@ def same_column_space(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     if A.shape[0] != B.shape[0]:
         raise DimensionError(
             f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
+    return _same_space(A, B, numerical_rank(B, tol), tol)
+
+
+def _same_space(A, B, rank_b: int, tol: TolerancePolicy) -> bool:
+    """:func:`same_column_space` of two matrices with equal row counts, given
+    ``rank_b = numerical_rank(B)``; raises ValueError for a non-finite A."""
     ra = numerical_rank(A, tol)
-    rb = numerical_rank(B, tol)
-    if ra != rb:
+    if ra != rank_b:
         return False
     return numerical_rank(np.hstack([A, B]), tol) == ra
 
@@ -153,15 +158,16 @@ def is_projection(P, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return approx_equal(P @ P, P, tol) and approx_equal(P.conj().T, P, tol)
 
 
-def _scaled_powers(A, tol: TolerancePolicy):
+def _scaled_powers(A, tol: TolerancePolicy, start=None):
     """Yield A^1, A^2, ... of a square matrix, each scaled to unit norm.
 
     Each step is ``P = P @ A`` from ``P = I``, then the collapse test against
     ``rank_rel_tol * ||A||``, then ``P / ||P||``.  The walk ends at the first
-    collapse: that power and every later one is numerically zero.
+    collapse: that power and every later one is numerically zero.  A walk
+    from ``start``, a scaled power A^j it yielded, continues with A^(j+1).
     """
     nA = frobenius(A)
-    P = np.eye(A.shape[0], dtype=np.complex128)
+    P = np.eye(A.shape[0], dtype=np.complex128) if start is None else start
     while True:
         P = P @ A
         nf = frobenius(P)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -30,6 +31,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_PART_TYPES = {int, float}
+
+
+def _bulk_matrix(data, rows: int, cols: int):
+    """The matrix of well-formed ``data``, validated in bulk: one scan of
+    the types of the rows, the entries and their parts, one float64 array of
+    shape (rows, cols, 2) and one finiteness test.  None when any of these
+    fails; the entry walk of :func:`parse_matrix` then names the first bad
+    entry.  The type scan admits exactly ``list`` containers and ``int`` or
+    ``float`` parts, so JSON ``true``/``false`` and strings fall through."""
+    try:
+        entries = [*chain.from_iterable(data)]
+        if ({*map(type, data), *map(type, entries)} != {list}
+                or not {*map(type, chain.from_iterable(entries))}
+                <= _PART_TYPES):
+            return None
+        parts = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if parts.shape != (rows, cols, 2) or not np.isfinite(parts).all():
+        return None
+    return parts.view(np.complex128).reshape(rows, cols)
+
+
 def parse_matrix(obj) -> np.ndarray:
     """Decode one matrix object, validating shape and finiteness."""
     if not isinstance(obj, dict):
@@ -42,6 +67,9 @@ def parse_matrix(obj) -> np.ndarray:
         raise ValueError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ValueError(f"data must be a list of {rows} rows")
+    out = _bulk_matrix(data, rows, cols)
+    if out is not None:
+        return out
     out = np.empty((rows, cols), dtype=np.complex128)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:

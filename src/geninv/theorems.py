@@ -31,14 +31,10 @@ from .linalg import (
     zero_product,
 )
 from .inverses import (
-    _analysis,
-    drazin,
+    _CoreEP,
     index,
-    is_star_dmp,
     one_three,
-    core_inverse,
     pseudo_core,
-    spectral_idempotent,
     verify_defining_triple,
 )
 
@@ -156,12 +152,11 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     a, b = _pair(a, b)
     report = TheoremReport("L2_1", policy=tol)
     report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
-    apc = pseudo_core(a, tol)
+    X = _CoreEP(a, tol).pcore_inverse()
     report.conclusion_checks = [
-        _eq("pcore_commutes_with_b",
-            rel_residual(apc.inverse @ b, b @ apc.inverse), tol),
+        _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
     ]
-    report.witnesses["a_pcore"] = apc.inverse
+    report.witnesses["a_pcore"] = X
     return _finish(report)
 
 
@@ -170,8 +165,8 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     a, b = _pair(a, b)
     report = TheoremReport("L2_2", policy=tol)
     report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
-    apc = pseudo_core(a, tol).inverse
-    bpc = pseudo_core(b, tol).inverse
+    apc = _CoreEP(a, tol).pcore_inverse()
+    bpc = _CoreEP(b, tol).pcore_inverse()
     prod = pseudo_core(a @ b, tol)
     report.conclusion_checks = [
         Check("product_certified", prod.max_residual,
@@ -195,7 +190,8 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
         Check("sum_certified", spc.max_residual, spc.certified(tol)),
     ]
     # Informational: how close a_pc + b_pc comes to the sum's defining triple.
-    candidate = pseudo_core(a, tol).inverse + pseudo_core(b, tol).inverse
+    candidate = (_CoreEP(a, tol).pcore_inverse()
+                 + _CoreEP(b, tol).pcore_inverse())
     k = max(spc.index_used, 1)
     report.witnesses["sum_pcore"] = spc.inverse
     report.witnesses["additive_candidate_residuals"] = verify_defining_triple(
@@ -207,7 +203,7 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """(1 - a_pc a) b = 0 and (1 - a a_pc) b = 0 hold or fail together."""
     a, b = _pair(a, b)
     report = TheoremReport("L2_4", policy=tol)
-    X = pseudo_core(a, tol).inverse
+    X = _CoreEP(a, tol).pcore_inverse()
     eye = np.eye(a.shape[0], dtype=np.complex128)
     _, left = zero_product([eye - X @ a, b], tol)
     _, right = zero_product([eye - a @ X, b], tol)
@@ -260,10 +256,11 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
             f"expected shapes (na,na), (na,nd), (nd,nd); got {a.shape}, "
             f"{b.shape}, {d.shape}")
     report = TheoremReport("L2_5a", policy=tol)
-    apc = pseudo_core(a, tol)
+    ra = _CoreEP(a, tol)
+    apc = ra.pseudo_core()
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(apc.index_used, dpc.index_used, max(na, nd))
-    m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
+    m = _find_sum_exponent(a, ra.spectral_idempotent(), b, d, tol, lo, hi)
     report.hypothesis_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -304,10 +301,11 @@ def check_lemma_2_5_converse(x, split: int,
         Check("x_certified", xpc.max_residual, xpc.certified(tol)),
         _res("pcore_upper_triangular", ll_value, tol),
     ]
-    apc = pseudo_core(a, tol)
+    ra = _CoreEP(a, tol)
+    apc = ra.pseudo_core()
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(apc.index_used, dpc.index_used, max(split, n - split))
-    m = _find_sum_exponent(a, spectral_idempotent(a, tol), b, d, tol, lo, hi)
+    m = _find_sum_exponent(a, ra.spectral_idempotent(), b, d, tol, lo, hi)
     report.conclusion_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -322,11 +320,10 @@ def check_lemma_2_5_converse(x, split: int,
 # Main additive equivalence
 
 
-def _perturbation_sum(a, apc, b, w, tol, lo, hi):
+def _perturbation_sum(a, apc, b, w, wpi, tol, lo, hi):
     """First m in [lo, hi] killing
     sum_i w^(i-1) a^(i-1) w_pi a (a a_pc - a_pc a) (a+b)^(m-i), else 0,
-    with apc = a_pc."""
-    wpi = spectral_idempotent(w, tol)
+    with apc = a_pc and wpi = w_pi."""
     bracket = a @ apc - apc @ a
     s = a + b
     for m in range(lo, hi + 1):
@@ -355,18 +352,20 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
 
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    apc = pseudo_core(a, tol)
-    api = spectral_idempotent(a, tol)
+    ra = _CoreEP(a, tol)
+    apc = ra.pcore_inverse()
+    api = ra.spectral_idempotent()
     s = a + b
     spc = pseudo_core(s, tol)
-    ann_value, ann_zero = zero_product([api, spc.inverse, a, apc.inverse], tol)
+    ann_value, ann_zero = zero_product([api, spc.inverse, a, apc], tol)
     lhs = spc.certified(tol) and ann_zero
 
-    w = eye + apc.inverse @ b
-    wpc = pseudo_core(w, tol)
-    kw = wpc.index_used
-    m = _perturbation_sum(a, apc.inverse, b, w, tol, max(kw, 1),
-                          kw + a.shape[0])
+    w = eye + apc @ b
+    rw = _CoreEP(w, tol)
+    wpc = rw.pseudo_core()
+    kw = rw.k
+    m = _perturbation_sum(a, apc, b, w, rw.spectral_idempotent(), tol,
+                          max(kw, 1), kw + a.shape[0])
     rhs = wpc.certified(tol) and m > 0
 
     report.conclusion_checks = [
@@ -388,12 +387,12 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
     existence certificates must hold outright."""
     a, b = _pair(a, b)
     report = TheoremReport("C3_2", policy=tol)
-    star, witness = is_star_dmp(a, tol)
+    ra = _CoreEP(a, tol)
+    star, witness = ra.star_dmp()
     report.hypothesis_checks = [Check("a_star_dmp", star, star)]
     report.hypothesis_checks += _commutation_hypotheses(a, b, tol)
 
-    apc = pseudo_core(a, tol)
-    X = apc.inverse
+    X = ra.pcore_inverse()
     bracket_value = frobenius(a @ X - X @ a) / max(
         1.0, frobenius(a) * frobenius(X))
     spc = pseudo_core(a + b, tol)
@@ -422,22 +421,22 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     b = np.array([[0, 0], [1, 0]], dtype=np.complex128)
     report = TheoremReport("EX3_3", policy=tol)
 
-    apc = pseudo_core(a, tol)
-    bpc = pseudo_core(b, tol)
+    ra = _CoreEP(a, tol)
+    apc = ra.pcore_inverse()
+    bpc = _CoreEP(b, tol).pcore_inverse()
     eye = np.eye(2, dtype=np.complex128)
-    w = eye + apc.inverse @ b
+    w = eye + apc @ b
     wpc = pseudo_core(w, tol)
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)
 
     commutator = a @ b - b @ a
-    spc = pseudo_core(a + b, tol)
-    api = spectral_idempotent(a, tol)
-    annihilation = api @ spc.inverse @ a @ apc.inverse
+    spc = _CoreEP(a + b, tol).pcore_inverse()
+    annihilation = ra.spectral_idempotent() @ spc @ a @ apc
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
 
     report.conclusion_checks = [
-        _eq("a_pcore_value", rel_residual(apc.inverse, expected_apc), tol),
-        _eq("b_pcore_zero", frobenius(bpc.inverse), tol),
+        _eq("a_pcore_value", rel_residual(apc, expected_apc), tol),
+        _eq("b_pcore_zero", frobenius(bpc), tol),
         _eq("perturbation_is_identity", rel_residual(w, eye), tol),
         Check("perturbation_certified", wpc.max_residual, wpc.certified(tol)),
         Check("ab_differs_from_ba", numerical_rank(commutator, tol),
@@ -448,9 +447,9 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
               numerical_rank(annihilation, tol) == 1),
     ]
     report.witnesses.update({
-        "a_pcore": apc.inverse,
-        "b_pcore": bpc.inverse,
-        "sum_pcore": spc.inverse,
+        "a_pcore": apc,
+        "b_pcore": bpc,
+        "sum_pcore": spc,
         "annihilation": annihilation,
         "note": _EX33_NOTE,
     })
@@ -461,19 +460,19 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     """Cross-check of the equivalent existence routes on one instance."""
     A = _require_square(A)
     report = TheoremReport("T1_1", policy=tol)
-    k, Ak = _analysis(A, tol)
+    rA = _CoreEP(A, tol)
     # the scaled power is exactly zero once the true power collapses, so the
     # rank-based range comparisons below are not polluted by rounding dust
-    if Ak is None:
-        Ak = np.zeros_like(A)
-    apc = pseudo_core(A, tol)
-    adr = drazin(A, tol)
+    Ak = rA.P if rA.P is not None else np.zeros_like(A)
+    apc = rA.pseudo_core()
+    adr = rA.drazin()
     a13 = one_three(Ak, tol)
     X = apc.inverse
-    core_m = core_inverse(Ak, tol)
+    rAk = _CoreEP(Ak, tol)
+    core_m = rAk.core()
     power_range = same_column_space(Ak, X, tol)
     adjoint_range = same_column_space(X, X.conj().T, tol)
-    power_index = index(Ak, tol)
+    power_index = rAk.k
     report.conclusion_checks = [
         Check("pcore_certified", apc.max_residual, apc.certified(tol)),
         Check("drazin_certified", adr.max_residual, adr.certified(tol)),
@@ -483,7 +482,7 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
         Check("power_index_at_most_one", power_index, power_index <= 1),
         Check("power_core_certified", core_m.max_residual, core_m.certified(tol)),
     ]
-    report.witnesses["k"] = max(k, 1)
+    report.witnesses["k"] = max(rA.k, 1)
     return _finish(report)
 
 
@@ -529,8 +528,8 @@ def check_theorem_4_1(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("T4_1", policy=tol)
     st = lambda M: M.conj().T
-    apc = pseudo_core(A, tol).inverse
-    dpc = pseudo_core(D, tol).inverse
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
     nilp = is_nilpotent_product([apc, B, dpc, C], tol)
     report.hypothesis_checks = [
         _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
@@ -553,8 +552,8 @@ def check_corollary_4_2(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("C4_2", policy=tol)
     st = lambda M: M.conj().T
-    apc = pseudo_core(A, tol).inverse
-    dpc = pseudo_core(D, tol).inverse
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
     nilp = is_nilpotent_product([B, dpc, C, apc], tol)
     report.hypothesis_checks = [
         _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
@@ -577,8 +576,8 @@ def check_theorem_4_3(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("T4_3", policy=tol)
     st = lambda M: M.conj().T
-    cb_pc = pseudo_core(C @ B, tol).inverse
-    bc_pc = pseudo_core(B @ C, tol).inverse
+    cb_pc = _CoreEP(C @ B, tol).pcore_inverse()
+    bc_pc = _CoreEP(B @ C, tol).pcore_inverse()
     nilp = is_nilpotent_product([B, cb_pc, D, C, bc_pc, A], tol)
     report.hypothesis_checks = [
         _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
@@ -590,8 +589,8 @@ def check_theorem_4_3(A, B, C, D,
     nA, nD = A.shape[0], D.shape[0]
     Q = np.block([[np.zeros((nA, nA), dtype=np.complex128), B],
                   [C, np.zeros((nD, nD), dtype=np.complex128)]])
-    qpc = pseudo_core(Q, tol).inverse
-    q2pc = pseudo_core(Q @ Q, tol).inverse
+    qpc = _CoreEP(Q, tol).pcore_inverse()
+    q2pc = _CoreEP(Q @ Q, tol).pcore_inverse()
     report.conclusion_checks = [
         cert,
         _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol),
@@ -610,8 +609,8 @@ def check_corollary_4_4(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("C4_4", policy=tol)
     st = lambda M: M.conj().T
-    cb_pc = pseudo_core(C @ B, tol).inverse
-    bc_pc = pseudo_core(B @ C, tol).inverse
+    cb_pc = _CoreEP(C @ B, tol).pcore_inverse()
+    bc_pc = _CoreEP(B @ C, tol).pcore_inverse()
     nilp = is_nilpotent_product([A, bc_pc, B, D, cb_pc, C], tol)
     report.hypothesis_checks = [
         _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
@@ -634,9 +633,10 @@ def check_theorem_4_5(A, B, C, D,
     st = lambda M: M.conj().T
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
-    iA = index(A, tol)
+    rA = _CoreEP(A, tol)
+    iA = rA.k
     # at index 0 the sum is empty and vanishes, so A_pi is never needed
-    api = spectral_idempotent(A, tol) if iA else None
+    api = rA.spectral_idempotent() if iA else None
     total, scale_acc = _triangular_sum(A, api, B, D, iA)
     primary = frobenius(total) <= tol.residual_tol * max(1.0, scale_acc)
     if primary:
@@ -670,8 +670,9 @@ def check_corollary_4_6(A, B, C, D,
     st = lambda M: M.conj().T
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
-    iA = index(A, tol)
-    api = spectral_idempotent(A, tol)
+    rA = _CoreEP(A, tol)
+    iA = rA.k
+    api = rA.spectral_idempotent() if iA else None    # the sum is empty at 0
     total = np.zeros_like(C)
     scale_acc = 0.0
     for i in range(1, iA + 1):

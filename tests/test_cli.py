@@ -134,6 +134,111 @@ class TestCompute:
         assert out["certified"] is False
 
 
+def _loop_parse_matrix(obj):
+    """Reference: parse_matrix as an entry-by-entry loop, as it was before
+    the bulk validation."""
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if not isinstance(obj, dict):
+        raise ValueError("matrix object must be a JSON object")
+    missing = [k for k in ("rows", "cols", "data") if k not in obj]
+    if missing:
+        raise ValueError(f"matrix object missing fields {missing}")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not (is_int(rows) and is_int(cols) and rows >= 1 and cols >= 1):
+        raise ValueError("rows and cols must be positive integers")
+    if not isinstance(data, list) or len(data) != rows:
+        raise ValueError(f"data must be a list of {rows} rows")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValueError(f"row {i} must contain {cols} entries")
+        for j, entry in enumerate(row):
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not all(is_int(v) or isinstance(v, float)
+                               for v in entry)):
+                raise ValueError(
+                    f"entry ({i},{j}) must be a [real, imaginary] pair")
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:
+                raise ValueError(
+                    f"entry ({i},{j}) is too large for a float") from None
+            if not (np.isfinite(re) and np.isfinite(im)):
+                raise ValueError(f"entry ({i},{j}) is not finite")
+            out[i, j] = complex(re, im)
+    return out
+
+
+def _matrix_obj(rows, cols, entry):
+    return {"rows": rows, "cols": cols,
+            "data": [[entry(i, j) for j in range(cols)] for i in range(rows)]}
+
+
+class TestParseMatrixBulk:
+    """The bulk validation of parse_matrix against the entry loop."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3), (4, 1), (8, 8)])
+    def test_same_bits_as_loop(self, shape):
+        rg = np.random.default_rng(shape[0] * 10 + shape[1])
+        for trial in range(20):
+            parts = rg.standard_normal(shape + (2,)).tolist()
+            for row in parts:
+                for entry in row:
+                    pick = rg.integers(0, 4)
+                    if pick == 0:       # an integer part, some beyond 2**53
+                        entry[0] = int(rg.integers(-10**6, 10**6)) * 10 ** int(
+                            rg.integers(0, 20))
+                    elif pick == 1:
+                        entry[1] = -0.0
+            obj = json.loads(json.dumps({"rows": shape[0], "cols": shape[1],
+                                         "data": parts}))
+            got, want = parse_matrix(obj), _loop_parse_matrix(obj)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    HUGE = '{"rows": 2, "cols": 1, "data": [[[0, 0]], [[1' + '0' * 400 + ', 0]]]}'
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"rows": 1, "data": [[[0, 0]]]},
+        {"rows": True, "cols": 1, "data": [[[1.0, 0.0]]]},
+        {"rows": 1, "cols": 0, "data": [[]]},
+        {"rows": 2, "cols": 1, "data": [[[0, 0]]]},
+        {"rows": 1, "cols": 1, "data": "x"},
+        {"rows": 1, "cols": 2, "data": [[[0, 0]]]},
+        {"rows": 2, "cols": 2, "data": [[[0, 0], [0, 0]], [[0, 0]]]},
+        {"rows": 1, "cols": 1, "data": [[[True, 0.0]]]},
+        {"rows": 1, "cols": 2, "data": [[[0, 0], [0, False]]]},
+        {"rows": 1, "cols": 1, "data": [[["1", "0"]]]},
+        {"rows": 1, "cols": 1, "data": [[[None, 0]]]},
+        {"rows": 1, "cols": 1, "data": [[[0, 0, 0]]]},
+        {"rows": 1, "cols": 1, "data": [[[0]]]},
+        {"rows": 1, "cols": 1, "data": [[0]]},
+        {"rows": 1, "cols": 1, "data": [[[[0], 0]]]},
+        {"rows": 1, "cols": 1, "data": [[{"re": 0, "im": 0}]]},
+        {"rows": 1, "cols": 2, "data": [{"a": [0, 0], "b": [0, 0]}]},
+        {"rows": 1, "cols": 1, "data": [[(0.0, 0.0)]]},
+        {"rows": 1, "cols": 1, "data": [([0.0, 0.0],)]},
+        {"rows": 1, "cols": 1, "data": [[[float("inf"), 0.0]]]},
+        {"rows": 2, "cols": 1, "data": [[[0, 0]], [[0.0, float("nan")]]]},
+        json.loads(HUGE),
+    ])
+    def test_same_error_as_loop(self, obj):
+        with pytest.raises(ValueError) as want:
+            _loop_parse_matrix(obj)
+        with pytest.raises(ValueError) as got:
+            parse_matrix(obj)
+        assert str(got.value) == str(want.value)
+
+    def test_part_subclasses_accepted(self):
+        # float subclasses (np.float64) fail the exact type scan and take
+        # the entry walk, which accepts them as before
+        obj = _matrix_obj(2, 2, lambda i, j: [np.float64(i - j), 1.5])
+        assert parse_matrix(obj).tobytes() == _loop_parse_matrix(obj).tobytes()
+
+
 class TestMalformedInput:
     """Malformed input ends with exit 2 and an error line, not a traceback."""
 
@@ -268,6 +373,13 @@ class TestFuzz:
     def test_zero_trials_exits_2(self, capsys):
         code, _, _ = run(capsys, ["fuzz", "--theorem", "L2_1", "--trials", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exits_2(self, capsys, seed):
+        code, out, err = run(capsys, ["fuzz", "--theorem", "L2_1",
+                                      "--trials", "1", "--seed", seed])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "--seed" in err
 
     def test_oversized_dims_exit_2(self, capsys):
         # a zero or empty dimension must not fall back to the default dims

@@ -429,12 +429,13 @@ def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     nA, nD = A.shape[0], D.shape[0]
     B, _ = generators._nullspace_sample(rg, (nA, nD), b_eqs, scale)
     degenerate = np.linalg.norm(B) == 0.0
+    product = product_factors(A, D)
     C = None
     for _ in range(generators._RETRY_CAP):
         Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs, scale)
         if nullity == 0:
             break
-        if generators.is_nilpotent_product(product_factors(A, B, Cc, D)):
+        if generators.is_nilpotent_product(product(B, Cc)):
             C = Cc
             break
     if C is None:

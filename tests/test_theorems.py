@@ -383,14 +383,15 @@ class TestCouplingSumIdempotent:
     @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
     def test_one_spectral_idempotent_per_check(self, monkeypatch, theorem_id,
                                                dims):
-        from geninv import theorems
-        real, calls = theorems.spectral_idempotent, []
+        from geninv.inverses import _CoreEP
+        real, calls = _CoreEP.spectral_idempotent, []
 
-        def counting(a, tol):
-            calls.append(a.shape)
-            return real(a, tol)
+        def counting(record):
+            calls.append(record.A.shape)
+            return real(record)
 
-        monkeypatch.setattr(theorems, "spectral_idempotent", counting)
+        # every a_pi of a check comes from the record of its matrix
+        monkeypatch.setattr(_CoreEP, "spectral_idempotent", counting)
         for t in range(8):
             inst = instance_for(theorem_id, dims, trial_seed(1, t))
             calls.clear()
@@ -402,14 +403,17 @@ class TestCouplingSumIdempotent:
 
 
 class TestIndexReuse:
-    """A check takes an index from the pseudo-core result that already holds
-    it instead of analysing the same matrix again."""
+    """A check analyses each input matrix once: its index, a_pi and pseudo
+    core inverse all come from one record of that matrix."""
 
     @pytest.mark.parametrize("theorem_id,dims,analyses", [
-        ("T3_1", (4,), 5),       # a, a_pi, a + b, w, w_pi
+        ("T3_1", (4,), 3),       # a, a + b, w
         ("L2_3", (4,), 3),       # a + b, a, b
-        ("L2_5a", (4, 4), 4),    # a, d, a_pi, x
-        ("L2_5b", (4, 4), 4),    # x, a, d, a_pi
+        ("L2_5a", (4, 4), 3),    # a, d, x
+        ("L2_5b", (4, 4), 3),    # x, a, d
+        ("T1_1", (4,), 2),       # A, A^k
+        ("C3_2", (4,), 4),       # a, a^k (the star-DMP witness), a + b, w
+        ("C4_6", (3, 3), 3),     # A, M, M*
     ])
     def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
         from geninv import inverses
@@ -427,14 +431,14 @@ class TestIndexReuse:
             assert len(calls) == analyses
 
     def test_theorem_4_5_indexes_each_block_once(self, monkeypatch):
-        from geninv import theorems
-        real, seen = theorems.index, []
+        from geninv import inverses
+        real, seen = inverses._analysis, []
 
         def recording(A, tol):
             seen.append(A.tobytes())
             return real(A, tol)
 
-        monkeypatch.setattr(theorems, "index", recording)
+        monkeypatch.setattr(inverses, "_analysis", recording)
         rg = np.random.default_rng(41)
         for t in range(4):
             # A of index 1 with a generic B: the sum at the index does not
@@ -444,7 +448,8 @@ class TestIndexReuse:
             seen.clear()
             report = check_theorem_4_5(A, B, C, D)
             assert report.witnesses["sum_at_index_vanishes"] is False
-            assert len(seen) == len(set(seen)) == 2
+            assert seen.count(A.tobytes()) == seen.count(D.tobytes()) == 1
+            assert len(seen) == len(set(seen)) == 3     # A, D and M
 
 
 class TestCorollary46:
