@@ -10,7 +10,7 @@ of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .linalg import (
     _rank_cut,
     _require_square,
     _same_space,
-    _scaled_powers,
+    approx_equal,
     as_matrix,
     frobenius,
     numerical_rank,
@@ -73,31 +73,46 @@ class GenInverseResult:
         return self.max_residual <= tol.residual_tol
 
 
-def _analysis(A, tol):
-    """Index k of a square matrix A and its scaled power A^max(k,1).
+def _staircase(A, tol):
+    """Core-EP decomposition of a square A by unitary staircase deflation.
 
-    Walks the scaled powers only until rank(A^k) = rank(A^(k+1)): k + 1
-    rank decisions, or n when the index is the dimension n.  The ranks and
-    the power are those of :func:`power_rank_chain` and :func:`scaled_power`
-    bit for bit.  The power is None when it collapsed to zero.
+    Returns (ranks, Q, M): Q unitary, M = Q* A Q = [[T, S], [0, N]] with
+    T = M[:r, :r] nonsingular and N nilpotent, and ``ranks`` the ranks of
+    A^0, ..., A^k, so k = len(ranks) - 1 and r = ranks[-1] (Kublanovskaya
+    1966; Golub and Wilkinson 1976).  Each step rotates the left singular
+    vectors of the leading block into place, and its rows whose singular
+    values fall to ``rank_rel_tol * ||A||_2`` or below are set to zero.  The
+    cut is absolute, not relative to a power of A that a small core
+    eigenvalue makes small.  The last, nonsingular block is rotated too:
+    that grades its rows, and the refined inverse of T then reaches the
+    rounding floor, where in an ungraded basis its second step can undo the
+    first by a factor of cond(T).
     """
     n = A.shape[0]
-    rank, kept, steps = n, None, 0
-    for steps, P in enumerate(islice(_scaled_powers(A, tol), n), start=1):
-        r = numerical_rank(P, tol)
-        if r == rank:
-            return steps - 1, kept if steps > 1 else P
-        rank, kept = r, P
-    if steps < n:       # A^(steps+1) collapsed, so its rank repeats at once
-        return steps + 1, None
-    return n, kept
+    Q = np.eye(n, dtype=np.complex128)
+    M = A.copy()
+    ranks, cut = [n], None
+    while ranks[-1]:
+        m = ranks[-1]
+        U, s, _ = np.linalg.svd(M[:m, :m])
+        if cut is None:
+            cut = tol.rank_rel_tol * s[0]
+        r = int(np.count_nonzero(s > cut))
+        Q[:, :m] = Q[:, :m] @ U
+        M[:m] = U.conj().T @ M[:m]
+        M[:, :m] = M[:, :m] @ U
+        if r == m:
+            break
+        M[r:m, :m] = 0.0
+        ranks.append(r)
+    return ranks, Q, M
 
 
 def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Smallest k >= 0 with rank(A^k) = rank(A^(k+1)); at most the dimension.
 
-    The walk over the scaled powers stops at the first repeated rank, so it
-    takes k + 1 rank decisions instead of one per power up to the dimension.
+    The number of steps of the staircase deflation: at most k + 1 SVDs of
+    shrinking leading blocks, and no power of A.
     """
     return _CoreEP(A, tol).k
 
@@ -148,21 +163,6 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     return GenInverseResult("one_three", X, 0, residuals)
 
 
-def _core_subspace(P, tol):
-    """Orthonormal bases of range(A^k) and range((A^k)*) via one SVD.
-
-    P is the scaled power A^k from :func:`_analysis`, None when it collapsed.
-    Returns (r, Ur, Vr); r = 0 signals that A^k vanishes numerically.
-    """
-    if P is None:
-        return 0, None, None
-    U, s, Vh = np.linalg.svd(P)
-    r = _rank_cut(s, tol.rank_rel_tol)
-    if r == 0:
-        return 0, None, None
-    return r, U[:, :r], Vh[:r].conj().T
-
-
 def _refined_inverse(Ahat):
     """Inverse of the core restriction with two-sided Newton refinement.
 
@@ -177,9 +177,18 @@ def _refined_inverse(Ahat):
     return (2.0 * eye - Y @ Ahat) @ Y
 
 
-def _drazin_residuals(A, X, k):
-    kk = max(k, 1)
-    Ak = np.linalg.matrix_power(A, kk)
+def _triple_residuals(A, X, Ak):
+    """:func:`verify_defining_triple` given the exact power Ak = A^k."""
+    AX = A @ X
+    return {
+        "pc1": rel_residual(X @ A @ Ak, Ak),
+        "pc2": rel_residual(A @ X @ X, X),
+        "pc3": frobenius(AX - AX.conj().T) / max(1.0, frobenius(AX)),
+    }
+
+
+def _drazin_residuals(A, X, Ak):
+    """Residuals of X A^(k+1) = A^k, A X^2 = X and AX = XA, given Ak = A^k."""
     AX = A @ X
     return {
         "d1": rel_residual(X @ A @ Ak, Ak),
@@ -189,59 +198,62 @@ def _drazin_residuals(A, X, k):
 
 
 class _CoreEP:
-    """What the core-EP quantities of one square matrix are derived from.
+    """The core-EP decomposition of one square matrix, and what derives from it.
 
-    Holds the validated matrix A, its index k and the scaled power
-    P = A^max(k,1) from one :func:`_analysis` walk, and the core subspace of
-    P, taken by one SVD on first use, so an index alone never pays for it.
-    Every inverse kind built on range(A^k) and the spectral idempotent come
-    from here; a caller that needs several of them for one matrix builds
-    one record.  Inverses come bare or certified: a certificate is computed
-    only by the methods that return a :class:`GenInverseResult`.
+    Holds the validated matrix A and, from one :func:`_staircase`, the rank
+    chain of its powers, its index k, the unitary Q, whose first r columns
+    span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  Every
+    inverse kind built on range(A^k), the spectral idempotent and the
+    star-DMP test come from here, so a caller that needs several of them
+    builds one record.  T^{-1} and the exact power A^max(k,1) that the
+    certificates use are each computed once, on first use.  A certificate
+    is computed only by the methods that return a :class:`GenInverseResult`.
     """
-
-    __slots__ = ("A", "k", "P", "tol", "_subspace")
 
     def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
         self.A = _require_square(A)
         self.tol = tol
-        self.k, self.P = _analysis(self.A, tol)
-        self._subspace = None
+        self.ranks, self.Q, self.M = _staircase(self.A, tol)
+        self.k, self.r = len(self.ranks) - 1, self.ranks[-1]
+        r = self.r
+        self.T, self.S, self.N = self.M[:r, :r], self.M[:r, r:], self.M[r:, r:]
 
-    def _core(self):
-        """(r, Ur, Vr) of :func:`_core_subspace`, computed once."""
-        if self._subspace is None:
-            self._subspace = _core_subspace(self.P, self.tol)
-        return self._subspace
+    @cached_property
+    def t_inverse(self):
+        return _refined_inverse(self.T)
+
+    @cached_property
+    def exact_power(self):
+        return np.linalg.matrix_power(self.A, max(self.k, 1))
+
+    def scaled_power(self) -> np.ndarray:
+        """A^max(k,1) = Q [[T^k0, X], [0, 0]] Q* at unit Frobenius norm, read
+        off the decomposition, so its rank is exactly r; zero when r = 0."""
+        r = self.r
+        if r == 0:
+            return np.zeros_like(self.A)
+        R = self.M[:r]                  # the top block row of M^j, j = 1..k0
+        for _ in range(max(self.k, 1) - 1):
+            R = R @ self.M
+            R = R / frobenius(R)
+        P = self.Q[:, :r] @ (R @ self.Q.conj().T)
+        return P / frobenius(P)
 
     def pcore_inverse(self) -> np.ndarray:
-        """U (U* A U)^{-1} U* with U an orthonormal basis of range(A^k); the
-        zero matrix when A^k vanishes.  Raises ValueError when an entry is
-        not finite, as the certificate would."""
-        r, Ur, _ = self._core()
-        if r == 0:
-            return np.zeros_like(self.A)
-        Ahat = Ur.conj().T @ self.A @ Ur
-        return as_matrix(Ur @ (_refined_inverse(Ahat) @ Ur.conj().T))
+        """Q1 T^{-1} Q1*, Q1 the first r columns of Q.  Raises ValueError
+        when an entry is not finite, as the certificate would."""
+        Q1 = self.Q[:, :self.r]
+        return as_matrix(Q1 @ (self.t_inverse @ Q1.conj().T))
 
     def drazin_inverse(self) -> np.ndarray:
-        """Drazin inverse through the invariant core subspace range(A^k).
-
-        With U an orthonormal basis of range(A^k) and V one of
-        range((A^k)*), the restriction U* A U is invertible and the oblique
-        projector onto the core along the nilpotent part is U (V*U)^{-1} V*;
-        the Drazin inverse is the restricted inverse composed with that
-        projector.  This avoids the ill-conditioned pseudoinverse of a high
-        matrix power.
-        """
-        r, Ur, Vr = self._core()
-        if r == 0:
-            return np.zeros_like(self.A)
-        Ahat = Ur.conj().T @ self.A @ Ur
-        VU = Vr.conj().T @ Ur
-        W0 = np.linalg.solve(VU, Vr.conj().T)
-        W = W0 + np.linalg.solve(VU, Vr.conj().T - VU @ W0)  # refine the solve
-        return Ur @ (_refined_inverse(Ahat) @ W)
+        """Q [[T^{-1}, Z], [0, 0]] Q* with Z = sum_{j<k} T^-(j+2) S N^j, the
+        solution of T Z - Z N = T^{-1} S that makes it commute with A.  The
+        sum is taken by Horner's rule: Z = Y G, G = Y (S + G N) k times."""
+        Y, S, N = self.t_inverse, self.S, self.N
+        G = np.zeros_like(S)
+        for _ in range(self.k):
+            G = Y @ (S + G @ N)
+        return self.Q[:, :self.r] @ (np.hstack([Y, Y @ G]) @ self.Q.conj().T)
 
     def spectral_idempotent(self) -> np.ndarray:
         """I - A A^D: the projection onto the nilpotent part along the core."""
@@ -250,13 +262,13 @@ class _CoreEP:
 
     def pseudo_core(self) -> GenInverseResult:
         X = self.pcore_inverse()
-        residuals = verify_defining_triple(self.A, X, max(self.k, 1), self.tol)
+        residuals = _triple_residuals(self.A, X, self.exact_power)
         return GenInverseResult("pseudo_core", X, self.k, residuals)
 
     def drazin(self) -> GenInverseResult:
         X = self.drazin_inverse()
         return GenInverseResult("drazin", X, self.k,
-                                _drazin_residuals(self.A, X, self.k))
+                                _drazin_residuals(self.A, X, self.exact_power))
 
     def group(self) -> GenInverseResult:
         if self.k > 1:
@@ -286,24 +298,12 @@ class _CoreEP:
         return GenInverseResult("core", X, 1, residuals)
 
     def star_dmp(self):
-        """:func:`is_star_dmp` of A.  P is A^k0 with k0 = max(k, 1), so the
-        walk on to A^n continues from it."""
-        A, tol = self.A, self.tol
-        powers = (iter(()) if self.P is None else              # A^k0, ..., A^n
-                  chain([self.P], _scaled_powers(A, tol, start=self.P)))
-        for m in range(max(self.k, 1), A.shape[0] + 1):
-            Am = next(powers, None)
-            # collapse-aware power: a vanished A^m is exactly zero, not dust
-            if Am is None:
-                Am = np.zeros_like(A)
-            rec = _CoreEP(Am, tol)
-            if rec.k > 1:
-                continue
-            mp = _svd_pinv(Am, tol)
-            gp = rec.drazin_inverse()
-            bound = tol.eq_rel_tol * max(1.0, frobenius(mp), frobenius(gp))
-            if frobenius(mp - gp) <= bound:
-                return True, m
+        """:func:`is_star_dmp` of A.  A^m is EP for every m >= k exactly when
+        A^k is, which holds exactly when A^D = A^pc (Gao and Chen 2018)."""
+        if self.k == 0:
+            return True, 1
+        if approx_equal(self.drazin_inverse(), self.pcore_inverse(), self.tol):
+            return True, self.k
         return False, 0
 
 
@@ -332,22 +332,16 @@ def verify_defining_triple(A, X, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
     A, X = _require_square(A), _require_square(X)
     if A.shape != X.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {X.shape}")
-    Ak = np.linalg.matrix_power(A, k)
-    AX = A @ X
-    return {
-        "pc1": rel_residual(X @ A @ Ak, Ak),
-        "pc2": rel_residual(A @ X @ X, X),
-        "pc3": frobenius(AX - AX.conj().T) / max(1.0, frobenius(AX)),
-    }
+    return _triple_residuals(A, X, np.linalg.matrix_power(A, k))
 
 
 def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with X A^(k+1) = A^k, A X^2 = X, (AX)* = AX, k = index(A).
 
-    Exists for every square complex matrix.  The composite
-    A^D A^k (A^k)^(1,3) collapses algebraically to the inverse of A
-    restricted to range(A^k), conjugated by an orthonormal basis U of that
-    range; it is computed in that collapsed form, X = U (U* A U)^{-1} U*.
+    Exists for every square complex matrix: it is the core-EP inverse.  With
+    the core-EP decomposition A = Q [[T, S], [0, N]] Q* (H. Wang 2016),
+    T nonsingular and N nilpotent, it is X = Q1 T^{-1} Q1*, Q1 the first
+    rank(A^k) columns of Q.
     """
     return _CoreEP(A, tol).pseudo_core()
 
@@ -365,8 +359,9 @@ def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
 def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
     """Does some power of A have coinciding Moore-Penrose and group inverses?
 
-    Returns (flag, witness_exponent); the witness is 0 when no exponent up to
-    the dimension works.  The exponent max(index(A), 1) is tried first since
-    A^n has index <= 1 from the index onward.
+    Returns (flag, witness_exponent); the witness is max(index(A), 1) when
+    some power works and 0 when none does.  Every power from the index on
+    has index <= 1 and the same range and kernel as A^k, so one works
+    exactly when A^k does, and the test reads A^D = A^pc instead.
     """
     return _CoreEP(A, tol).star_dmp()

@@ -158,16 +158,15 @@ def is_projection(P, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return approx_equal(P @ P, P, tol) and approx_equal(P.conj().T, P, tol)
 
 
-def _scaled_powers(A, tol: TolerancePolicy, start=None):
+def _scaled_powers(A, tol: TolerancePolicy):
     """Yield A^1, A^2, ... of a square matrix, each scaled to unit norm.
 
     Each step is ``P = P @ A`` from ``P = I``, then the collapse test against
     ``rank_rel_tol * ||A||``, then ``P / ||P||``.  The walk ends at the first
-    collapse: that power and every later one is numerically zero.  A walk
-    from ``start``, a scaled power A^j it yielded, continues with A^(j+1).
+    collapse: that power and every later one is numerically zero.
     """
     nA = frobenius(A)
-    P = np.eye(A.shape[0], dtype=np.complex128) if start is None else start
+    P = np.eye(A.shape[0], dtype=np.complex128)
     while True:
         P = P @ A
         nf = frobenius(P)

@@ -461,9 +461,9 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     A = _require_square(A)
     report = TheoremReport("T1_1", policy=tol)
     rA = _CoreEP(A, tol)
-    # the scaled power is exactly zero once the true power collapses, so the
+    # the power taken from the decomposition has rank exactly r, so the
     # rank-based range comparisons below are not polluted by rounding dust
-    Ak = rA.P if rA.P is not None else np.zeros_like(A)
+    Ak = rA.scaled_power()
     apc = rA.pseudo_core()
     adr = rA.drazin()
     a13 = one_three(Ak, tol)

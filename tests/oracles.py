@@ -1,13 +1,15 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the package's own computation paths: exact rank and
-exact powers go through sympy's rational/symbolic arithmetic, and the
-pseudo-core oracle solves a stacked linear system in the unknown entries of
-the inverse rather than composing factor inverses.
+exact powers go through sympy's rational/symbolic arithmetic, the rank chain
+of a float matrix's powers through mpmath's 50-digit singular values, and
+the pseudo-core oracle solves a stacked linear system in the unknown entries
+of the inverse rather than composing factor inverses.
 """
 
 import numpy as np
 import sympy as sp
+from mpmath import mp
 
 
 def exact_rank(rows):
@@ -19,6 +21,28 @@ def exact_power_is_zero(rows, k):
     """Is the k-th power exactly zero, by symbolic multiplication?"""
     M = sp.Matrix(rows)
     return (M ** k).is_zero_matrix
+
+
+def mp_power_ranks(A, rank_rel_tol=1e-10, dps=50):
+    """Ranks of A^0, A^1, ..., A^n, from ``dps``-digit singular values.
+
+    The powers are formed in ``dps``-digit arithmetic from the exact binary
+    entries of A, so no rounding of a float64 power enters.  The singular
+    values of A^j are judged against ``rank_rel_tol * ||A||_2^j``, the
+    largest that ||A^j||_2 can be.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    n = A.shape[0]
+    with mp.workdps(dps):
+        X = mp.matrix(A.tolist())
+        norm = max(mp.svd_c(X, compute_uv=False))
+        ranks, P = [n], mp.eye(n)
+        for j in range(1, n + 1):
+            P = P * X
+            cut = rank_rel_tol * norm ** j
+            ranks.append(sum(1 for s in mp.svd_c(P, compute_uv=False)
+                             if s > cut))
+    return ranks
 
 
 def _commutation_matrix(n):

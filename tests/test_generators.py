@@ -409,7 +409,7 @@ class TestNullspaceSample:
         "commutant": "9c5a336fe0935c0a",
         "T4_3": "11552d5ce06bab9d",
         "C4_4": "e96c88db467c3c64",
-        "T4_5": "47a44cdb4d1bafbd",
+        "T4_5": "45a098b148a18caf",
     }
 
     def test_pinned_draws(self):

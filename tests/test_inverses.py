@@ -20,7 +20,7 @@ from geninv.inverses import (
     spectral_idempotent,
     verify_defining_triple,
 )
-from geninv.generators import gen_with_index
+from geninv.generators import gen_star_dmp, gen_with_index
 
 from oracles import (
     defining_triple_max_residual,
@@ -66,8 +66,8 @@ def first_repeated_rank(A):
 
 
 class TestEarlyStoppingIndex:
-    """index() stops its walk at the first repeated rank; the full chain
-    must give the same answer."""
+    """index() counts the steps of the staircase deflation; the first
+    repeated rank of the full power chain must give the same answer."""
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_generated_matches_full_chain(self, scale):
@@ -344,3 +344,17 @@ class TestStarDmp:
     def test_nilpotent_is_star_dmp(self):
         flag, witness = is_star_dmp(SHIFT)
         assert flag and witness >= 1
+
+    def test_nonsingular_is_star_dmp(self):
+        # index 0: A itself is invertible, so its MP and group inverses agree
+        M = (1e6 * gen_star_dmp(8, 0, 2, 23)
+             + 0.3 * np.triu(np.random.default_rng(0).standard_normal((8, 8)), 1))
+        assert index(M) == 0
+        assert is_star_dmp(M) == (True, 1)
+
+    @pytest.mark.parametrize("n,r,seed", [(12, 8, 2431), (16, 12, 583)])
+    def test_ill_conditioned_core_power(self, n, r, seed):
+        # core eigenvalues spread over [0.1, 10], so A^3 restricted to its
+        # core has condition about 1e6; A is star-DMP of index 3 by
+        # construction, and the witness is the index
+        assert is_star_dmp(gen_star_dmp(n, r, 3, seed)) == (True, 3)

@@ -21,40 +21,40 @@ from geninv.theorems import THEOREM_SYMBOLS
 SCALES = (1e-6, 1.0, 1e6)
 
 VERIFY_PINS = {
-    "C3_2": "fc9ddea9e6db4735",
-    "C4_2": "e154d379d835834e",
-    "C4_4": "ebb0404d9199e0b1",
-    "C4_6": "ac4076e49f1291c0",
-    "L2_1": "972da81a4d0c95fb",
-    "L2_2": "1302393d54989a35",
-    "L2_3": "8c58596baf47ff96",
+    "C3_2": "010c5a9ac94e4762",
+    "C4_2": "6cf4b15cf0e53898",
+    "C4_4": "6520c27813588562",
+    "C4_6": "e2347554de2647b1",
+    "L2_1": "4b918474f63ffc26",
+    "L2_2": "7cc731c227084b75",
+    "L2_3": "eea1ddd000ac6efe",
     "L2_4": "91ad069508f2d1f8",
-    "L2_5a": "e6d3f64848fbf334",
-    "L2_5b": "44bb748e0eb1d446",
-    "T1_1": "c191cb850e362a13",
-    "T3_1": "475463aac8d9d85c",
-    "T4_1": "9649786206917522",
-    "T4_3": "4c21f271a8e17cf0",
-    "T4_5": "8db4b4d7631925aa",
+    "L2_5a": "762542679fefbd5c",
+    "L2_5b": "7c559f17922d12c8",
+    "T1_1": "c351b8cda56a61bb",
+    "T3_1": "6e9aa65f8cf5f114",
+    "T4_1": "496d82cfbb1c9fb8",
+    "T4_3": "0fa97486c0f8ceac",
+    "T4_5": "dd5885170e87a95c",
 }
 
 FUZZ_PINS = {
-    "C3_2": "2245d5ffee30aee7",
-    "C4_2": "b275b07e9b6c4114",
-    "C4_4": "fc6c60836be2376d",
-    "C4_6": "4d4653fce0755d9d",
+    "C3_2": "b3d3c2d528dfb7d0",
+    "C4_2": "18a4613ffd35f54c",
+    "C4_4": "66a9582b375f428a",
+    "C4_6": "6def30af79c21889",
     "EX3_3": "e861ac876fb57ada",
-    "L2_1": "e0f5119933f2a8d1",
-    "L2_2": "6320306aa999f954",
-    "L2_3": "e53d8f7fdb31e24d",
+    "L2_1": "478144863ff43b1a",
+    "L2_2": "ae54367f95cdc014",
+    "L2_3": "7b8e4be70c2b14a5",
     "L2_4": "da828f2c2bd993de",
-    "L2_5a": "f556cc949c96c568",
-    "L2_5b": "f526c9ea21b05e4a",
-    "T1_1": "82030c5607daae2a",
+    "L2_5a": "d0b89036d14a605c",
+    "L2_5b": "5cba5a10cb3fc09d",
+    "T1_1": "e9a1dc194f804db6",
     "T3_1": "e7abeeaafac9a379",
-    "T4_1": "c856d512e4e851fe",
-    "T4_3": "685e812f1af15ce4",
-    "T4_5": "97371d9979149da2",
+    "T4_1": "621c660570714de9",
+    "T4_3": "c1513cca91cbf301",
+    "T4_5": "f3929cfd562772f5",
 }
 
 

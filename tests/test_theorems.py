@@ -185,6 +185,15 @@ class TestLemma25:
         with pytest.raises(ValueError):
             check_lemma_2_5(np.eye(2), np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b"])
+    def test_ill_separated_index(self, theorem_id):
+        # x = [[a, b], [0, d]] has index 5, and its core eigenvalue 0.11 to
+        # the fifth power is close to the rounding dust of x^5 relative to
+        # sigma_1(x^5): a rank cut on the scaled power counted index 6
+        inst = instance_for(theorem_id, (3, 3), np.random.SeedSequence([29, 7, 0]))
+        report = run_check(theorem_id, inst.matrices)
+        assert report.verdict == "pass"
+
 
 class TestLemma25Converse:
     def test_diagonal(self):
@@ -412,18 +421,18 @@ class TestIndexReuse:
         ("L2_5a", (4, 4), 3),    # a, d, x
         ("L2_5b", (4, 4), 3),    # x, a, d
         ("T1_1", (4,), 2),       # A, A^k
-        ("C3_2", (4,), 4),       # a, a^k (the star-DMP witness), a + b, w
+        ("C3_2", (4,), 3),       # a (also the star-DMP test), a + b, w
         ("C4_6", (3, 3), 3),     # A, M, M*
     ])
     def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
         from geninv import inverses
-        real, calls = inverses._analysis, []
+        real, calls = inverses._staircase, []
 
         def counting(A, tol):
             calls.append(A.shape)
             return real(A, tol)
 
-        monkeypatch.setattr(inverses, "_analysis", counting)
+        monkeypatch.setattr(inverses, "_staircase", counting)
         for t in range(4):
             inst = instance_for(theorem_id, dims, trial_seed(1, t))
             calls.clear()
@@ -432,13 +441,13 @@ class TestIndexReuse:
 
     def test_theorem_4_5_indexes_each_block_once(self, monkeypatch):
         from geninv import inverses
-        real, seen = inverses._analysis, []
+        real, seen = inverses._staircase, []
 
         def recording(A, tol):
             seen.append(A.tobytes())
             return real(A, tol)
 
-        monkeypatch.setattr(inverses, "_analysis", recording)
+        monkeypatch.setattr(inverses, "_staircase", recording)
         rg = np.random.default_rng(41)
         for t in range(4):
             # A of index 1 with a generic B: the sum at the index does not
@@ -450,6 +459,43 @@ class TestIndexReuse:
             assert report.witnesses["sum_at_index_vanishes"] is False
             assert seen.count(A.tobytes()) == seen.count(D.tobytes()) == 1
             assert len(seen) == len(set(seen)) == 3     # A, D and M
+
+
+class TestRecordWork:
+    """A record solves its T once and forms its exact power A^max(k,1) once,
+    however many of its inverses and certificates a check takes."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, theorem_id):
+        real, calls = getattr(module, name), []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        counts = set()
+        for t in range(20):
+            inst = instance_for(theorem_id, (4,), trial_seed(1, t))
+            calls.clear()
+            run_check(theorem_id, inst.matrices)
+            counts.add(len(calls))
+        return counts
+
+    @pytest.mark.parametrize("theorem_id,solves", [
+        ("T3_1", {3}),           # a, w and a + b
+        ("T1_1", {2}),           # A and A^k
+    ])
+    def test_one_refined_inverse_per_record(self, monkeypatch, theorem_id,
+                                            solves):
+        from geninv import inverses
+        assert self._count(monkeypatch, inverses, "_refined_inverse",
+                           theorem_id) == solves
+
+    def test_one_exact_power_per_theorem_1_1_check(self, monkeypatch):
+        # pc1 and d1 both need A^max(k,1); the record of A forms it once
+        assert self._count(monkeypatch, np.linalg, "matrix_power",
+                           "T1_1") == {1}
 
 
 class TestCorollary46:
