@@ -255,9 +255,9 @@ def gen_annihilating_pair(n: int, seed, scale: float = 1.0):
 def _coupling_terms(ra, d, m):
     """Linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling sum
     sum_i a^(i-1) a_pi X d^(m-i) in the unknown X, with ra the record of a."""
-    a, api = ra.A, ra.spectral_idempotent()
-    return [(np.linalg.matrix_power(a, i - 1) @ api,
-             np.linalg.matrix_power(d, m - i)) for i in range(1, m + 1)]
+    products, _ = ra.nilpotent_powers(m)
+    return [(P, np.linalg.matrix_power(d, m - 1 - j))
+            for j, P in enumerate(products)]
 
 
 def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
@@ -439,14 +439,9 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     B, _ = _nullspace_sample(rg, (nA, nD), _intertwining_eqs(A, D)[0], scale)
     degenerate = frobenius(B) == 0.0
     rA = _CoreEP(A)
-    iA = rA.k
     c_eqs = [[(B, IA)], [(ID, B)]]
-    if iA >= 1:
-        api = rA.spectral_idempotent()
-        SA = np.zeros((nA, nA), dtype=np.complex128)
-        for i in range(1, iA + 1):
-            SA += np.linalg.matrix_power(A, i - 1) @ api
-        c_eqs.append([(ID, SA)])
+    if rA.k >= 1:
+        c_eqs.append([(ID, rA.nilpotent_power_sum()[0])])
     C, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
     if nullity == 0 or frobenius(C) == 0.0:
         degenerate = True

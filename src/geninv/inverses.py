@@ -129,14 +129,28 @@ def _svd_pinv(A, tol):
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
-def _penrose_residuals(A, X):
+def _hermitian_defect(M):
+    """||M - M*|| / max(1, ||M||): how far M is from Hermitian."""
+    return frobenius(M - M.conj().T) / max(1.0, frobenius(M))
+
+
+def _commutator_defect(A, X):
+    """||AX - XA|| / max(1, ||AX||): how far X is from commuting with A."""
     AX = A @ X
-    XA = X @ A
+    return frobenius(AX - X @ A) / max(1.0, frobenius(AX))
+
+
+def _outer_residuals(A, X, Ak):
+    """Residuals of X A^(k+1) = A^k and A X^2 = X, given Ak = A^k."""
+    return rel_residual(X @ A @ Ak, Ak), rel_residual(A @ X @ X, X)
+
+
+def _penrose_residuals(A, X):
     return {
         "p1": rel_residual(A @ X @ A, A),
         "p2": rel_residual(X @ A @ X, X),
-        "p3": frobenius(AX - AX.conj().T) / max(1.0, frobenius(AX)),
-        "p4": frobenius(XA - XA.conj().T) / max(1.0, frobenius(XA)),
+        "p3": _hermitian_defect(A @ X),
+        "p4": _hermitian_defect(X @ A),
     }
 
 
@@ -155,10 +169,9 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """
     A = _require_square(A)
     X = _svd_pinv(A, tol)
-    AX = A @ X
     residuals = {
         "p1": rel_residual(A @ X @ A, A),
-        "p3": frobenius(AX - AX.conj().T) / max(1.0, frobenius(AX)),
+        "p3": _hermitian_defect(A @ X),
     }
     return GenInverseResult("one_three", X, 0, residuals)
 
@@ -179,22 +192,14 @@ def _refined_inverse(Ahat):
 
 def _triple_residuals(A, X, Ak):
     """:func:`verify_defining_triple` given the exact power Ak = A^k."""
-    AX = A @ X
-    return {
-        "pc1": rel_residual(X @ A @ Ak, Ak),
-        "pc2": rel_residual(A @ X @ X, X),
-        "pc3": frobenius(AX - AX.conj().T) / max(1.0, frobenius(AX)),
-    }
+    pc1, pc2 = _outer_residuals(A, X, Ak)
+    return {"pc1": pc1, "pc2": pc2, "pc3": _hermitian_defect(A @ X)}
 
 
 def _drazin_residuals(A, X, Ak):
     """Residuals of X A^(k+1) = A^k, A X^2 = X and AX = XA, given Ak = A^k."""
-    AX = A @ X
-    return {
-        "d1": rel_residual(X @ A @ Ak, Ak),
-        "d2": rel_residual(A @ X @ X, X),
-        "commute": frobenius(AX - X @ A) / max(1.0, frobenius(AX)),
-    }
+    d1, d2 = _outer_residuals(A, X, Ak)
+    return {"d1": d1, "d2": d2, "commute": _commutator_defect(A, X)}
 
 
 class _CoreEP:
@@ -260,6 +265,26 @@ class _CoreEP:
         return (np.eye(self.A.shape[0], dtype=np.complex128)
                 - self.A @ self.drazin_inverse())
 
+    def nilpotent_powers(self, m):
+        """A^(i-1) A_pi for i = 1..m, A_pi the spectral idempotent, and their
+        scale sum_i ||A^(i-1)|| ||A_pi||; A_pi is not formed when m = 0."""
+        if m == 0:
+            return [], 0.0
+        api = self.spectral_idempotent()
+        norm_api = frobenius(api)
+        products, scale = [], 0.0
+        for j in range(m):
+            Aj = np.linalg.matrix_power(self.A, j)
+            products.append(Aj @ api)
+            scale += frobenius(Aj) * norm_api
+        return products, scale
+
+    def nilpotent_power_sum(self):
+        """sum_{i=1..k} A^(i-1) A_pi, k the index, and its scale
+        sum_i ||A^(i-1)|| ||A_pi||; zero at k = 0."""
+        products, scale = self.nilpotent_powers(self.k)
+        return sum(products, np.zeros_like(self.A)), scale
+
     def pseudo_core(self) -> GenInverseResult:
         X = self.pcore_inverse()
         residuals = _triple_residuals(self.A, X, self.exact_power)
@@ -274,11 +299,10 @@ class _CoreEP:
         if self.k > 1:
             raise InverseNotDefinedError("group", self.k)
         A, X = self.A, self.drazin_inverse()
-        AX = A @ X
         residuals = {
             "p1": rel_residual(A @ X @ A, A),
             "p2": rel_residual(X @ A @ X, X),
-            "commute": frobenius(AX - X @ A) / max(1.0, frobenius(AX)),
+            "commute": _commutator_defect(A, X),
         }
         return GenInverseResult("group", X, 1, residuals)
 

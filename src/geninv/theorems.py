@@ -13,7 +13,9 @@ symbols it consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -215,25 +217,31 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     return _finish(report)
 
 
-def _triangular_sum(a, api, b, d, m):
-    """sum_{i=1..m} a^(i-1) a_pi b d^(m-i) plus its factor-scale, with
-    api = a_pi; zero for m = 0."""
-    total = np.zeros_like(b)
-    scale_acc = 0.0
-    for i in range(1, m + 1):
-        left = np.linalg.matrix_power(a, i - 1)
-        right = np.linalg.matrix_power(d, m - i)
-        total += left @ api @ b @ right
-        scale_acc += (frobenius(left) * frobenius(api) * frobenius(b)
-                      * frobenius(right))
-    return total, scale_acc
+def _first_vanishing_sum(lefts, mids, right, tol, lo, hi):
+    """First m in [lo, hi] at which the coupling sum
+    S_m = sum_{i=1..m} (prod_f f^(i-1)) (prod mids) right^(m-i)
+    vanishes against its factor scale, else 0.
 
-
-def _find_sum_exponent(a, api, b, d, tol, lo, hi):
-    """First m in [lo, hi] for which the triangular sum vanishes, else 0."""
-    for m in range(lo, hi + 1):
-        total, scale_acc = _triangular_sum(a, api, b, d, m)
-        if frobenius(total) <= tol.residual_tol * max(1.0, scale_acc):
+    One pass: S_{m+1} = S_m right + (prod_f f^m)(prod mids), each power
+    formed once, when the sweep reaches it.  The scale
+    sum_i prod_f ||f^(i-1)|| prod ||mid|| ||right^(m-i)|| is summed from
+    cached norms, each product taken left to right.
+    """
+    K = reduce(np.matmul, mids)
+    mid_norms = [frobenius(mid) for mid in mids]
+    left_norms, right_norms = [], []
+    total = np.zeros_like(K)
+    for m in range(1, hi + 1):
+        powers = [np.linalg.matrix_power(f, m - 1) for f in lefts]
+        left_norms.append(math.prod([*map(frobenius, powers), *mid_norms]))
+        right_norms.append(frobenius(np.linalg.matrix_power(right, m - 1)))
+        total = total @ right + reduce(np.matmul, powers) @ K
+        if m < lo:
+            continue
+        scale = 0.0
+        for left_norm, right_norm in zip(left_norms, reversed(right_norms)):
+            scale += left_norm * right_norm
+        if frobenius(total) <= tol.residual_tol * max(1.0, scale):
             return m
     return 0
 
@@ -260,7 +268,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
     apc = ra.pseudo_core()
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(apc.index_used, dpc.index_used, max(na, nd))
-    m = _find_sum_exponent(a, ra.spectral_idempotent(), b, d, tol, lo, hi)
+    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
     report.hypothesis_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -305,7 +313,7 @@ def check_lemma_2_5_converse(x, split: int,
     apc = ra.pseudo_core()
     dpc = pseudo_core(d, tol)
     lo, hi = _sum_window(apc.index_used, dpc.index_used, max(split, n - split))
-    m = _find_sum_exponent(a, ra.spectral_idempotent(), b, d, tol, lo, hi)
+    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
     report.conclusion_checks = [
         Check("a_certified", apc.max_residual, apc.certified(tol)),
         Check("d_certified", dpc.max_residual, dpc.certified(tol)),
@@ -318,27 +326,6 @@ def check_lemma_2_5_converse(x, split: int,
 
 # ---------------------------------------------------------------------------
 # Main additive equivalence
-
-
-def _perturbation_sum(a, apc, b, w, wpi, tol, lo, hi):
-    """First m in [lo, hi] killing
-    sum_i w^(i-1) a^(i-1) w_pi a (a a_pc - a_pc a) (a+b)^(m-i), else 0,
-    with apc = a_pc and wpi = w_pi."""
-    bracket = a @ apc - apc @ a
-    s = a + b
-    for m in range(lo, hi + 1):
-        total = np.zeros_like(a)
-        scale_acc = 0.0
-        for i in range(1, m + 1):
-            wi = np.linalg.matrix_power(w, i - 1)
-            ai = np.linalg.matrix_power(a, i - 1)
-            si = np.linalg.matrix_power(s, m - i)
-            total += wi @ ai @ wpi @ a @ bracket @ si
-            scale_acc += (frobenius(wi) * frobenius(ai) * frobenius(wpi)
-                          * frobenius(a) * frobenius(bracket) * frobenius(si))
-        if frobenius(total) <= tol.residual_tol * max(1.0, scale_acc):
-            return m
-    return 0
 
 
 def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -364,8 +351,8 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     rw = _CoreEP(w, tol)
     wpc = rw.pseudo_core()
     kw = rw.k
-    m = _perturbation_sum(a, apc, b, w, rw.spectral_idempotent(), tol,
-                          max(kw, 1), kw + a.shape[0])
+    mids = [rw.spectral_idempotent(), a, a @ apc - apc @ a]
+    m = _first_vanishing_sum([w, a], mids, s, tol, max(kw, 1), kw + a.shape[0])
     rhs = wpc.certified(tol) and m > 0
 
     report.conclusion_checks = [
@@ -634,28 +621,25 @@ def check_theorem_4_5(A, B, C, D,
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
     rA = _CoreEP(A, tol)
-    iA = rA.k
-    # at index 0 the sum is empty and vanishes, so A_pi is never needed
-    api = rA.spectral_idempotent() if iA else None
-    total, scale_acc = _triangular_sum(A, api, B, D, iA)
-    primary = frobenius(total) <= tol.residual_tol * max(1.0, scale_acc)
-    if primary:
-        m = iA
-    else:
-        lo, hi = _sum_window(iA, index(D, tol), max(A.shape[0], D.shape[0]))
-        m = _find_sum_exponent(A, api, B, D, tol, lo, hi)
+    iA = m = rA.k       # at index 0 the sum is empty and vanishes
+    if iA:
+        coupling = ([A], [rA.spectral_idempotent(), B], D)
+        m = _first_vanishing_sum(*coupling, tol, iA, iA)
+        if not m:       # search on past index(A); only now is D analysed
+            _, hi = _sum_window(iA, index(D, tol), max(A.shape[0], D.shape[0]))
+            m = _first_vanishing_sum(*coupling, tol, iA + 1, hi)
+    primary = m == iA
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),
         Check("CB_zero", cb_value, cb_zero),
         _res("CA_equals_DC", rel_residual(C @ A, D @ C), tol),
         _res("A_Cstar_equals_Cstar_D", rel_residual(A @ st(C), st(C) @ D), tol),
-        Check("coupling_sum_vanishes", m if not primary else iA,
-              primary or m > 0),
+        Check("coupling_sum_vanishes", m, primary or m > 0),
     ]
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert]
     report.witnesses["sum_at_index_vanishes"] = primary
-    report.witnesses["m"] = iA if primary else m
+    report.witnesses["m"] = m
     report.witnesses["m_pcore"] = mpc.inverse
     return _finish(report)
 
@@ -670,16 +654,8 @@ def check_corollary_4_6(A, B, C, D,
     st = lambda M: M.conj().T
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
-    rA = _CoreEP(A, tol)
-    iA = rA.k
-    api = rA.spectral_idempotent() if iA else None    # the sum is empty at 0
-    total = np.zeros_like(C)
-    scale_acc = 0.0
-    for i in range(1, iA + 1):
-        Ai = np.linalg.matrix_power(A, i - 1)
-        total += C @ Ai @ api
-        scale_acc += frobenius(C) * frobenius(Ai) * frobenius(api)
-    sum_value = frobenius(total) / max(1.0, scale_acc)
+    pi_sum, scale = _CoreEP(A, tol).nilpotent_power_sum()
+    sum_value = frobenius(C @ pi_sum) / max(1.0, frobenius(C) * scale)
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),
         Check("CB_zero", cb_value, cb_zero),

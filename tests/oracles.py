@@ -155,3 +155,27 @@ def group_inverse_factorization_oracle(A, rank_rel_tol=1e-12):
     G = Vh[:r]
     GF = G @ F
     return F @ np.linalg.matrix_power(np.linalg.inv(GF), 2) @ G
+
+
+def first_vanishing_sum_direct(lefts, mids, right, residual_tol, lo, hi):
+    """First m in [lo, hi] at which the coupling sum
+    S_m = sum_{i=1..m} (prod_f f^(i-1)) (prod mids) right^(m-i)
+    vanishes, else 0, by the direct double loop: each S_m from scratch,
+    every term's powers from ``matrix_power``, and the scale
+    sum_i prod ||factor|| over the term's factors, taken left to right.
+    """
+    for m in range(lo, hi + 1):
+        total = 0.0
+        scale = 0.0
+        for i in range(1, m + 1):
+            factors = ([np.linalg.matrix_power(f, i - 1) for f in lefts]
+                       + list(mids) + [np.linalg.matrix_power(right, m - i)])
+            term, norm = factors[0], np.linalg.norm(factors[0])
+            for f in factors[1:]:
+                term = term @ f
+                norm *= np.linalg.norm(f)
+            total = total + term
+            scale += norm
+        if np.linalg.norm(total) <= residual_tol * max(1.0, scale):
+            return m
+    return 0

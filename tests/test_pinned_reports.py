@@ -24,7 +24,7 @@ VERIFY_PINS = {
     "C3_2": "010c5a9ac94e4762",
     "C4_2": "6cf4b15cf0e53898",
     "C4_4": "6520c27813588562",
-    "C4_6": "e2347554de2647b1",
+    "C4_6": "c2f3486148f8b9bf",
     "L2_1": "4b918474f63ffc26",
     "L2_2": "7cc731c227084b75",
     "L2_3": "eea1ddd000ac6efe",
@@ -42,7 +42,7 @@ FUZZ_PINS = {
     "C3_2": "b3d3c2d528dfb7d0",
     "C4_2": "18a4613ffd35f54c",
     "C4_4": "66a9582b375f428a",
-    "C4_6": "6def30af79c21889",
+    "C4_6": "85ae21bb758cdcc8",
     "EX3_3": "e861ac876fb57ada",
     "L2_1": "478144863ff43b1a",
     "L2_2": "ae54367f95cdc014",

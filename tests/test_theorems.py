@@ -24,6 +24,7 @@ from geninv.theorems import (
     reproduce_example_3_3,
     run_check,
 )
+from oracles import first_vanishing_sum_direct
 from geninv.generators import (
     gen_annihilating_pair,
     gen_commutant_pair,
@@ -384,6 +385,24 @@ class TestTheorem45:
         report = check_theorem_4_5(A, B, C, D)
         assert report.verdict == "pass"
 
+    def test_sum_vanishes_past_the_index(self):
+        # A = D = J2: the sum at index(A) = 2 is B J2 + J2 B != 0, and the
+        # window [2, 6] first vanishes at m = 4, where every term has a
+        # power of J2 of order 2 or more
+        B = np.array([[1, 2], [3, 4]], dtype=complex)
+        report = check_theorem_4_5(SHIFT, B, Z2, SHIFT)
+        assert report.verdict == "pass"
+        assert report.witnesses["m"] == 4
+        assert report.witnesses["sum_at_index_vanishes"] is False
+
+    def test_sum_vanishes_nowhere_in_the_window(self):
+        # A_pi = diag(0, 1) and D = [[1]]: S_m = A_pi B for every m
+        A = np.diag([1.0, 0.0]).astype(complex)
+        B = np.array([[1.0], [1.0]], dtype=complex)
+        report = check_theorem_4_5(A, B, np.zeros((1, 2)), np.eye(1))
+        assert report.verdict == "hypotheses_not_met"
+        assert report.witnesses["m"] == 0
+
 
 class TestCouplingSumIdempotent:
     """Each coupling-sum check computes a_pi once, not once per candidate m."""
@@ -411,6 +430,54 @@ class TestCouplingSumIdempotent:
                 assert calls == [(dims[0], dims[0])]
 
 
+class TestCouplingSweep:
+    """The one-pass coupling-sum sweep finds the same exponent as the direct
+    double loop, with every power from matrix_power, that it replaced."""
+
+    @staticmethod
+    def _direct(lefts, mids, right, tol, lo, hi):
+        return first_vanishing_sum_direct(lefts, mids, right,
+                                          tol.residual_tol, lo, hi)
+
+    @pytest.mark.parametrize("theorem_id,dims", [
+        ("L2_5a", (3, 3)), ("L2_5a", (4, 4)),
+        ("L2_5b", (3, 3)), ("L2_5b", (4, 4)),
+        ("T3_1", (4,)), ("T3_1", (8,)),
+        ("T4_5", (3, 3)), ("T4_5", (4, 4)),
+    ])
+    def test_matches_direct_double_loop(self, monkeypatch, theorem_id, dims):
+        from geninv import theorems
+        for s in range(20):
+            inst = instance_for(theorem_id, dims, trial_seed(s, 0)).matrices
+            for c in (1e-6, 1.0, 1e6):
+                scaled = {k: v * c if isinstance(v, np.ndarray) else v
+                          for k, v in inst.items()}
+                swept = run_check(theorem_id, scaled)
+                with monkeypatch.context() as mp:
+                    mp.setattr(theorems, "_first_vanishing_sum", self._direct)
+                    direct = run_check(theorem_id, scaled)
+                assert swept.witnesses["m"] == direct.witnesses["m"]
+                assert swept.verdict == direct.verdict
+
+    @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b"])
+    def test_each_power_formed_once(self, monkeypatch, theorem_id):
+        # the direct loop took 16.2 matrix_power calls per check here
+        real, calls = np.linalg.matrix_power, []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        total = 0
+        for t in range(20):
+            inst = instance_for(theorem_id, (4, 4), trial_seed(1, t))
+            calls.clear()
+            run_check(theorem_id, inst.matrices)
+            total += len(calls)
+        assert total / 20 == pytest.approx(9.4)
+
+
 class TestIndexReuse:
     """A check analyses each input matrix once: its index, a_pi and pseudo
     core inverse all come from one record of that matrix."""
@@ -423,6 +490,7 @@ class TestIndexReuse:
         ("T1_1", (4,), 2),       # A, A^k
         ("C3_2", (4,), 3),       # a (also the star-DMP test), a + b, w
         ("C4_6", (3, 3), 3),     # A, M, M*
+        ("T4_5", (3, 3), 2),     # A, M: D only when the sum at index(A) fails
     ])
     def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
         from geninv import inverses
