@@ -14,10 +14,7 @@ from .linalg import (
     TolerancePolicy,
     approx_equal,
     as_matrix,
-    conjugate_transpose,
     is_nilpotent,
-    is_projection,
-    null_space_basis,
     numerical_rank,
     same_column_space,
 )
@@ -37,10 +34,8 @@ from .inverses import (
 )
 from .theorems import (
     Check,
-    PierceBlocks,
     TheoremReport,
     THEOREM_SYMBOLS,
-    pierce_decompose,
     reproduce_example_3_3,
     run_check,
 )
@@ -53,10 +48,7 @@ __all__ = [
     "TolerancePolicy",
     "approx_equal",
     "as_matrix",
-    "conjugate_transpose",
     "is_nilpotent",
-    "is_projection",
-    "null_space_basis",
     "numerical_rank",
     "same_column_space",
     "GenInverseResult",
@@ -72,10 +64,8 @@ __all__ = [
     "spectral_idempotent",
     "verify_defining_triple",
     "Check",
-    "PierceBlocks",
     "TheoremReport",
     "THEOREM_SYMBOLS",
-    "pierce_decompose",
     "reproduce_example_3_3",
     "run_check",
     "Instance",

@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import DEFAULT_POLICY, _rank_cut, frobenius, is_nilpotent_product
 from .inverses import _CoreEP
+from .theorems import COUPLING, _adj
 
 __all__ = [
     "MAX_DIM",
@@ -192,9 +193,8 @@ def _intertwining_eqs(A, D):
     """Equations AB = BD, A*B = BD* on B and DC = CA, D*C = CA* on C."""
     IA = np.eye(A.shape[0], dtype=np.complex128)
     ID = np.eye(D.shape[0], dtype=np.complex128)
-    st = lambda M: M.conj().T
-    return ([[(A, ID), (-IA, D)], [(st(A), ID), (-IA, st(D))]],
-            [[(D, IA), (-ID, A)], [(st(D), IA), (-ID, st(A))]])
+    return ([[(A, ID), (-IA, D)], [(_adj(A), ID), (-IA, _adj(D))]],
+            [[(D, IA), (-ID, A)], [(_adj(D), IA), (-ID, _adj(A))]])
 
 
 # ---------------------------------------------------------------------------
@@ -339,39 +339,28 @@ def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     return A, B, C, D, degenerate
 
 
-def _intertwined(rg, nA, nD, b_star, c_star, product_factors, scale):
+def _intertwined(seed, nA, nD, b_star, c_star, theorem_id, scale):
     """B-then-C draw under AB = BD and DC = CA, plus A*B = BD* on B when
-    b_star and D*C = CA* on C when c_star."""
+    b_star and D*C = CA* on C when c_star, until the coupling product
+    ``COUPLING[theorem_id]`` is nilpotent."""
+    _check_block_dims(nA, nD)
+    rg = _rng(seed)
     A, D = _shared_block_pair(rg, nA, nD)
     b_eqs, c_eqs = _intertwining_eqs(A, D)
     return _sample_b_then_c(rg, A, D, b_eqs[:1 + b_star], c_eqs[:1 + c_star],
-                            product_factors, scale)
+                            COUPLING[theorem_id], scale)
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, A*B=BD*, D*C=CA* exact and
     A_pc B D_pc C nilpotent; returns (..., degenerate)."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-
-    def factors(A, D):
-        apc, dpc = _CoreEP(A).pcore_inverse(), _CoreEP(D).pcore_inverse()
-        return lambda B, C: [apc, B, dpc, C]
-
-    return _intertwined(rg, nA, nD, True, True, factors, scale)
+    return _intertwined(seed, nA, nD, True, True, "T4_1", scale)
 
 
 def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
     """Same constraints as :func:`gen_intertwined_4_1` but the rejection
     tests nilpotency of B D_pc C A_pc."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-
-    def factors(A, D):
-        apc, dpc = _CoreEP(A).pcore_inverse(), _CoreEP(D).pcore_inverse()
-        return lambda B, C: [B, dpc, C, apc]
-
-    return _intertwined(rg, nA, nD, True, True, factors, scale)
+    return _intertwined(seed, nA, nD, True, True, "C4_2", scale)
 
 
 def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
@@ -379,14 +368,7 @@ def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
     B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate).
 
     B*A = DB* is imposed as its adjoint A*B = BD*."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-
-    def factors(A, D):
-        return lambda B, C: [B, _CoreEP(C @ B).pcore_inverse(), D, C,
-                             _CoreEP(B @ C).pcore_inverse(), A]
-
-    return _intertwined(rg, nA, nD, True, False, factors, scale)
+    return _intertwined(seed, nA, nD, True, False, "T4_3", scale)
 
 
 def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
@@ -394,14 +376,7 @@ def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
     A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate).
 
     AC* = C*D is imposed as its adjoint CA* = D*C."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-
-    def factors(A, D):
-        return lambda B, C: [A, _CoreEP(B @ C).pcore_inverse(), B, D,
-                             _CoreEP(C @ B).pcore_inverse(), C]
-
-    return _intertwined(rg, nA, nD, False, True, factors, scale)
+    return _intertwined(seed, nA, nD, False, True, "C4_4", scale)
 
 
 def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):

@@ -20,6 +20,7 @@ from .linalg import (
     _rank_cut,
     _require_square,
     _same_space,
+    _staircase,
     approx_equal,
     as_matrix,
     frobenius,
@@ -28,7 +29,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "KINDS",
     "GenInverseResult",
     "InverseNotDefinedError",
     "index",
@@ -42,9 +42,6 @@ __all__ = [
     "verify_defining_triple",
     "is_star_dmp",
 ]
-
-KINDS = ("moore_penrose", "one_three", "group", "drazin", "core", "pseudo_core")
-
 
 class InverseNotDefinedError(ValueError):
     """The requested inverse kind does not exist for this matrix."""
@@ -71,41 +68,6 @@ class GenInverseResult:
 
     def certified(self, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
         return self.max_residual <= tol.residual_tol
-
-
-def _staircase(A, tol):
-    """Core-EP decomposition of a square A by unitary staircase deflation.
-
-    Returns (ranks, Q, M): Q unitary, M = Q* A Q = [[T, S], [0, N]] with
-    T = M[:r, :r] nonsingular and N nilpotent, and ``ranks`` the ranks of
-    A^0, ..., A^k, so k = len(ranks) - 1 and r = ranks[-1] (Kublanovskaya
-    1966; Golub and Wilkinson 1976).  Each step rotates the left singular
-    vectors of the leading block into place, and its rows whose singular
-    values fall to ``rank_rel_tol * ||A||_2`` or below are set to zero.  The
-    cut is absolute, not relative to a power of A that a small core
-    eigenvalue makes small.  The last, nonsingular block is rotated too:
-    that grades its rows, and the refined inverse of T then reaches the
-    rounding floor, where in an ungraded basis its second step can undo the
-    first by a factor of cond(T).
-    """
-    n = A.shape[0]
-    Q = np.eye(n, dtype=np.complex128)
-    M = A.copy()
-    ranks, cut = [n], None
-    while ranks[-1]:
-        m = ranks[-1]
-        U, s, _ = np.linalg.svd(M[:m, :m])
-        if cut is None:
-            cut = tol.rank_rel_tol * s[0]
-        r = int(np.count_nonzero(s > cut))
-        Q[:, :m] = Q[:, :m] @ U
-        M[:m] = U.conj().T @ M[:m]
-        M[:, :m] = M[:, :m] @ U
-        if r == m:
-            break
-        M[r:m, :m] = 0.0
-        ranks.append(r)
-    return ranks, Q, M
 
 
 def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: tolerance policy, predicates, rank, nullspace.
+"""Dense complex matrix kernel: tolerance policy, predicates, rank, staircase.
 
 Every matrix in this package is a validated 2-D ``numpy.complex128`` array.
 All approximate decisions (rank, equality, nilpotency, zero products) are
@@ -19,15 +19,12 @@ __all__ = [
     "TolerancePolicy",
     "DEFAULT_POLICY",
     "as_matrix",
-    "conjugate_transpose",
     "frobenius",
     "rel_residual",
     "numerical_rank",
     "approx_equal",
     "same_column_space",
-    "is_projection",
     "is_nilpotent",
-    "null_space_basis",
     "scaled_power",
     "power_rank_chain",
     "product_with_scale",
@@ -86,11 +83,6 @@ def _require_square(A) -> np.ndarray:
     return A
 
 
-def conjugate_transpose(A) -> np.ndarray:
-    """Conjugate transpose; applying it twice returns the input exactly."""
-    return as_matrix(A).conj().T
-
-
 def frobenius(A) -> float:
     """Frobenius norm, bit for bit ``np.linalg.norm(A)``.
 
@@ -126,6 +118,41 @@ def numerical_rank(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return _rank_cut(np.linalg.svd(A, compute_uv=False), tol.rank_rel_tol)
 
 
+def _staircase(A, tol):
+    """Core-EP decomposition of a square A by unitary staircase deflation.
+
+    Returns (ranks, Q, M): Q unitary, M = Q* A Q = [[T, S], [0, N]] with
+    T = M[:r, :r] nonsingular and N nilpotent, and ``ranks`` the ranks of
+    A^0, ..., A^k, so k = len(ranks) - 1 and r = ranks[-1] (Kublanovskaya
+    1966; Golub and Wilkinson 1976).  Each step rotates the left singular
+    vectors of the leading block into place, and its rows whose singular
+    values fall to ``rank_rel_tol * ||A||_2`` or below are set to zero.  The
+    cut is absolute, not relative to a power of A that a small core
+    eigenvalue makes small.  The last, nonsingular block is rotated too:
+    that grades its rows, and the refined inverse of T then reaches the
+    rounding floor, where in an ungraded basis its second step can undo the
+    first by a factor of cond(T).
+    """
+    n = A.shape[0]
+    Q = np.eye(n, dtype=np.complex128)
+    M = A.copy()
+    ranks, cut = [n], None
+    while ranks[-1]:
+        m = ranks[-1]
+        U, s, _ = np.linalg.svd(M[:m, :m])
+        if cut is None:
+            cut = tol.rank_rel_tol * s[0]
+        r = int(np.count_nonzero(s > cut))
+        Q[:, :m] = Q[:, :m] @ U
+        M[:m] = U.conj().T @ M[:m]
+        M[:, :m] = M[:, :m] @ U
+        if r == m:
+            break
+        M[r:m, :m] = 0.0
+        ranks.append(r)
+    return ranks, Q, M
+
+
 def approx_equal(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     A, B = as_matrix(A), as_matrix(B)
     if A.shape != B.shape:
@@ -150,12 +177,6 @@ def _same_space(A, B, rank_b: int, tol: TolerancePolicy) -> bool:
     if ra != rank_b:
         return False
     return numerical_rank(np.hstack([A, B]), tol) == ra
-
-
-def is_projection(P, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff P is idempotent and Hermitian under the policy."""
-    P = _require_square(P)
-    return approx_equal(P @ P, P, tol) and approx_equal(P.conj().T, P, tol)
 
 
 def _scaled_powers(A, tol: TolerancePolicy):
@@ -205,24 +226,11 @@ def power_rank_chain(A, tol: TolerancePolicy = DEFAULT_POLICY):
 
 
 def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True iff the n-th scaled power of the n-by-n input has rank zero."""
+    """True iff the staircase deflation of the input ends at rank zero: the
+    nilpotency test is the index's own rank chain, so the two cannot
+    disagree."""
     A = _require_square(A)
-    if A.shape[0] == 0:
-        return True
-    P, collapsed = scaled_power(A, A.shape[0], tol)
-    return collapsed or numerical_rank(P, tol) == 0
-
-
-def null_space_basis(A, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal kernel basis as the columns of the returned matrix."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return np.eye(A.shape[1], dtype=np.complex128)
-    nA = frobenius(A)
-    if nA == 0.0:
-        return np.eye(A.shape[1], dtype=np.complex128)
-    _, s, Vh = np.linalg.svd(A / nA)
-    return Vh[_rank_cut(s, tol.rank_rel_tol):].conj().T
+    return _staircase(A, tol)[0][-1] == 0
 
 
 def product_with_scale(factors):

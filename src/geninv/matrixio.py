@@ -3,8 +3,8 @@
 A matrix file is ``{"rows": r, "cols": c, "data": [[[re, im], ...], ...]}``
 with one ``[real, imaginary]`` pair per entry; no string forms are accepted.
 An instance file is an object keyed by symbol names (``a``, ``b``, ``d``,
-``A``, ``B``, ``C``, ``D``, ``x``) whose values are matrix objects; integer
-parameters (``split``) pass through as plain numbers.
+``A``, ``B``, ``C``, ``D``, ``x``) whose values are matrix objects; the
+integer parameter ``split`` is a plain JSON integer.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ def matrix_to_obj(A) -> dict:
 
 
 def parse_instance(obj, symbols) -> dict:
-    """Decode the named symbols from an instance object."""
+    """Decode the named symbols from an instance object: ``split`` must be a
+    JSON integer and every other symbol a matrix object.  Every error names
+    the symbol it concerns."""
     if not isinstance(obj, dict):
         raise ValueError("instance file must be a JSON object")
     out = {}
@@ -111,12 +113,17 @@ def parse_instance(obj, symbols) -> dict:
         if name not in obj:
             raise ValueError(f"instance is missing symbol {name!r}")
         value = obj[name]
-        if isinstance(value, dict):
-            out[name] = parse_matrix(value)
-        elif _is_int(value):
+        if name == "split":
+            if not _is_int(value):
+                raise ValueError(f"symbol {name!r} must be an integer")
             out[name] = value
+        elif not isinstance(value, dict):
+            raise ValueError(f"symbol {name!r} must be a matrix object")
         else:
-            raise ValueError(f"symbol {name!r} must be a matrix object or int")
+            try:
+                out[name] = parse_matrix(value)
+            except ValueError as exc:
+                raise ValueError(f"symbol {name!r}: {exc}") from None
     return out
 
 

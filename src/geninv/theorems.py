@@ -26,7 +26,6 @@ from .linalg import (
     as_matrix,
     frobenius,
     is_nilpotent_product,
-    is_projection,
     numerical_rank,
     rel_residual,
     same_column_space,
@@ -43,8 +42,6 @@ from .inverses import (
 __all__ = [
     "Check",
     "TheoremReport",
-    "PierceBlocks",
-    "pierce_decompose",
     "check_lemma_2_1",
     "check_lemma_2_2",
     "check_lemma_2_3",
@@ -61,6 +58,7 @@ __all__ = [
     "check_corollary_4_4",
     "check_theorem_4_5",
     "check_corollary_4_6",
+    "COUPLING",
     "THEOREM_SYMBOLS",
     "run_check",
 ]
@@ -118,31 +116,6 @@ def _commutation_hypotheses(a, b, tol):
         _res("ab_equals_ba", rel_residual(a @ b, b @ a), tol),
         _res("astar_b_equals_b_astar", rel_residual(astar @ b, b @ astar), tol),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Pierce decomposition
-
-
-@dataclass
-class PierceBlocks:
-    """The four corner blocks of an element relative to a projection p."""
-
-    p: np.ndarray
-    blocks: tuple
-
-
-def pierce_decompose(a, p, tol: TolerancePolicy = DEFAULT_POLICY) -> PierceBlocks:
-    """Split ``a`` into (pap, p a p_perp, p_perp a p, p_perp a p_perp).
-
-    ``p`` must pass :func:`is_projection`; the blocks sum back to ``a``.
-    """
-    a, p = _pair(a, p)
-    if not is_projection(p, tol):
-        raise ValueError("pierce_decompose requires a projection "
-                         "(idempotent and Hermitian)")
-    q = np.eye(p.shape[0], dtype=np.complex128) - p
-    return PierceBlocks(p, (p @ a @ p, p @ a @ q, q @ a @ p, q @ a @ q))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +225,35 @@ def _sum_window(ia, idd, n):
     return max(ia, 1), ia + idd + n
 
 
+def _diagonal_blocks(a, b, d, tol):
+    """The checks a_certified, d_certified and coupling_sum_vanishes of the
+    triangular x = [[a, b], [0, d]], and the least m at which its coupling
+    sum vanishes inside the search window (0 if it does nowhere)."""
+    ra = _CoreEP(a, tol)
+    apc = ra.pseudo_core()
+    dpc = pseudo_core(d, tol)
+    lo, hi = _sum_window(apc.index_used, dpc.index_used,
+                         max(a.shape[0], d.shape[0]))
+    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
+    return [
+        Check("a_certified", apc.max_residual, apc.certified(tol)),
+        Check("d_certified", dpc.max_residual, dpc.certified(tol)),
+        Check("coupling_sum_vanishes", m, m > 0),
+    ], m
+
+
+def _triangular_pcore(x, split, tol):
+    """The checks x_certified and pcore_upper_triangular of x, whose leading
+    diagonal block has size ``split``, and x's pseudo core inverse."""
+    xpc = pseudo_core(x, tol)
+    ll_value = frobenius(xpc.inverse[split:, :split]) / max(
+        1.0, frobenius(xpc.inverse))
+    return [
+        Check("x_certified", xpc.max_residual, xpc.certified(tol)),
+        _res("pcore_upper_triangular", ll_value, tol),
+    ], xpc.inverse
+
+
 def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Triangular completion: if the coupling sum vanishes for some admissible
     exponent, x = [[a, b], [0, d]] has an upper-triangular pseudo core inverse.
@@ -264,26 +266,11 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
             f"expected shapes (na,na), (na,nd), (nd,nd); got {a.shape}, "
             f"{b.shape}, {d.shape}")
     report = TheoremReport("L2_5a", policy=tol)
-    ra = _CoreEP(a, tol)
-    apc = ra.pseudo_core()
-    dpc = pseudo_core(d, tol)
-    lo, hi = _sum_window(apc.index_used, dpc.index_used, max(na, nd))
-    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
-    report.hypothesis_checks = [
-        Check("a_certified", apc.max_residual, apc.certified(tol)),
-        Check("d_certified", dpc.max_residual, dpc.certified(tol)),
-        Check("coupling_sum_vanishes", m, m > 0),
-    ]
+    report.hypothesis_checks, m = _diagonal_blocks(a, b, d, tol)
     x = np.block([[a, b], [np.zeros((nd, na), dtype=np.complex128), d]])
-    xpc = pseudo_core(x, tol)
-    lower_left = xpc.inverse[na:, :na]
-    ll_value = frobenius(lower_left) / max(1.0, frobenius(xpc.inverse))
-    report.conclusion_checks = [
-        Check("x_certified", xpc.max_residual, xpc.certified(tol)),
-        _res("pcore_upper_triangular", ll_value, tol),
-    ]
+    report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
     report.witnesses["m"] = m
-    report.witnesses["x_pcore"] = xpc.inverse
+    report.witnesses["x_pcore"] = xpc
     return _finish(report)
 
 
@@ -302,25 +289,10 @@ def check_lemma_2_5_converse(x, split: int,
         raise ValueError("lower-left block of x must vanish")
     a, b, d = x[:split, :split], x[:split, split:], x[split:, split:]
     report = TheoremReport("L2_5b", policy=tol)
-    xpc = pseudo_core(x, tol)
-    ll_value = frobenius(xpc.inverse[split:, :split]) / max(
-        1.0, frobenius(xpc.inverse))
-    report.hypothesis_checks = [
-        Check("x_certified", xpc.max_residual, xpc.certified(tol)),
-        _res("pcore_upper_triangular", ll_value, tol),
-    ]
-    ra = _CoreEP(a, tol)
-    apc = ra.pseudo_core()
-    dpc = pseudo_core(d, tol)
-    lo, hi = _sum_window(apc.index_used, dpc.index_used, max(split, n - split))
-    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
-    report.conclusion_checks = [
-        Check("a_certified", apc.max_residual, apc.certified(tol)),
-        Check("d_certified", dpc.max_residual, dpc.certified(tol)),
-        Check("coupling_sum_vanishes", m, m > 0),
-    ]
+    report.hypothesis_checks, xpc = _triangular_pcore(x, split, tol)
+    report.conclusion_checks, m = _diagonal_blocks(a, b, d, tol)
     report.witnesses["m"] = m
-    report.witnesses["x_pcore"] = xpc.inverse
+    report.witnesses["x_pcore"] = xpc
     return _finish(report)
 
 
@@ -477,6 +449,10 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
 # Block-operator results
 
 
+def _adj(M):
+    return M.conj().T
+
+
 def _validate_blocks(A, B, C, D):
     A, B, C, D = as_matrix(A), as_matrix(B), as_matrix(C), as_matrix(D)
     nA, nD = A.shape[0], D.shape[0]
@@ -493,6 +469,73 @@ def _assemble(A, B, C, D):
     return np.block([[A, B], [C, D]])
 
 
+def _equation_checks(equations, blocks, tol):
+    """One residual check per equation (label, lhs, rhs) of the blocks
+    (A, B, C, D).  Each side is a word such as "A*B": one factor per block
+    letter, a star taking the adjoint of the factor before it."""
+    named = dict(zip("ABCD", blocks))
+
+    def product(word):
+        factors = []
+        for ch in word:
+            factors.append(_adj(factors.pop()) if ch == "*" else named[ch])
+        return reduce(np.matmul, factors)
+
+    return [_res(label, rel_residual(product(lhs), product(rhs)), tol)
+            for label, lhs, rhs in equations]
+
+
+_AB_BD = ("AB_equals_BD", "AB", "BD")
+_ASTAR_B = ("Astar_B_equals_B_Dstar", "A*B", "BD*")
+_DSTAR_C = ("Dstar_C_equals_C_Astar", "D*C", "CA*")
+_A_CSTAR = ("A_Cstar_equals_Cstar_D", "AC*", "C*D")
+_SHARED = (_AB_BD, ("DC_equals_CA", "DC", "CA"))
+
+# The hypothesis equations of each intertwined result, in report order:
+# AB = BD and DC = CA, then the result's starred intertwinings.
+_INTERTWININGS = {
+    "T4_1": (*_SHARED, _ASTAR_B, _DSTAR_C),
+    "C4_2": (*_SHARED, _DSTAR_C, _ASTAR_B),
+    "T4_3": (*_SHARED, ("Bstar_A_equals_D_Bstar", "B*A", "DB*")),
+    "C4_4": (*_SHARED, _A_CSTAR),
+}
+
+
+def _coupling_4_1(A, D, tol=DEFAULT_POLICY):
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
+    return lambda B, C: [apc, B, dpc, C]
+
+
+def _coupling_4_2(A, D, tol=DEFAULT_POLICY):
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
+    return lambda B, C: [B, dpc, C, apc]
+
+
+def _coupling_4_3(A, D, tol=DEFAULT_POLICY):
+    return lambda B, C: [B, _CoreEP(C @ B, tol).pcore_inverse(), D, C,
+                         _CoreEP(B @ C, tol).pcore_inverse(), A]
+
+
+def _coupling_4_4(A, D, tol=DEFAULT_POLICY):
+    # the unique conformable factor order of A (BC)_pc B D (CB)_pc C
+    return lambda B, C: [A, _CoreEP(B @ C, tol).pcore_inverse(), B, D,
+                         _CoreEP(C @ B, tol).pcore_inverse(), C]
+
+
+# The factors of each intertwined result's nilpotent coupling product:
+# COUPLING[id](A, D, tol) does the work that depends on A and D alone and
+# returns the function of (B, C) that lists the factors.  The checks below
+# and the generators' rejection samplers both read it.
+COUPLING = {
+    "T4_1": _coupling_4_1,
+    "C4_2": _coupling_4_2,
+    "T4_3": _coupling_4_3,
+    "C4_4": _coupling_4_4,
+}
+
+
 def _m_certified_check(M, tol):
     mpc = pseudo_core(M, tol)
     return Check("m_certified", mpc.max_residual, mpc.certified(tol)), mpc
@@ -503,111 +546,73 @@ def _dual_check(A, B, C, D, tol):
     [[A*, C*], [B*, D*]] = M*, through which each corollary mirrors its
     theorem.  Assembled from the starred blocks, as the mirrored theorem
     does, so the certificate equals that theorem's bit for bit."""
-    st = lambda M: M.conj().T
-    cert, _ = _m_certified_check(_assemble(st(A), st(C), st(B), st(D)), tol)
+    cert, _ = _m_certified_check(_assemble(_adj(A), _adj(C), _adj(B), _adj(D)),
+                                 tol)
     return Check("dual_arrangement_certified", cert.value, cert.passed)
 
 
-def check_theorem_4_1(A, B, C, D,
-                      tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
-    """Intertwined blocks with nilpotent coupling give the block matrix a
-    pseudo core inverse."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("T4_1", policy=tol)
-    st = lambda M: M.conj().T
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
-    nilp = is_nilpotent_product([apc, B, dpc, C], tol)
+def _intertwined_report(theorem_id, A, B, C, D, tol):
+    """The unfinished report of an intertwined result on validated blocks:
+    its equations and the nilpotency of its coupling product as hypotheses,
+    the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
+    report and M's pseudo core result, to which the caller adds its own."""
+    report = TheoremReport(theorem_id, policy=tol)
+    nilp = is_nilpotent_product(COUPLING[theorem_id](A, D, tol)(B, C), tol)
     report.hypothesis_checks = [
-        _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
-        _res("DC_equals_CA", rel_residual(D @ C, C @ A), tol),
-        _res("Astar_B_equals_B_Dstar", rel_residual(st(A) @ B, B @ st(D)), tol),
-        _res("Dstar_C_equals_C_Astar", rel_residual(st(D) @ C, C @ st(A)), tol),
+        *_equation_checks(_INTERTWININGS[theorem_id], (A, B, C, D), tol),
         Check("coupling_nilpotent", nilp, nilp),
     ]
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert]
     report.witnesses["m_pcore"] = mpc.inverse
+    return report, mpc
+
+
+def check_theorem_4_1(A, B, C, D,
+                      tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
+    """Intertwined blocks with nilpotent coupling A_pc B D_pc C give the
+    block matrix a pseudo core inverse."""
+    A, B, C, D = _validate_blocks(A, B, C, D)
+    report, mpc = _intertwined_report("T4_1", A, B, C, D, tol)
     report.witnesses["m_pcore_residuals"] = mpc.residuals
     return _finish(report)
 
 
 def check_corollary_4_2(A, B, C, D,
                         tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
-    """Mirror of T4_1 with the coupling product taken the other way round;
-    verified through the conjugate-transpose block arrangement."""
+    """Mirror of T4_1 with the coupling product taken the other way round,
+    B D_pc C A_pc; verified through the conjugate-transpose block
+    arrangement."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("C4_2", policy=tol)
-    st = lambda M: M.conj().T
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
-    nilp = is_nilpotent_product([B, dpc, C, apc], tol)
-    report.hypothesis_checks = [
-        _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
-        _res("DC_equals_CA", rel_residual(D @ C, C @ A), tol),
-        _res("Dstar_C_equals_C_Astar", rel_residual(st(D) @ C, C @ st(A)), tol),
-        _res("Astar_B_equals_B_Dstar", rel_residual(st(A) @ B, B @ st(D)), tol),
-        Check("coupling_nilpotent", nilp, nilp),
-    ]
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [cert, _dual_check(A, B, C, D, tol)]
-    report.witnesses["m_pcore"] = mpc.inverse
+    report, _ = _intertwined_report("C4_2", A, B, C, D, tol)
+    report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
     return _finish(report)
 
 
 def check_theorem_4_3(A, B, C, D,
                       tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Anti-diagonal splitting: three intertwinings plus a nilpotent coupling
-    give the block matrix a pseudo core inverse; the anti-diagonal part Q
-    additionally satisfies Q_pc = Q (Q^2)_pc."""
+    B (CB)_pc D C (BC)_pc A give the block matrix a pseudo core inverse; the
+    anti-diagonal part Q additionally satisfies Q_pc = Q (Q^2)_pc."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("T4_3", policy=tol)
-    st = lambda M: M.conj().T
-    cb_pc = _CoreEP(C @ B, tol).pcore_inverse()
-    bc_pc = _CoreEP(B @ C, tol).pcore_inverse()
-    nilp = is_nilpotent_product([B, cb_pc, D, C, bc_pc, A], tol)
-    report.hypothesis_checks = [
-        _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
-        _res("DC_equals_CA", rel_residual(D @ C, C @ A), tol),
-        _res("Bstar_A_equals_D_Bstar", rel_residual(st(B) @ A, D @ st(B)), tol),
-        Check("coupling_nilpotent", nilp, nilp),
-    ]
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
+    report, _ = _intertwined_report("T4_3", A, B, C, D, tol)
     nA, nD = A.shape[0], D.shape[0]
     Q = np.block([[np.zeros((nA, nA), dtype=np.complex128), B],
                   [C, np.zeros((nD, nD), dtype=np.complex128)]])
     qpc = _CoreEP(Q, tol).pcore_inverse()
     q2pc = _CoreEP(Q @ Q, tol).pcore_inverse()
-    report.conclusion_checks = [
-        cert,
-        _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol),
-    ]
-    report.witnesses["m_pcore"] = mpc.inverse
+    report.conclusion_checks.append(
+        _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol))
     return _finish(report)
 
 
 def check_corollary_4_4(A, B, C, D,
                         tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
-    """Mirror of T4_3 with the starred intertwining moved onto C.
-
-    The coupling product is evaluated in its unique conformable factor order
-    A (BC)_pc B D (CB)_pc C.
-    """
+    """Mirror of T4_3 with the starred intertwining moved onto C; the
+    coupling product is A (BC)_pc B D (CB)_pc C."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("C4_4", policy=tol)
-    st = lambda M: M.conj().T
-    cb_pc = _CoreEP(C @ B, tol).pcore_inverse()
-    bc_pc = _CoreEP(B @ C, tol).pcore_inverse()
-    nilp = is_nilpotent_product([A, bc_pc, B, D, cb_pc, C], tol)
-    report.hypothesis_checks = [
-        _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
-        _res("DC_equals_CA", rel_residual(D @ C, C @ A), tol),
-        _res("A_Cstar_equals_Cstar_D", rel_residual(A @ st(C), st(C) @ D), tol),
-        Check("coupling_nilpotent", nilp, nilp),
-    ]
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [cert, _dual_check(A, B, C, D, tol)]
-    report.witnesses["m_pcore"] = mpc.inverse
+    report, _ = _intertwined_report("C4_4", A, B, C, D, tol)
+    report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
     return _finish(report)
 
 
@@ -617,7 +622,6 @@ def check_theorem_4_5(A, B, C, D,
     vanishing triangular sum give the block matrix a pseudo core inverse."""
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("T4_5", policy=tol)
-    st = lambda M: M.conj().T
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
     rA = _CoreEP(A, tol)
@@ -632,8 +636,8 @@ def check_theorem_4_5(A, B, C, D,
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),
         Check("CB_zero", cb_value, cb_zero),
-        _res("CA_equals_DC", rel_residual(C @ A, D @ C), tol),
-        _res("A_Cstar_equals_Cstar_D", rel_residual(A @ st(C), st(C) @ D), tol),
+        *_equation_checks((("CA_equals_DC", "CA", "DC"), _A_CSTAR),
+                          (A, B, C, D), tol),
         Check("coupling_sum_vanishes", m, primary or m > 0),
     ]
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
@@ -651,7 +655,6 @@ def check_corollary_4_6(A, B, C, D,
     arrangement as well."""
     A, B, C, D = _validate_blocks(A, B, C, D)
     report = TheoremReport("C4_6", policy=tol)
-    st = lambda M: M.conj().T
     bc_value, bc_zero = zero_product([B, C], tol)
     cb_value, cb_zero = zero_product([C, B], tol)
     pi_sum, scale = _CoreEP(A, tol).nilpotent_power_sum()
@@ -659,8 +662,7 @@ def check_corollary_4_6(A, B, C, D,
     report.hypothesis_checks = [
         Check("BC_zero", bc_value, bc_zero),
         Check("CB_zero", cb_value, cb_zero),
-        _res("AB_equals_BD", rel_residual(A @ B, B @ D), tol),
-        _res("Astar_B_equals_B_Dstar", rel_residual(st(A) @ B, B @ st(D)), tol),
+        *_equation_checks((_AB_BD, _ASTAR_B), (A, B, C, D), tol),
         _res("C_kills_nilpotent_powers", sum_value, tol),
     ]
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)

@@ -266,6 +266,23 @@ class TestMalformedInput:
         assert code == 2 and out is None
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("symbol,value", [
+        ("split", matrix_to_obj(np.eye(1))),
+        ("split", matrix_to_obj(np.eye(2))),
+        ("x", 3),
+        ("x", {"rows": 1, "cols": 1, "data": [[[True, 0.0]]]}),
+    ], ids=["split-1x1", "split-2x2", "x-integer", "x-boolean-entry"])
+    def test_wrong_symbol_kind_exits_2(self, capsys, tmp_path, symbol, value):
+        # split takes only a JSON integer, every other symbol only a matrix
+        # object; the error names the symbol, and exit 1 stays "fail"
+        inst = {"x": matrix_to_obj(np.eye(4)), "split": 2, symbol: value}
+        path = write(tmp_path, "x.json", inst)
+        code, out, err = run(capsys, ["verify", "--theorem", "L2_5b",
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and repr(symbol) in err
+        assert "ambiguous" not in err and "ndim" not in err
+
     # an integer entry beyond the float range, written as JSON text
     HUGE_ENTRY = '{"rows": 1, "cols": 1, "data": [[[1' + '0' * 400 + ', 0]]]}'
 

@@ -5,7 +5,6 @@ from geninv.linalg import (
     DEFAULT_POLICY,
     DimensionError,
     approx_equal,
-    power_rank_chain,
 )
 from geninv.inverses import (
     InverseNotDefinedError,
@@ -25,6 +24,7 @@ from geninv.generators import gen_star_dmp, gen_with_index
 from oracles import (
     defining_triple_max_residual,
     group_inverse_factorization_oracle,
+    mp_power_ranks,
     pseudo_core_linear_oracle,
 )
 
@@ -58,16 +58,16 @@ class TestIndex:
             assert 0 <= index(A) <= n
 
 
-def first_repeated_rank(A):
-    """The index read off the full rank chain: its first repeated rank."""
-    ranks = power_rank_chain(A)
+def first_repeated_rank(ranks):
+    """The index read off a rank chain: its first repeated rank."""
     return next((k for k in range(len(ranks) - 1) if ranks[k] == ranks[k + 1]),
                 len(ranks) - 1)
 
 
 class TestEarlyStoppingIndex:
-    """index() counts the steps of the staircase deflation; the first
-    repeated rank of the full power chain must give the same answer."""
+    """index() counts the steps of the staircase deflation; it must give the
+    index a matrix was built with, and for n <= 8 the first repeated rank
+    of a 50-digit rank chain of its powers."""
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_generated_matches_full_chain(self, scale):
@@ -77,27 +77,28 @@ class TestEarlyStoppingIndex:
                 for r in ranks:
                     A = scale * gen_with_index(
                         n, k, r, np.random.SeedSequence([n, k, r]))
-                    assert index(A) == first_repeated_rank(A), (n, k, r)
+                    assert index(A) == k, (n, k, r)
+                    # the 50-digit chain costs up to 0.1 s a matrix at n = 8,
+                    # so it checks the largest core rank of each (n, k) once
+                    if scale == 1.0 and n <= 8 and r == n - k:
+                        assert first_repeated_rank(mp_power_ranks(A)) == k
 
     def test_empty_matrix(self):
-        A = np.zeros((0, 0), dtype=complex)
-        assert index(A) == first_repeated_rank(A) == 0
+        assert index(np.zeros((0, 0), dtype=complex)) == 0
 
     def test_zero_matrices(self):
         for n in range(1, 17):
-            A = np.zeros((n, n), dtype=complex)
-            assert index(A) == first_repeated_rank(A) == 1
+            assert index(np.zeros((n, n), dtype=complex)) == 1
 
     def test_nilpotent_jordan_block_has_full_index(self):
         for n in range(1, 17):
             A = np.diag(np.ones(n - 1), 1).astype(complex)
-            assert index(A) == first_repeated_rank(A) == n
+            assert index(A) == n
 
     def test_invertible(self):
         rg = np.random.default_rng(23)
         for n in range(1, 17):
-            A = crandn(rg, n, n)
-            assert index(A) == first_repeated_rank(A) == 0
+            assert index(crandn(rg, n, n)) == 0
 
 
 @pytest.mark.parametrize("fn", [index, one_three, group_inverse, drazin,

@@ -10,47 +10,20 @@ from geninv.linalg import (
     TolerancePolicy,
     approx_equal,
     as_matrix,
-    conjugate_transpose,
     frobenius,
     is_nilpotent,
     is_nilpotent_product,
-    is_projection,
-    null_space_basis,
     numerical_rank,
     power_rank_chain,
     same_column_space,
     scaled_power,
 )
 
-from oracles import exact_power_is_zero, exact_rank
+from oracles import exact_power_is_zero, exact_rank, mp_power_ranks
 
 
 def crandn(rg, *shape):
     return (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2)
-
-
-class TestConjugateTranspose:
-    def test_real_case_is_plain_transpose(self):
-        A = [[0, 0], [1, 0]]
-        assert np.array_equal(conjugate_transpose(A), [[0, 1], [0, 0]])
-
-    def test_scalar_conjugation(self):
-        assert conjugate_transpose([[1j]])[0, 0] == -1j
-
-    def test_fixed_2x2(self):
-        a = [[1j, 0], [0, 0]]
-        assert np.array_equal(conjugate_transpose(a), [[-1j, 0], [0, 0]])
-
-    def test_involution_is_exact(self):
-        rg = np.random.default_rng(1)
-        A = crandn(rg, 4, 3)
-        assert np.array_equal(conjugate_transpose(conjugate_transpose(A)), A)
-
-    def test_product_rule(self):
-        rg = np.random.default_rng(2)
-        A, B = crandn(rg, 3, 4), crandn(rg, 4, 2)
-        assert approx_equal(conjugate_transpose(A @ B),
-                            conjugate_transpose(B) @ conjugate_transpose(A))
 
 
 class TestArithmetic:
@@ -157,17 +130,6 @@ class TestSameColumnSpace:
             same_column_space(np.eye(2), np.eye(3))
 
 
-class TestIsProjection:
-    def test_identity(self):
-        assert is_projection(np.eye(3))
-
-    def test_diagonal_projection(self):
-        assert is_projection(np.diag([1.0, 0.0]))
-
-    def test_idempotent_but_not_hermitian(self):
-        assert not is_projection([[1, 1], [0, 0]])
-
-
 class TestIsNilpotent:
     def test_shift_block(self):
         assert is_nilpotent([[0, 1], [0, 0]])
@@ -187,56 +149,28 @@ class TestIsNilpotent:
         N = np.diag(np.ones(3), 1)
         assert is_nilpotent(S @ N @ np.linalg.inv(S))
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_agrees_with_mp_rank_chain(self, n):
+        # S J S^-1, J nilpotent with a random Jordan structure, and the same
+        # with one eigenvalue lam set on J's last diagonal entry: 0.3 is kept,
+        # 1e-14 is below the rank cut of both tests
+        rg = np.random.default_rng(70 + n)
+        S = np.eye(n) + 0.2 * crandn(rg, n, n)
+        Sinv = np.linalg.inv(S)
+        for _ in range(2):
+            J = np.diag((rg.random(n - 1) < 0.7).astype(complex), 1)
+            for lam in (0.0, 1e-14, 0.3):
+                J[-1, -1] = lam
+                P = S @ J @ Sinv
+                assert is_nilpotent(P) == (lam < 1e-10)
+                assert is_nilpotent(P) == (mp_power_ranks(P)[-1] == 0)
+
     def test_product(self):
         rg = np.random.default_rng(8)
         S = np.eye(4) + 0.2 * crandn(rg, 4, 4)
         N = np.diag(np.ones(3), 1)
         assert is_nilpotent_product([S, N, np.linalg.inv(S)])
         assert not is_nilpotent_product([S, np.eye(4), np.linalg.inv(S)])
-
-
-class TestNullSpaceBasis:
-    def test_identity_has_empty_kernel(self):
-        assert null_space_basis(np.eye(3)).shape == (3, 0)
-
-    def test_zero_matrix(self):
-        basis = null_space_basis(np.zeros((2, 2)))
-        assert basis.shape == (2, 2)
-        assert approx_equal(basis.conj().T @ basis, np.eye(2))
-
-    def test_single_equation(self):
-        basis = null_space_basis(np.array([[1.0, 1.0]]))
-        assert basis.shape == (2, 1)
-        v = basis[:, 0]
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert abs(v[0] + v[1]) < 1e-12          # proportional to (1, -1)
-        assert np.linalg.norm([[1.0, 1.0]] @ v) < 1e-10
-
-    def test_columns_annihilated_and_orthonormal(self):
-        rg = np.random.default_rng(8)
-        for _ in range(20):
-            A = crandn(rg, 3, 6)
-            basis = null_space_basis(A)
-            assert basis.shape[1] == 6 - numerical_rank(A)
-            assert approx_equal(basis.conj().T @ basis,
-                                np.eye(basis.shape[1]))
-            assert np.linalg.norm(A @ basis) <= (
-                DEFAULT_POLICY.residual_tol * max(1.0, np.linalg.norm(A)))
-
-    def test_one_svd_per_call(self, monkeypatch):
-        # the rank cut reads the singular values of the SVD that gives Vh
-        svd, calls = np.linalg.svd, []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        rg = np.random.default_rng(10)
-        A = crandn(rg, 4, 2) @ crandn(rg, 2, 6)
-        basis = null_space_basis(A)
-        assert calls == [(4, 6)]
-        assert basis.shape == (6, 4)
 
 
 class TestRankChain:

@@ -20,7 +20,6 @@ from geninv.theorems import (
     check_theorem_4_1,
     check_theorem_4_3,
     check_theorem_4_5,
-    pierce_decompose,
     reproduce_example_3_3,
     run_check,
 )
@@ -50,42 +49,6 @@ Z2 = np.zeros((2, 2), dtype=complex)
 
 def crandn(rg, *shape):
     return (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2)
-
-
-class TestPierce:
-    def test_full_projection(self):
-        rg = np.random.default_rng(30)
-        a = crandn(rg, 3, 3)
-        blocks = pierce_decompose(a, np.eye(3)).blocks
-        assert approx_equal(blocks[0], a)
-        for blk in blocks[1:]:
-            assert np.linalg.norm(blk) < 1e-12
-
-    def test_zero_projection(self):
-        rg = np.random.default_rng(31)
-        a = crandn(rg, 3, 3)
-        blocks = pierce_decompose(a, np.zeros((3, 3))).blocks
-        assert approx_equal(blocks[3], a)
-
-    def test_fixed_corner_blocks(self):
-        a = np.array([[1j, 0], [1, 0]], dtype=complex)
-        p = np.diag([1.0, 0.0])
-        blocks = pierce_decompose(a, p).blocks
-        assert approx_equal(blocks[0], [[1j, 0], [0, 0]])
-        assert np.linalg.norm(blocks[1]) < 1e-12
-        assert approx_equal(blocks[2], [[0, 0], [1, 0]])
-        assert np.linalg.norm(blocks[3]) < 1e-12
-
-    def test_reconstruction(self):
-        rg = np.random.default_rng(32)
-        W = np.linalg.qr(crandn(rg, 4, 4))[0]
-        p = W[:, :2] @ W[:, :2].conj().T
-        a = crandn(rg, 4, 4)
-        assert approx_equal(sum(pierce_decompose(a, p).blocks), a)
-
-    def test_rejects_non_projection(self):
-        with pytest.raises(ValueError):
-            pierce_decompose(np.eye(2), np.array([[1, 1], [0, 0]], dtype=complex))
 
 
 class TestLemma21:
