@@ -30,7 +30,7 @@ from .inverses import (
     spectral_idempotent,
 )
 from .theorems import THEOREM_SYMBOLS, reproduce_example_3_3, run_check
-from .generators import MAX_BLOCK_DIM, MAX_DIM, instance_for, trial_seed
+from .generators import fuzz_dims, instance_for, trial_seed
 from .matrixio import dumps_report, load_json, parse_instance, parse_matrix
 
 _INVERSE_FNS = {
@@ -50,12 +50,6 @@ _KIND_ALIASES = {
 }
 
 _COMPUTE_KINDS = tuple(_INVERSE_FNS) + ("index", "spectral_idempotent", "star_dmp")
-
-_DEFAULT_FUZZ_DIMS = {
-    "L2_5a": (3, 3), "L2_5b": (3, 3),
-    "T4_1": (3, 3), "C4_2": (3, 3), "T4_3": (3, 3),
-    "C4_4": (3, 3), "T4_5": (3, 3), "C4_6": (3, 3),
-}
 
 
 def _policy_args(parser):
@@ -111,19 +105,14 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _parse_dims(args, theorem):
-    if getattr(args, "dims", None) is not None:
-        parts = args.dims.split(",")
-        try:
-            dims = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"--dims must be integers, got {args.dims!r}")
-        if len(dims) not in (1, 2):
-            raise ValueError("--dims takes one or two comma-separated integers")
-        return dims
-    if getattr(args, "dim", None) is not None:
-        return (args.dim,)
-    return _DEFAULT_FUZZ_DIMS.get(theorem, (4,))
+def _parse_dims(args):
+    """The --dims or --dim value as a tuple, or None if neither is given."""
+    if args.dims is None:
+        return None if args.dim is None else (args.dim,)
+    try:
+        return tuple(int(p) for p in args.dims.split(","))
+    except ValueError:
+        raise ValueError(f"--dims must be integers, got {args.dims!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +226,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}")
     try:
-        dims = _parse_dims(args, theorem)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"dimensions must be positive, got {dims}")
-        cap = MAX_BLOCK_DIM if len(dims) == 2 else MAX_DIM
-        if any(d > cap for d in dims):
-            raise ValueError(f"dimensions capped at {cap} for this theorem")
+        dims = fuzz_dims(theorem, _parse_dims(args))
     except ValueError as exc:
         return _fail(str(exc))
 

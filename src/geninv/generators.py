@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import DEFAULT_POLICY, _rank_cut, frobenius, is_nilpotent_product
 from .inverses import _CoreEP
-from .theorems import COUPLING, _adj
+from .theorems import COUPLING, THEOREM_SYMBOLS, _adj
 
 __all__ = [
     "MAX_DIM",
@@ -38,6 +38,7 @@ __all__ = [
     "gen_intertwined_4_4",
     "gen_zero_product_4_5",
     "gen_zero_product_4_6",
+    "fuzz_dims",
     "instance_for",
 ]
 
@@ -267,8 +268,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     Returns (a, b, d, degenerate); b = 0 with the flag set when the sum map
     has no nonzero solutions.
     """
-    if na > MAX_BLOCK_DIM or nd > MAX_BLOCK_DIM:
-        raise ValueError(f"block dims capped at {MAX_BLOCK_DIM}")
+    _check_block_dims(na, nd)
     rg = _rng(seed)
     ka, ra = _draw_index_rank(rg, na)
     kd, rd = _draw_index_rank(rg, nd)
@@ -424,10 +424,11 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# Catalog samplers
 
 
-def _l2_4_instance(rg, n, scale):
+def _l2_4_pair(n, seed, scale):
+    rg = _rng(seed)
     k, r = _draw_index_rank(rg, n)
     a = _with_index_rng(rg, n, k, r)
     if rg.integers(0, 2):
@@ -438,50 +439,77 @@ def _l2_4_instance(rg, n, scale):
     return a, b
 
 
-def _c3_2_instance(rg, n, scale, seed):
+def _c3_2_pair(n, seed, scale):
+    # (k, r) and b come from rg, a from gen_star_dmp's own stream of the seed
+    rg = _rng(seed)
     k, r = _draw_index_rank(rg, n, kmax=2)
     a = gen_star_dmp(n, r, k, seed, scale)
     b = _commutant_sample(rg, a, scale)
     return a, b
 
 
-def instance_for(theorem_id: str, dims, seed, scale: float = 1.0) -> Instance:
-    """Instance satisfying the named result's hypotheses, for fuzzing."""
+def _theorem_1_1(n, seed, scale):
     rg = _rng(seed)
-    if theorem_id in ("L2_1", "L2_2", "T3_1"):
-        a, b = gen_commutant_pair(dims[0], seed, None, scale)
-        return Instance({"a": a, "b": b})
-    if theorem_id == "L2_3":
-        a, b = gen_annihilating_pair(dims[0], seed, scale)
-        return Instance({"a": a, "b": b})
-    if theorem_id == "L2_4":
-        a, b = _l2_4_instance(rg, dims[0], scale)
-        return Instance({"a": a, "b": b})
-    if theorem_id == "C3_2":
-        a, b = _c3_2_instance(rg, dims[0], scale, seed)
-        return Instance({"a": a, "b": b})
-    if theorem_id == "T1_1":
-        k, r = _draw_index_rank(rg, dims[0])
-        return Instance({"A": _with_index_rng(rg, dims[0], k, r)})
-    if theorem_id == "EX3_3":
-        return Instance({})
-    na, nd = (dims[0], dims[1]) if len(dims) >= 2 else (dims[0], dims[0])
-    if theorem_id == "L2_5a":
-        a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed, scale)
-        return Instance({"a": a, "b": b, "d": d}, degenerate)
-    if theorem_id == "L2_5b":
-        a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed, scale)
-        x = np.block([[a, b], [np.zeros((nd, na), dtype=np.complex128), d]])
-        return Instance({"x": x, "split": na}, degenerate)
-    block_samplers = {
-        "T4_1": gen_intertwined_4_1,
-        "C4_2": gen_intertwined_4_2,
-        "T4_3": gen_intertwined_4_3,
-        "C4_4": gen_intertwined_4_4,
-        "T4_5": gen_zero_product_4_5,
-        "C4_6": gen_zero_product_4_6,
-    }
-    if theorem_id not in block_samplers:
+    k, r = _draw_index_rank(rg, n)
+    return (_with_index_rng(rg, n, k, r),)
+
+
+def _lemma_2_5b(na, nd, seed, scale):
+    a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed, scale)
+    return np.block([[a, b], [np.zeros_like(b.T), d]]), na, degenerate
+
+
+# id: (default fuzz dims, smallest and largest dim, sampler).  An id takes at
+# most as many dims as its default has; one dim means square blocks.
+# sample(*dims, seed, scale=) returns the values of the id's THEOREM_SYMBOLS
+# in order, then the degeneracy flag if the sampler can raise it.
+_SAMPLERS = {
+    "L2_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
+    "L2_2": ((4,), 1, MAX_DIM, gen_commutant_pair),
+    "L2_3": ((4,), 2, MAX_DIM, gen_annihilating_pair),
+    "L2_4": ((4,), 1, MAX_DIM, _l2_4_pair),
+    "L2_5a": ((3, 3), 1, MAX_BLOCK_DIM, gen_lemma_2_5_instance),
+    "L2_5b": ((3, 3), 1, MAX_BLOCK_DIM, _lemma_2_5b),
+    "T1_1": ((4,), 1, MAX_DIM, _theorem_1_1),
+    "T3_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
+    "C3_2": ((4,), 1, MAX_DIM, _c3_2_pair),
+    "EX3_3": ((4,), 1, MAX_DIM, lambda n, seed, scale: ()),
+    "T4_1": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_1),
+    "C4_2": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_2),
+    "T4_3": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_3),
+    "C4_4": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_4),
+    "T4_5": ((3, 3), 1, MAX_BLOCK_DIM, gen_zero_product_4_5),
+    "C4_6": ((3, 3), 1, MAX_BLOCK_DIM, gen_zero_product_4_6),
+}
+
+
+def _row(theorem_id):
+    if theorem_id not in _SAMPLERS:
         raise KeyError(f"no instance generator for theorem id {theorem_id!r}")
-    A, B, C, D, degenerate = block_samplers[theorem_id](na, nd, seed, scale)
-    return Instance({"A": A, "B": B, "C": C, "D": D}, degenerate)
+    return _SAMPLERS[theorem_id]
+
+
+def fuzz_dims(theorem_id: str, dims=None) -> tuple:
+    """The dims a fuzz campaign of the named id runs at: its default when
+    ``dims`` is None, else ``dims`` once its count and sizes are checked."""
+    default, lo, hi, _ = _row(theorem_id)
+    if dims is None:
+        return default
+    count, dims = len(default), tuple(dims)
+    if not (1 <= len(dims) <= count and all(lo <= d <= hi for d in dims)):
+        takes = "one dim" if count == 1 else "one or two dims, each"
+        raise ValueError(f"{theorem_id} takes {takes} in [{lo}, {hi}], "
+                         f"got {list(dims)}")
+    return dims
+
+
+def instance_for(theorem_id: str, dims, seed, scale: float = 1.0) -> Instance:
+    """Instance satisfying the named result's hypotheses, for fuzzing.
+
+    Single-matrix ids read ``dims[0]``; block ids read ``dims[0]`` and
+    ``dims[1]``, or square blocks when ``dims`` has one entry."""
+    default, _, _, sample = _row(theorem_id)
+    sizes = (dims[0], dims[1] if len(dims) > 1 else dims[0])[:len(default)]
+    out = sample(*sizes, seed, scale=scale)
+    symbols = THEOREM_SYMBOLS[theorem_id]
+    return Instance(dict(zip(symbols, out)), *out[len(symbols):])

@@ -282,6 +282,8 @@ def check_lemma_2_5_converse(x, split: int,
     """
     x = _require_square(x)
     n = x.shape[0]
+    if isinstance(split, bool) or not isinstance(split, (int, np.integer)):
+        raise ValueError(f"split must be an integer, got {split!r}")
     if not (0 < split < n):
         raise ValueError(f"split must lie strictly inside (0, {n}), got {split}")
     lower = x[split:, :split]
@@ -674,55 +676,40 @@ def check_corollary_4_6(A, B, C, D,
 # ---------------------------------------------------------------------------
 # Catalog
 
-THEOREM_SYMBOLS = {
-    "L2_1": ("a", "b"),
-    "L2_2": ("a", "b"),
-    "L2_3": ("a", "b"),
-    "L2_4": ("a", "b"),
-    "L2_5a": ("a", "b", "d"),
-    "L2_5b": ("x", "split"),
-    "T1_1": ("A",),
-    "T3_1": ("a", "b"),
-    "C3_2": ("a", "b"),
-    "EX3_3": (),
-    "T4_1": ("A", "B", "C", "D"),
-    "C4_2": ("A", "B", "C", "D"),
-    "T4_3": ("A", "B", "C", "D"),
-    "C4_4": ("A", "B", "C", "D"),
-    "T4_5": ("A", "B", "C", "D"),
-    "C4_6": ("A", "B", "C", "D"),
+# Each id's input symbols, in the order its checker takes them, and the
+# checker itself.
+_CATALOG = {
+    "L2_1": (("a", "b"), check_lemma_2_1),
+    "L2_2": (("a", "b"), check_lemma_2_2),
+    "L2_3": (("a", "b"), check_lemma_2_3),
+    "L2_4": (("a", "b"), check_lemma_2_4),
+    "L2_5a": (("a", "b", "d"), check_lemma_2_5),
+    "L2_5b": (("x", "split"), check_lemma_2_5_converse),
+    "T1_1": (("A",), check_theorem_1_1),
+    "T3_1": (("a", "b"), check_theorem_3_1),
+    "C3_2": (("a", "b"), check_corollary_3_2),
+    "EX3_3": ((), reproduce_example_3_3),
+    "T4_1": (("A", "B", "C", "D"), check_theorem_4_1),
+    "C4_2": (("A", "B", "C", "D"), check_corollary_4_2),
+    "T4_3": (("A", "B", "C", "D"), check_theorem_4_3),
+    "C4_4": (("A", "B", "C", "D"), check_corollary_4_4),
+    "T4_5": (("A", "B", "C", "D"), check_theorem_4_5),
+    "C4_6": (("A", "B", "C", "D"), check_corollary_4_6),
 }
 
-_CHECKERS = {
-    "L2_1": check_lemma_2_1,
-    "L2_2": check_lemma_2_2,
-    "L2_3": check_lemma_2_3,
-    "L2_4": check_lemma_2_4,
-    "L2_5a": check_lemma_2_5,
-    "L2_5b": check_lemma_2_5_converse,
-    "T1_1": check_theorem_1_1,
-    "T3_1": check_theorem_3_1,
-    "C3_2": check_corollary_3_2,
-    "EX3_3": lambda tol=DEFAULT_POLICY: reproduce_example_3_3(tol),
-    "T4_1": check_theorem_4_1,
-    "C4_2": check_corollary_4_2,
-    "T4_3": check_theorem_4_3,
-    "C4_4": check_corollary_4_4,
-    "T4_5": check_theorem_4_5,
-    "C4_6": check_corollary_4_6,
-}
+THEOREM_SYMBOLS = {tid: symbols for tid, (symbols, _) in _CATALOG.items()}
 
 
 def run_check(theorem_id: str, instance: dict,
               tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Dispatch an instance (symbol name -> value) to the catalog checker."""
-    if theorem_id not in _CHECKERS:
+    if theorem_id not in _CATALOG:
         raise KeyError(f"unknown theorem id {theorem_id!r}; "
-                       f"known: {sorted(_CHECKERS)}")
-    symbols = THEOREM_SYMBOLS[theorem_id]
+                       f"known: {sorted(_CATALOG)}")
+    symbols, checker = _CATALOG[theorem_id]
     missing = [s for s in symbols if s not in instance]
     if missing:
         raise ValueError(f"{theorem_id} requires symbols {list(symbols)}; "
                          f"missing {missing}")
     args = [instance[s] for s in symbols]
-    return _CHECKERS[theorem_id](*args, tol=tol)
+    return checker(*args, tol=tol)

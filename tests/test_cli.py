@@ -408,6 +408,36 @@ class TestFuzz:
             assert code == 2, dims
             assert out is None and err.startswith("error:"), dims
 
+    @pytest.mark.parametrize("theorem,dims,rule", [
+        ("L2_1", ["--dims", "5,3"], "L2_1 takes one dim in [1, 16]"),
+        ("T1_1", ["--dims", "3,7"], "T1_1 takes one dim in [1, 16]"),
+        ("T4_1", ["--dim", "12"], "T4_1 takes one or two dims, each in [1, 8]"),
+        ("L2_3", ["--dim", "1"], "L2_3 takes one dim in [2, 16]"),
+        ("L2_5a", ["--dims", "3,3,3"], "L2_5a takes one or two dims"),
+    ], ids=["L2_1-5,3", "T1_1-3,7", "T4_1-12", "L2_3-1", "L2_5a-3,3,3"])
+    def test_dims_outside_the_id_contract_exit_2(self, capsys, theorem, dims,
+                                                 rule):
+        # refused before any trial runs, with the id's own rule
+        code, out, err = run(capsys, ["fuzz", "--theorem", theorem, *dims,
+                                      "--trials", "1"])
+        assert code == 2 and out is None
+        assert err.startswith(f"error: {rule}") and "trial" not in err
+
+    @pytest.mark.parametrize("theorem,dims,printed", [
+        ("L2_1", ["--dims", "9"], [9]),
+        ("L2_1", [], [4]),
+        ("EX3_3", [], [4]),
+        ("L2_5b", [], [3, 3]),
+        ("C4_6", ["--dims", "8,1"], [8, 1]),
+        ("T4_3", ["--dim", "2"], [2]),
+    ], ids=["L2_1-9", "L2_1-default", "EX3_3-default", "L2_5b-default",
+            "C4_6-8,1", "T4_3-2"])
+    def test_dims_inside_the_id_contract_run(self, capsys, theorem, dims,
+                                             printed):
+        code, out, _ = run(capsys, ["fuzz", "--theorem", theorem, *dims,
+                                    "--trials", "1"])
+        assert code == 0 and out["dims"] == printed
+
     def test_summary_counts_sum_to_trials(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--theorem", "L2_5a",
                                     "--dims", "3,3", "--trials", "15",

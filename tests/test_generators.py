@@ -8,6 +8,7 @@ from geninv import generators
 from geninv.linalg import DEFAULT_POLICY, zero_product
 from geninv.inverses import index, is_star_dmp, pseudo_core
 from geninv.generators import (
+    fuzz_dims,
     gen_annihilating_pair,
     gen_commutant_pair,
     gen_intertwined_4_1,
@@ -212,6 +213,27 @@ class TestBlockSamplers:
 
 
 class TestSpecAndDispatch:
+    def test_every_catalog_id_has_a_sampler(self):
+        for theorem_id, symbols in THEOREM_SYMBOLS.items():
+            dims = fuzz_dims(theorem_id)
+            assert 1 <= len(dims) <= 2
+            inst = instance_for(theorem_id, dims, seed=7)
+            assert tuple(inst.matrices) == symbols
+
+    def test_unknown_id(self):
+        with pytest.raises(KeyError, match="T9_9"):
+            instance_for("T9_9", (3,), seed=1)
+        with pytest.raises(KeyError, match="T9_9"):
+            fuzz_dims("T9_9")
+
+    def test_fuzz_dims_checks_count_and_range(self):
+        assert fuzz_dims("T4_5", [2, 5]) == (2, 5)
+        for theorem_id, dims in (("C3_2", (3, 3)), ("C3_2", (17,)),
+                                 ("C4_4", (9,)), ("C4_4", (0, 2)),
+                                 ("L2_3", (1,)), ("L2_5b", ())):
+            with pytest.raises(ValueError, match=theorem_id):
+                fuzz_dims(theorem_id, dims)
+
     def test_every_theorem_instance_meets_hypotheses(self):
         for theorem_id in THEOREM_SYMBOLS:
             for t in range(5):

@@ -12,9 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-import geninv.cli as cli
 from geninv.cli import main
-from geninv.generators import instance_for, trial_seed
+from geninv.generators import fuzz_dims, instance_for, trial_seed
 from geninv.matrixio import dumps_report
 from geninv.theorems import THEOREM_SYMBOLS
 
@@ -64,7 +63,7 @@ def _crandn(rg, shape):
 
 def _instances(theorem):
     """Generated positives and random negatives at two seeds."""
-    dims = cli._DEFAULT_FUZZ_DIMS.get(theorem, (4,))
+    dims = fuzz_dims(theorem)
     for seed in (3, 17):
         inst = instance_for(theorem, dims, trial_seed(seed, 0)).matrices
         yield inst

@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 import geninv.cli as cli
 from geninv.cli import main
-from geninv.generators import gen_with_index, instance_for, trial_seed
+from geninv.generators import (
+    fuzz_dims, gen_with_index, instance_for, trial_seed)
 from geninv.matrixio import dumps_report, matrix_to_obj
 from geninv.theorems import THEOREM_SYMBOLS
 
@@ -140,7 +141,7 @@ def _assert_stdout_is_oracle(capsys, emitted):
 def _verify_instances():
     rg = np.random.default_rng(71)
     for theorem, symbols in sorted(THEOREM_SYMBOLS.items()):
-        dims = cli._DEFAULT_FUZZ_DIMS.get(theorem, (4,))
+        dims = fuzz_dims(theorem)
         for trial in range(2):
             yield theorem, instance_for(theorem, dims, trial_seed(5, trial)).matrices
         if symbols and "split" not in symbols:

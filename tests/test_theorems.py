@@ -183,6 +183,19 @@ class TestLemma25Converse:
         with pytest.raises(ValueError):
             check_lemma_2_5_converse(np.eye(2), 2)
 
+    @pytest.mark.parametrize("split", [np.eye(1), 2.0, True],
+                             ids=["matrix", "float", "bool"])
+    def test_non_integer_split_rejected(self, split):
+        with pytest.raises(ValueError, match="split"):
+            check_lemma_2_5_converse(np.eye(4), split)
+        with pytest.raises(ValueError, match="split"):
+            run_check("L2_5b", {"x": np.eye(4), "split": split})
+
+    def test_numpy_integer_split_accepted(self):
+        x = np.diag([1.0, 0.0]).astype(complex)
+        report = check_lemma_2_5_converse(x, np.int64(1))
+        assert report.verdict == "pass"
+
 
 class TestTheorem31:
     def test_zero_perturbation(self):
