@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_POLICY, _rank_cut, frobenius, is_nilpotent_product
+from .linalg import (
+    DEFAULT_POLICY,
+    _eye,
+    _inv,
+    _rank_cut,
+    _svd,
+    frobenius,
+    is_nilpotent_product,
+)
 from .inverses import _CoreEP
 from .theorems import COUPLING, THEOREM_SYMBOLS, _adj
 
@@ -72,7 +80,7 @@ def _crandn(rg, *shape):
 def _clamp_singular_values(M, lo, hi):
     if M.size == 0:
         return M
-    U, s, Vh = np.linalg.svd(M)
+    U, s, Vh = _svd(M)
     return (U * np.clip(s, lo, hi)) @ Vh
 
 
@@ -97,7 +105,7 @@ def _with_index_rng(rg, n, k, r):
     core[:r, :r] = K
     core[r:, r:] = _nilpotent_chain(rg, n - r, k)
     S = _clamp_singular_values(_crandn(rg, n, n), 0.5, 2.0)
-    return S @ core @ np.linalg.inv(S)
+    return S @ core @ _inv(S)
 
 
 def gen_with_index(n: int, k: int, r: int, seed) -> np.ndarray:
@@ -176,7 +184,7 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     # null space: an equation with square L and R adds a square pq-by-pq
     # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
     # rows than columns is kept whenever the other one is.
-    _, s, Vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    _, s, Vh = _svd(np.vstack(rows), full=False)
     basis = Vh[_rank_cut(s, rtol):].conj().T
     k = basis.shape[1]
     if k == 0:
@@ -192,8 +200,8 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
 
 def _intertwining_eqs(A, D):
     """Equations AB = BD, A*B = BD* on B and DC = CA, D*C = CA* on C."""
-    IA = np.eye(A.shape[0], dtype=np.complex128)
-    ID = np.eye(D.shape[0], dtype=np.complex128)
+    IA = _eye(A.shape[0])
+    ID = _eye(D.shape[0])
     return ([[(A, ID), (-IA, D)], [(_adj(A), ID), (-IA, _adj(D))]],
             [[(D, IA), (-ID, A)], [(_adj(D), IA), (-ID, _adj(A))]])
 
@@ -387,8 +395,8 @@ def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
     A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
-    IA = np.eye(nA, dtype=np.complex128)
-    ID = np.eye(nD, dtype=np.complex128)
+    IA = _eye(nA)
+    ID = _eye(nD)
     C, _ = _nullspace_sample(rg, (nD, nA), _intertwining_eqs(A, D)[1], scale)
     degenerate = frobenius(C) == 0.0
     rA = _CoreEP(A)
@@ -409,8 +417,8 @@ def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     _check_block_dims(nA, nD)
     rg = _rng(seed)
     A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
-    IA = np.eye(nA, dtype=np.complex128)
-    ID = np.eye(nD, dtype=np.complex128)
+    IA = _eye(nA)
+    ID = _eye(nD)
     B, _ = _nullspace_sample(rg, (nA, nD), _intertwining_eqs(A, D)[0], scale)
     degenerate = frobenius(B) == 0.0
     rA = _CoreEP(A)

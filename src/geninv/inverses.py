@@ -17,10 +17,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _eye,
     _rank_cut,
     _require_square,
     _same_space,
+    _solve,
     _staircase,
+    _svd,
     approx_equal,
     as_matrix,
     frobenius,
@@ -84,7 +87,7 @@ def _svd_pinv(A, tol):
     A = as_matrix(A)
     if A.size == 0 or frobenius(A) == 0.0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
-    U, s, Vh = np.linalg.svd(A)
+    U, s, Vh = _svd(A)
     r = _rank_cut(s, tol.rank_rel_tol)
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
@@ -146,8 +149,8 @@ def _refined_inverse(Ahat):
     eps*cond down to the rounding floor; without this a well-posed but
     ill-conditioned core restriction can miss the certificate threshold.
     """
-    eye = np.eye(Ahat.shape[0], dtype=np.complex128)
-    Y = np.linalg.solve(Ahat, eye)
+    eye = _eye(Ahat.shape[0])
+    Y = _solve(Ahat, eye)
     Y = Y @ (2.0 * eye - Ahat @ Y)
     return (2.0 * eye - Y @ Ahat) @ Y
 
@@ -208,9 +211,13 @@ class _CoreEP:
 
     def pcore_inverse(self) -> np.ndarray:
         """Q1 T^{-1} Q1*, Q1 the first r columns of Q.  Raises ValueError
-        when an entry is not finite, as the certificate would."""
+        when an entry is not finite: T^{-1} can overflow on finite input."""
         Q1 = self.Q[:, :self.r]
-        return as_matrix(Q1 @ (self.t_inverse @ Q1.conj().T))
+        X = Q1 @ (self.t_inverse @ Q1.conj().T)
+        if not np.isfinite(X).all():
+            raise ValueError("the pseudo core inverse is not finite: the "
+                             "inverse of the core block T overflowed")
+        return X
 
     def drazin_inverse(self) -> np.ndarray:
         """Q [[T^{-1}, Z], [0, 0]] Q* with Z = sum_{j<k} T^-(j+2) S N^j, the
@@ -224,8 +231,7 @@ class _CoreEP:
 
     def spectral_idempotent(self) -> np.ndarray:
         """I - A A^D: the projection onto the nilpotent part along the core."""
-        return (np.eye(self.A.shape[0], dtype=np.complex128)
-                - self.A @ self.drazin_inverse())
+        return _eye(self.A.shape[0]) - self.A @ self.drazin_inverse()
 
     def nilpotent_powers(self, m):
         """A^(i-1) A_pi for i = 1..m, A_pi the spectral idempotent, and their

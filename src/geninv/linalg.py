@@ -8,11 +8,17 @@ from the policy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import (
+    _raise_linalgerror_singular,
+    _raise_linalgerror_svd_nonconvergence,
+)
 
 __all__ = [
     "DimensionError",
@@ -59,6 +65,58 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
+
+
+# LAPACK kernel.  Every SVD, solve and inverse in the package goes through
+# these functions.  Each calls, for a 2-D complex128 input, the gufunc that
+# ``np.linalg.svd``/``solve``/``inv`` call, with the same signature and
+# inside the same ``np.errstate``; so the result is the same bits, a
+# LinAlgError carries numpy's message, and no new warning escapes.  What is
+# skipped is numpy's per-call wrapper: dispatch, type resolution and result
+# wrapping, which cost about as much as LAPACK at n <= 16.
+
+def _svd_errstate():
+    return np.errstate(call=_raise_linalgerror_svd_nonconvergence,
+                       invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _singular_errstate():
+    return np.errstate(call=_raise_linalgerror_singular, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
+
+
+def _svd(M, full=True):
+    """``np.linalg.svd(M, full_matrices=full)`` as a plain (U, s, Vh)."""
+    gufunc = _umath_linalg.svd_f if full else _umath_linalg.svd_s
+    with _svd_errstate():
+        return gufunc(M, signature="D->DdD")
+
+
+def _svdvals(M):
+    """``np.linalg.svd(M, compute_uv=False)``."""
+    with _svd_errstate():
+        return _umath_linalg.svd(M, signature="D->d")
+
+
+def _solve(A, B):
+    """``np.linalg.solve(A, B)`` for a 2-D right-hand side B."""
+    with _singular_errstate():
+        return _umath_linalg.solve(A, B, signature="DD->D")
+
+
+def _inv(A):
+    """``np.linalg.inv(A)``."""
+    with _singular_errstate():
+        return _umath_linalg.inv(A, signature="D->D")
+
+
+@functools.lru_cache(maxsize=32)
+def _eye(n):
+    """The n x n complex128 identity, shared and read-only."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def as_matrix(data) -> np.ndarray:
@@ -115,7 +173,7 @@ def numerical_rank(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     A = as_matrix(A)
     if A.size == 0:
         return 0
-    return _rank_cut(np.linalg.svd(A, compute_uv=False), tol.rank_rel_tol)
+    return _rank_cut(_svdvals(A), tol.rank_rel_tol)
 
 
 def _staircase(A, tol):
@@ -139,7 +197,7 @@ def _staircase(A, tol):
     ranks, cut = [n], None
     while ranks[-1]:
         m = ranks[-1]
-        U, s, _ = np.linalg.svd(M[:m, :m])
+        U, s, _ = _svd(M[:m, :m])
         if cut is None:
             cut = tol.rank_rel_tol * s[0]
         r = int(np.count_nonzero(s > cut))

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _eye,
     _require_square,
     as_matrix,
     frobenius,
@@ -179,7 +180,7 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     a, b = _pair(a, b)
     report = TheoremReport("L2_4", policy=tol)
     X = _CoreEP(a, tol).pcore_inverse()
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = _eye(a.shape[0])
     _, left = zero_product([eye - X @ a, b], tol)
     _, right = zero_product([eye - a @ X, b], tol)
     report.conclusion_checks = [
@@ -312,7 +313,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     report = TheoremReport("T3_1", policy=tol)
     report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
 
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = _eye(a.shape[0])
     ra = _CoreEP(a, tol)
     apc = ra.pcore_inverse()
     api = ra.spectral_idempotent()
@@ -357,7 +358,7 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
     bracket_value = frobenius(a @ X - X @ a) / max(
         1.0, frobenius(a) * frobenius(X))
     spc = pseudo_core(a + b, tol)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    eye = _eye(a.shape[0])
     wpc = pseudo_core(eye + X @ b, tol)
     report.conclusion_checks = [
         _res("pcore_commutes_with_a", bracket_value, tol),
@@ -385,7 +386,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     ra = _CoreEP(a, tol)
     apc = ra.pcore_inverse()
     bpc = _CoreEP(b, tol).pcore_inverse()
-    eye = np.eye(2, dtype=np.complex128)
+    eye = _eye(2)
     w = eye + apc @ b
     wpc = pseudo_core(w, tol)
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)

@@ -30,6 +30,13 @@ def mp_power_ranks(A, rank_rel_tol=1e-10, dps=50):
     entries of A, so no rounding of a float64 power enters.  The singular
     values of A^j are judged against ``rank_rel_tol * ||A||_2^j``, the
     largest that ||A^j||_2 can be.
+
+    Valid range: the core part of A^j has singular values of about λ^j, λ
+    the smallest core eigenvalue of A in modulus, so once λ^j falls below
+    ``rank_rel_tol * ||A||_2^j`` the oracle counts that part as nilpotent.
+    By j = n this happens whenever λ < rank_rel_tol^(1/n) * ||A||_2.  The
+    oracle therefore referees only matrices whose λ exceeds about
+    (1e-10)^(1/n) * ||A||_2 at the default tolerance.
     """
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]

@@ -98,6 +98,18 @@ class TestCompute:
         assert code == 0
         assert np.allclose(parse_matrix(out["result"]), np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("kind", ["pseudo_core", "core"])
+    def test_overflowing_inverse_of_finite_input_exits_2(self, capsys,
+                                                         tmp_path, kind):
+        # finite subnormal entries: T^{-1} overflows, the input does not
+        path = write(tmp_path, "s.json",
+                     matrix_to_obj(np.diag([1e-320, 0.0, 1e-320])))
+        code, out, err = run(capsys, ["compute", "--kind", kind,
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err == ("error: the pseudo core inverse is not finite: the "
+                       "inverse of the core block T overflowed\n")
+
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", "--kind", "pcore",
                                     "--input", str(tmp_path / "missing.json")])

@@ -3,11 +3,21 @@ import hashlib
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.linalg import LinAlgError
 
+import geninv.inverses as inverses
+import geninv.linalg as linalg
+from geninv.generators import fuzz_dims, gen_with_index, instance_for, trial_seed
+from geninv.inverses import _CoreEP
 from geninv.linalg import (
     DEFAULT_POLICY,
     DimensionError,
     TolerancePolicy,
+    _eye,
+    _inv,
+    _solve,
+    _svd,
+    _svdvals,
     approx_equal,
     as_matrix,
     frobenius,
@@ -18,6 +28,7 @@ from geninv.linalg import (
     same_column_space,
     scaled_power,
 )
+from geninv.theorems import THEOREM_SYMBOLS, run_check
 
 from oracles import exact_power_is_zero, exact_rank, mp_power_ranks
 
@@ -66,6 +77,127 @@ class TestFrobenius:
                 want = float(np.linalg.norm(M))
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.filterwarnings("error")
+class TestKernel:
+    """The LAPACK kernel equals np.linalg bit for bit, errors included."""
+
+    SQUARE = (1, 2, 3, 4, 8, 16)
+    SHAPES = [(n, n) for n in SQUARE] + [(32, 16), (128, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_svd_bits_equal_numpy(self, shape):
+        M = crandn(np.random.default_rng(sum(shape)), *shape)
+        for full in (True, False):
+            got = _svd(M, full=full)
+            want = np.linalg.svd(M, full_matrices=full)
+            assert len(got) == 3
+            assert all(same_bytes(g, w) for g, w in zip(got, want))
+        assert same_bytes(_svdvals(M), np.linalg.svd(M, compute_uv=False))
+
+    @pytest.mark.parametrize("n", SQUARE)
+    def test_solve_and_inv_bits_equal_numpy(self, n):
+        rg = np.random.default_rng(100 + n)
+        A, B = crandn(rg, n, n), crandn(rg, n, 3)
+        assert same_bytes(_inv(A), np.linalg.inv(A))
+        assert same_bytes(_solve(A, B), np.linalg.solve(A, B))
+        assert same_bytes(_solve(A, _eye(n)), np.linalg.solve(A, np.eye(n)))
+
+    def test_strided_input(self):
+        M = crandn(np.random.default_rng(5), 8, 8)
+        for view in (M[:5, :5], M.T, M[::2, 1::2]):
+            assert all(same_bytes(g, w) for g, w in
+                       zip(_svd(view), np.linalg.svd(view)))
+
+    def test_nan_raises_numpys_error(self):
+        M = np.eye(4, dtype=np.complex128)
+        M[1, 2] = np.nan
+        for call in (lambda: _svd(M), lambda: _svd(M, full=False),
+                     lambda: _svdvals(M)):
+            with pytest.raises(LinAlgError) as err:
+                call()
+            assert str(err.value) == "SVD did not converge"
+
+    def test_inf_returns_numpys_nan_bits(self):
+        M = np.eye(4, dtype=np.complex128)
+        M[1, 2] = np.inf
+        got, want = _svd(M), np.linalg.svd(M)
+        assert np.isnan(got[1]).any()
+        assert all(same_bytes(g, w) for g, w in zip(got, want))
+        assert same_bytes(_svdvals(M), np.linalg.svd(M, compute_uv=False))
+
+    def test_singular_raises_numpys_error(self):
+        Z = np.zeros((3, 3), dtype=np.complex128)
+        for call in (lambda: _solve(Z, _eye(3)), lambda: _inv(Z)):
+            with pytest.raises(LinAlgError) as err:
+                call()
+            assert str(err.value) == "Singular matrix"
+
+    def test_eye_is_a_read_only_identity(self):
+        eye = _eye(3)
+        assert same_bytes(eye, np.eye(3, dtype=np.complex128))
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+        assert _eye(3) is eye
+
+
+class TestKernelIsTheOnlyCaller:
+    """No code path reaches np.linalg.svd, solve or inv around the kernel."""
+
+    @pytest.fixture
+    def numpy_linalg_blocked(self, monkeypatch):
+        def blocked(*args, **kwargs):
+            raise AssertionError("np.linalg called around the kernel")
+        for name in ("svd", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, blocked)
+
+    def test_catalog_checks(self, numpy_linalg_blocked):
+        for theorem_id in THEOREM_SYMBOLS:
+            for trial in range(2):
+                inst = instance_for(theorem_id, fuzz_dims(theorem_id),
+                                    trial_seed(13, trial))
+                run_check(theorem_id, inst.matrices)
+
+    def test_inverse_kinds(self, numpy_linalg_blocked):
+        A = gen_with_index(5, 1, 3, seed=8)
+        for kind in (inverses.moore_penrose, inverses.one_three,
+                     inverses.group_inverse, inverses.drazin,
+                     inverses.core_inverse, inverses.pseudo_core):
+            assert kind(A).certified()
+        assert inverses.index(A) == 1
+        inverses.spectral_idempotent(A)
+        inverses.is_star_dmp(A)
+        inverses.verify_defining_triple(A, inverses.pseudo_core(A).inverse, 1)
+        assert numerical_rank(A) == 3
+        assert same_column_space(A, A)
+        assert not is_nilpotent(A)
+
+    @pytest.mark.parametrize("n,k,r", [(4, 0, 4), (4, 1, 3), (5, 2, 3),
+                                       (6, 3, 2), (3, 1, 0), (5, 3, 0),
+                                       (6, 6, 0)])
+    def test_kernel_call_counts(self, monkeypatch, n, k, r):
+        calls = {"svd": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(linalg, "_svd", counted("svd", _svd))
+        monkeypatch.setattr(inverses, "_solve", counted("solve", _solve))
+        record = _CoreEP(gen_with_index(n, k, r, seed=n + k + r))
+        assert (record.k, record.r) == (k, r)
+        assert calls == {"svd": k + 1 if r else k, "solve": 0}
+        record.t_inverse
+        record.t_inverse
+        assert calls["solve"] == 1
 
 
 class TestNumericalRank:
