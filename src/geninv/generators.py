@@ -20,8 +20,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
+    _assemble,
     _eye,
     _inv,
+    _power,
+    _qr,
     _rank_cut,
     _svd,
     frobenius,
@@ -85,9 +88,9 @@ def _clamp_singular_values(M, lo, hi):
 
 
 def _random_unitary(rg, n):
-    Q, R = np.linalg.qr(_crandn(rg, n, n))
+    Q, r = _qr(_crandn(rg, n, n))
     # fix the phase so Q is a deterministic function of the sample
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    return Q * (r / np.abs(r))
 
 
 def _nilpotent_chain(rg, m, order):
@@ -265,7 +268,7 @@ def _coupling_terms(ra, d, m):
     """Linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling sum
     sum_i a^(i-1) a_pi X d^(m-i) in the unknown X, with ra the record of a."""
     products, _ = ra.nilpotent_powers(m)
-    return [(P, np.linalg.matrix_power(d, m - 1 - j))
+    return [(P, _power(d, m - 1 - j))
             for j, P in enumerate(products)]
 
 
@@ -464,7 +467,7 @@ def _theorem_1_1(n, seed, scale):
 
 def _lemma_2_5b(na, nd, seed, scale):
     a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed, scale)
-    return np.block([[a, b], [np.zeros_like(b.T), d]]), na, degenerate
+    return _assemble(a, b, np.zeros_like(b.T), d), na, degenerate
 
 
 # id: (default fuzz dims, smallest and largest dim, sampler).  An id takes at

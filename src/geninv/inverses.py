@@ -10,7 +10,6 @@ of trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -18,12 +17,14 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _eye,
+    _power,
     _rank_cut,
     _require_square,
     _same_space,
     _solve,
     _staircase,
     _svd,
+    _two_eye,
     approx_equal,
     as_matrix,
     frobenius,
@@ -99,23 +100,24 @@ def _hermitian_defect(M):
     return frobenius(M - M.conj().T) / max(1.0, frobenius(M))
 
 
-def _commutator_defect(A, X):
+def _commutator_defect(AX, XA):
     """||AX - XA|| / max(1, ||AX||): how far X is from commuting with A."""
-    AX = A @ X
-    return frobenius(AX - X @ A) / max(1.0, frobenius(AX))
+    return frobenius(AX - XA) / max(1.0, frobenius(AX))
 
 
-def _outer_residuals(A, X, Ak):
-    """Residuals of X A^(k+1) = A^k and A X^2 = X, given Ak = A^k."""
-    return rel_residual(X @ A @ Ak, Ak), rel_residual(A @ X @ X, X)
+def _outer_residuals(AX, XA, X, Ak):
+    """Residuals of X A^(k+1) = A^k and A X^2 = X, given AX, XA and
+    Ak = A^k."""
+    return rel_residual(XA @ Ak, Ak), rel_residual(AX @ X, X)
 
 
 def _penrose_residuals(A, X):
+    AX, XA = A @ X, X @ A
     return {
-        "p1": rel_residual(A @ X @ A, A),
-        "p2": rel_residual(X @ A @ X, X),
-        "p3": _hermitian_defect(A @ X),
-        "p4": _hermitian_defect(X @ A),
+        "p1": rel_residual(AX @ A, A),
+        "p2": rel_residual(XA @ X, X),
+        "p3": _hermitian_defect(AX),
+        "p4": _hermitian_defect(XA),
     }
 
 
@@ -134,9 +136,10 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """
     A = _require_square(A)
     X = _svd_pinv(A, tol)
+    AX = A @ X
     residuals = {
-        "p1": rel_residual(A @ X @ A, A),
-        "p3": _hermitian_defect(A @ X),
+        "p1": rel_residual(AX @ A, A),
+        "p3": _hermitian_defect(AX),
     }
     return GenInverseResult("one_three", X, 0, residuals)
 
@@ -149,22 +152,35 @@ def _refined_inverse(Ahat):
     eps*cond down to the rounding floor; without this a well-posed but
     ill-conditioned core restriction can miss the certificate threshold.
     """
-    eye = _eye(Ahat.shape[0])
-    Y = _solve(Ahat, eye)
-    Y = Y @ (2.0 * eye - Ahat @ Y)
-    return (2.0 * eye - Y @ Ahat) @ Y
+    n = Ahat.shape[0]
+    two = _two_eye(n)
+    Y = _solve(Ahat, _eye(n))
+    Y = Y @ (two - Ahat @ Y)
+    return (two - Y @ Ahat) @ Y
 
 
 def _triple_residuals(A, X, Ak):
     """:func:`verify_defining_triple` given the exact power Ak = A^k."""
-    pc1, pc2 = _outer_residuals(A, X, Ak)
-    return {"pc1": pc1, "pc2": pc2, "pc3": _hermitian_defect(A @ X)}
+    AX = A @ X
+    pc1, pc2 = _outer_residuals(AX, X @ A, X, Ak)
+    return {"pc1": pc1, "pc2": pc2, "pc3": _hermitian_defect(AX)}
 
 
 def _drazin_residuals(A, X, Ak):
     """Residuals of X A^(k+1) = A^k, A X^2 = X and AX = XA, given Ak = A^k."""
-    d1, d2 = _outer_residuals(A, X, Ak)
-    return {"d1": d1, "d2": d2, "commute": _commutator_defect(A, X)}
+    AX, XA = A @ X, X @ A
+    d1, d2 = _outer_residuals(AX, XA, X, Ak)
+    return {"d1": d1, "d2": d2, "commute": _commutator_defect(AX, XA)}
+
+
+def _finite(X, kind):
+    """X made read-only; ValueError naming the inverse kind when an entry is
+    not finite, as when the inverse of the core block T overflows."""
+    if not np.isfinite(X).all():
+        raise ValueError(f"the {kind} inverse is not finite: the inverse of "
+                         f"the core block T overflowed")
+    X.flags.writeable = False
+    return X
 
 
 class _CoreEP:
@@ -175,9 +191,11 @@ class _CoreEP:
     span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  Every
     inverse kind built on range(A^k), the spectral idempotent and the
     star-DMP test come from here, so a caller that needs several of them
-    builds one record.  T^{-1} and the exact power A^max(k,1) that the
-    certificates use are each computed once, on first use.  A certificate
-    is computed only by the methods that return a :class:`GenInverseResult`.
+    builds one record.  T^{-1}, the exact power A^max(k,1) that the
+    certificates use, and the pseudo core and Drazin inverses are each
+    computed once, on first use; the two inverses are read-only.  A
+    certificate is computed only by the methods that return a
+    :class:`GenInverseResult`.
     """
 
     def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -187,14 +205,20 @@ class _CoreEP:
         self.k, self.r = len(self.ranks) - 1, self.ranks[-1]
         r = self.r
         self.T, self.S, self.N = self.M[:r, :r], self.M[:r, r:], self.M[r:, r:]
+        self._pcore = self._drazin = None
 
-    @cached_property
-    def t_inverse(self):
-        return _refined_inverse(self.T)
-
-    @cached_property
-    def exact_power(self):
-        return np.linalg.matrix_power(self.A, max(self.k, 1))
+    def __getattr__(self, name):
+        # Fills t_inverse and exact_power on first use.  Python calls this
+        # only when the instance has no such attribute, so later reads are
+        # plain attribute reads.
+        if name == "t_inverse":
+            value = _refined_inverse(self.T)
+        elif name == "exact_power":
+            value = _power(self.A, max(self.k, 1))
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def scaled_power(self) -> np.ndarray:
         """A^max(k,1) = Q [[T^k0, X], [0, 0]] Q* at unit Frobenius norm, read
@@ -212,22 +236,25 @@ class _CoreEP:
     def pcore_inverse(self) -> np.ndarray:
         """Q1 T^{-1} Q1*, Q1 the first r columns of Q.  Raises ValueError
         when an entry is not finite: T^{-1} can overflow on finite input."""
-        Q1 = self.Q[:, :self.r]
-        X = Q1 @ (self.t_inverse @ Q1.conj().T)
-        if not np.isfinite(X).all():
-            raise ValueError("the pseudo core inverse is not finite: the "
-                             "inverse of the core block T overflowed")
-        return X
+        if self._pcore is None:
+            Q1 = self.Q[:, :self.r]
+            self._pcore = _finite(Q1 @ (self.t_inverse @ Q1.conj().T),
+                                  "pseudo core")
+        return self._pcore
 
     def drazin_inverse(self) -> np.ndarray:
         """Q [[T^{-1}, Z], [0, 0]] Q* with Z = sum_{j<k} T^-(j+2) S N^j, the
         solution of T Z - Z N = T^{-1} S that makes it commute with A.  The
-        sum is taken by Horner's rule: Z = Y G, G = Y (S + G N) k times."""
-        Y, S, N = self.t_inverse, self.S, self.N
-        G = np.zeros_like(S)
-        for _ in range(self.k):
-            G = Y @ (S + G @ N)
-        return self.Q[:, :self.r] @ (np.hstack([Y, Y @ G]) @ self.Q.conj().T)
+        sum is taken by Horner's rule: Z = Y G, G = Y (S + G N) k times.
+        Raises ValueError when an entry is not finite."""
+        if self._drazin is None:
+            Y, S, N = self.t_inverse, self.S, self.N
+            G = np.zeros_like(S)
+            for _ in range(self.k):
+                G = Y @ (S + G @ N)
+            X = self.Q[:, :self.r] @ (np.hstack([Y, Y @ G]) @ self.Q.conj().T)
+            self._drazin = _finite(X, "Drazin")
+        return self._drazin
 
     def spectral_idempotent(self) -> np.ndarray:
         """I - A A^D: the projection onto the nilpotent part along the core."""
@@ -242,7 +269,7 @@ class _CoreEP:
         norm_api = frobenius(api)
         products, scale = [], 0.0
         for j in range(m):
-            Aj = np.linalg.matrix_power(self.A, j)
+            Aj = _power(self.A, j)
             products.append(Aj @ api)
             scale += frobenius(Aj) * norm_api
         return products, scale
@@ -267,10 +294,11 @@ class _CoreEP:
         if self.k > 1:
             raise InverseNotDefinedError("group", self.k)
         A, X = self.A, self.drazin_inverse()
+        AX, XA = A @ X, X @ A
         residuals = {
-            "p1": rel_residual(A @ X @ A, A),
-            "p2": rel_residual(X @ A @ X, X),
-            "commute": _commutator_defect(A, X),
+            "p1": rel_residual(AX @ A, A),
+            "p2": rel_residual(XA @ X, X),
+            "commute": _commutator_defect(AX, XA),
         }
         return GenInverseResult("group", X, 1, residuals)
 
@@ -324,7 +352,7 @@ def verify_defining_triple(A, X, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
     A, X = _require_square(A), _require_square(X)
     if A.shape != X.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {X.shape}")
-    return _triple_residuals(A, X, np.linalg.matrix_power(A, k))
+    return _triple_residuals(A, X, _power(A, k))
 
 
 def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:

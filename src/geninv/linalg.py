@@ -16,6 +16,7 @@ from itertools import islice
 import numpy as np
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import (
+    _raise_linalgerror_qr,
     _raise_linalgerror_singular,
     _raise_linalgerror_svd_nonconvergence,
 )
@@ -67,13 +68,16 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-# LAPACK kernel.  Every SVD, solve and inverse in the package goes through
-# these functions.  Each calls, for a 2-D complex128 input, the gufunc that
-# ``np.linalg.svd``/``solve``/``inv`` call, with the same signature and
-# inside the same ``np.errstate``; so the result is the same bits, a
-# LinAlgError carries numpy's message, and no new warning escapes.  What is
-# skipped is numpy's per-call wrapper: dispatch, type resolution and result
-# wrapping, which cost about as much as LAPACK at n <= 16.
+# Dense kernel.  Every SVD, solve, inverse, QR, matrix power and block
+# assembly in the package goes through these functions.  Each LAPACK call
+# is, for a 2-D complex128 input, the gufunc that ``np.linalg.svd``/
+# ``solve``/``inv``/``qr`` call, with the same signature and inside the same
+# ``np.errstate``; so the result is the same bits, a LinAlgError carries
+# numpy's message, and no new warning escapes.  ``_power`` forms numpy's
+# ``matrix_power`` products in numpy's order, and ``_assemble`` fills the
+# array ``numpy.block`` would build.  What is skipped is numpy's per-call
+# wrapper: dispatch, type resolution and result wrapping, which cost about
+# as much as the arithmetic at n <= 16.
 
 def _svd_errstate():
     return np.errstate(call=_raise_linalgerror_svd_nonconvergence,
@@ -111,12 +115,63 @@ def _inv(A):
         return _umath_linalg.inv(A, signature="D->D")
 
 
+def _qr(M):
+    """Q and the diagonal of R of ``numpy.linalg.qr(M)``."""
+    a = M.astype(np.complex128, copy=True)      # overwritten by the factors
+    with np.errstate(call=_raise_linalgerror_qr, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    return Q, np.diagonal(a)
+
+
 @functools.lru_cache(maxsize=32)
 def _eye(n):
     """The n x n complex128 identity, shared and read-only."""
     eye = np.eye(n, dtype=np.complex128)
     eye.flags.writeable = False
     return eye
+
+
+@functools.lru_cache(maxsize=32)
+def _two_eye(n):
+    """2I for the n x n Newton step, shared and read-only."""
+    two = 2.0 * _eye(n)
+    two.flags.writeable = False
+    return two
+
+
+def _power(A, k):
+    """``numpy.linalg.matrix_power(A, k)`` of a square A for k >= 0: the same
+    products in the same order, so the same bits.  A^0 is the shared
+    read-only ``_eye(n)`` and A^1 is A itself."""
+    if k == 0:
+        return _eye(A.shape[0])
+    if k == 1:
+        return A
+    if k == 2:
+        return A @ A
+    if k == 3:
+        return (A @ A) @ A
+    z = result = None               # binary decomposition, low bit first
+    while k > 0:
+        z = A if z is None else z @ z
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
+def _assemble(A, B, C, D):
+    """``numpy.block([[A, B], [C, D]])`` of complex blocks, filled into one
+    array by slices."""
+    p, q = A.shape
+    M = np.empty((p + C.shape[0], q + B.shape[1]), dtype=np.complex128)
+    M[:p, :q] = A
+    M[:p, q:] = B
+    M[p:, :q] = C
+    M[p:, q:] = D
+    return M
 
 
 def as_matrix(data) -> np.ndarray:
@@ -192,7 +247,7 @@ def _staircase(A, tol):
     first by a factor of cond(T).
     """
     n = A.shape[0]
-    Q = np.eye(n, dtype=np.complex128)
+    Q = _eye(n)             # the first step replaces it with a writable I U
     M = A.copy()
     ranks, cut = [n], None
     while ranks[-1]:
@@ -201,7 +256,10 @@ def _staircase(A, tol):
         if cut is None:
             cut = tol.rank_rel_tol * s[0]
         r = int(np.count_nonzero(s > cut))
-        Q[:, :m] = Q[:, :m] @ U
+        if m == n:
+            Q = Q @ U
+        else:
+            Q[:, :m] = Q[:, :m] @ U
         M[:m] = U.conj().T @ M[:m]
         M[:, :m] = M[:, :m] @ U
         if r == m:

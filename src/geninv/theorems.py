@@ -22,7 +22,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _assemble,
     _eye,
+    _power,
     _require_square,
     as_matrix,
     frobenius,
@@ -206,9 +208,9 @@ def _first_vanishing_sum(lefts, mids, right, tol, lo, hi):
     left_norms, right_norms = [], []
     total = np.zeros_like(K)
     for m in range(1, hi + 1):
-        powers = [np.linalg.matrix_power(f, m - 1) for f in lefts]
+        powers = [_power(f, m - 1) for f in lefts]
         left_norms.append(math.prod([*map(frobenius, powers), *mid_norms]))
-        right_norms.append(frobenius(np.linalg.matrix_power(right, m - 1)))
+        right_norms.append(frobenius(_power(right, m - 1)))
         total = total @ right + reduce(np.matmul, powers) @ K
         if m < lo:
             continue
@@ -268,7 +270,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
             f"{b.shape}, {d.shape}")
     report = TheoremReport("L2_5a", policy=tol)
     report.hypothesis_checks, m = _diagonal_blocks(a, b, d, tol)
-    x = np.block([[a, b], [np.zeros((nd, na), dtype=np.complex128), d]])
+    x = _assemble(a, b, np.zeros((nd, na), dtype=np.complex128), d)
     report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
@@ -468,10 +470,6 @@ def _validate_blocks(A, B, C, D):
     return A, B, C, D
 
 
-def _assemble(A, B, C, D):
-    return np.block([[A, B], [C, D]])
-
-
 def _equation_checks(equations, blocks, tol):
     """One residual check per equation (label, lhs, rhs) of the blocks
     (A, B, C, D).  Each side is a word such as "A*B": one factor per block
@@ -600,8 +598,8 @@ def check_theorem_4_3(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report, _ = _intertwined_report("T4_3", A, B, C, D, tol)
     nA, nD = A.shape[0], D.shape[0]
-    Q = np.block([[np.zeros((nA, nA), dtype=np.complex128), B],
-                  [C, np.zeros((nD, nD), dtype=np.complex128)]])
+    Q = _assemble(np.zeros((nA, nA), dtype=np.complex128), B,
+                  C, np.zeros((nD, nD), dtype=np.complex128))
     qpc = _CoreEP(Q, tol).pcore_inverse()
     q2pc = _CoreEP(Q @ Q, tol).pcore_inverse()
     report.conclusion_checks.append(

@@ -98,17 +98,22 @@ class TestCompute:
         assert code == 0
         assert np.allclose(parse_matrix(out["result"]), np.diag([0.0, 1.0]))
 
-    @pytest.mark.parametrize("kind", ["pseudo_core", "core"])
+    @pytest.mark.parametrize("kind,inverse", [
+        pytest.param(kind, inverse, id=kind) for kind, inverse in [
+            ("pseudo_core", "pseudo core"), ("core", "pseudo core"),
+            ("drazin", "Drazin"), ("group", "Drazin"),
+            ("spectral_idempotent", "Drazin"), ("star_dmp", "Drazin")]])
     def test_overflowing_inverse_of_finite_input_exits_2(self, capsys,
-                                                         tmp_path, kind):
+                                                         tmp_path, kind,
+                                                         inverse):
         # finite subnormal entries: T^{-1} overflows, the input does not
         path = write(tmp_path, "s.json",
                      matrix_to_obj(np.diag([1e-320, 0.0, 1e-320])))
         code, out, err = run(capsys, ["compute", "--kind", kind,
                                       "--input", path])
         assert code == 2 and out is None
-        assert err == ("error: the pseudo core inverse is not finite: the "
-                       "inverse of the core block T overflowed\n")
+        assert err == (f"error: the {inverse} inverse is not finite: the "
+                       f"inverse of the core block T overflowed\n")
 
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", "--kind", "pcore",

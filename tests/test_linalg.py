@@ -13,11 +13,15 @@ from geninv.linalg import (
     DEFAULT_POLICY,
     DimensionError,
     TolerancePolicy,
+    _assemble,
     _eye,
     _inv,
+    _power,
+    _qr,
     _solve,
     _svd,
     _svdvals,
+    _two_eye,
     approx_equal,
     as_matrix,
     frobenius,
@@ -86,7 +90,8 @@ def same_bytes(got, want):
 
 @pytest.mark.filterwarnings("error")
 class TestKernel:
-    """The LAPACK kernel equals np.linalg bit for bit, errors included."""
+    """The kernel equals np.linalg and np.block bit for bit, errors
+    included."""
 
     SQUARE = (1, 2, 3, 4, 8, 16)
     SHAPES = [(n, n) for n in SQUARE] + [(32, 16), (128, 64)]
@@ -147,16 +152,62 @@ class TestKernel:
             eye[0, 0] = 2.0
         assert _eye(3) is eye
 
+    @pytest.mark.parametrize("n", SQUARE)
+    def test_power_bits_equal_numpy(self, n):
+        A = crandn(np.random.default_rng(200 + n), n, n)
+        for k in range(10):
+            assert same_bytes(_power(A, k), np.linalg.matrix_power(A, k))
+
+    def test_power_of_strided_input(self):
+        M = crandn(np.random.default_rng(6), 8, 8)
+        for view in (M[:5, :5], M.T, M[::2, 1::2]):
+            for k in range(10):
+                assert same_bytes(_power(view, k),
+                                  np.linalg.matrix_power(view, k))
+
+    def test_identities_are_read_only(self):
+        A = crandn(np.random.default_rng(7), 4, 4)
+        assert _power(A, 0) is _eye(4)
+        two = _two_eye(4)
+        assert same_bytes(two, 2.0 * np.eye(4, dtype=np.complex128))
+        assert _two_eye(4) is two
+        for shared in (_power(A, 0), two):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0, 0] = 3.0
+
+    @pytest.mark.parametrize("n", SQUARE)
+    def test_qr_bits_equal_numpy(self, n):
+        M = crandn(np.random.default_rng(300 + n), n, n)
+        Q, r = _qr(M)
+        Qn, Rn = np.linalg.qr(M)
+        assert same_bytes(Q, Qn) and same_bytes(r, np.diagonal(Rn))
+
+    @pytest.mark.parametrize("na,nd", [(1, 1), (3, 3), (4, 2), (1, 8), (8, 1)])
+    def test_assemble_equals_block(self, na, nd):
+        rg = np.random.default_rng(10 * na + nd)
+        A, B = crandn(rg, na, na), crandn(rg, na, nd)
+        C, D = crandn(rg, nd, na), crandn(rg, nd, nd)
+        ZC = np.zeros((nd, na), dtype=np.complex128)
+        ZA = np.zeros((na, na), dtype=np.complex128)
+        ZD = np.zeros((nd, nd), dtype=np.complex128)
+        for blocks in ((A, B, C, D), (A, B, ZC, D), (ZA, B, C, ZD),
+                       (A.conj().T, C.conj().T, B.conj().T, D.conj().T)):
+            a, b, c, d = blocks
+            assert same_bytes(_assemble(*blocks), np.block([[a, b], [c, d]]))
+
 
 class TestKernelIsTheOnlyCaller:
-    """No code path reaches np.linalg.svd, solve or inv around the kernel."""
+    """No code path reaches np.linalg.svd, solve, inv, qr or matrix_power, or
+    np.block, around the kernel."""
 
     @pytest.fixture
     def numpy_linalg_blocked(self, monkeypatch):
         def blocked(*args, **kwargs):
-            raise AssertionError("np.linalg called around the kernel")
-        for name in ("svd", "solve", "inv"):
+            raise AssertionError("numpy called around the kernel")
+        for name in ("svd", "solve", "inv", "qr", "matrix_power"):
             monkeypatch.setattr(np.linalg, name, blocked)
+        monkeypatch.setattr(np, "block", blocked)
 
     def test_catalog_checks(self, numpy_linalg_blocked):
         for theorem_id in THEOREM_SYMBOLS:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import geninv.generators as generators
+import geninv.inverses as inverses
+import geninv.theorems as theorems
 from geninv.linalg import approx_equal
 from geninv.inverses import pseudo_core
 from geninv.theorems import (
@@ -406,9 +409,24 @@ class TestCouplingSumIdempotent:
                 assert calls == [(dims[0], dims[0])]
 
 
+# every module that forms a matrix power through the kernel's _power
+POWER_CALLERS = (inverses, theorems, generators)
+
+
+def counting_calls(monkeypatch, modules, name):
+    """Wrap ``name`` in each module with one shared log of its calls."""
+    calls = []
+    for module in modules:
+        def counting(*args, real=getattr(module, name)):
+            calls.append(None)
+            return real(*args)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestCouplingSweep:
     """The one-pass coupling-sum sweep finds the same exponent as the direct
-    double loop, with every power from matrix_power, that it replaced."""
+    double loop, with every power from _power, that it replaced."""
 
     @staticmethod
     def _direct(lefts, mids, right, tol, lo, hi):
@@ -422,7 +440,6 @@ class TestCouplingSweep:
         ("T4_5", (3, 3)), ("T4_5", (4, 4)),
     ])
     def test_matches_direct_double_loop(self, monkeypatch, theorem_id, dims):
-        from geninv import theorems
         for s in range(20):
             inst = instance_for(theorem_id, dims, trial_seed(s, 0)).matrices
             for c in (1e-6, 1.0, 1e6):
@@ -437,14 +454,8 @@ class TestCouplingSweep:
 
     @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b"])
     def test_each_power_formed_once(self, monkeypatch, theorem_id):
-        # the direct loop took 16.2 matrix_power calls per check here
-        real, calls = np.linalg.matrix_power, []
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(np.linalg, "matrix_power", counting)
+        # the direct loop took 16.2 matrix powers per check here
+        calls = counting_calls(monkeypatch, POWER_CALLERS, "_power")
         total = 0
         for t in range(20):
             inst = instance_for(theorem_id, (4, 4), trial_seed(1, t))
@@ -469,7 +480,6 @@ class TestIndexReuse:
         ("T4_5", (3, 3), 2),     # A, M: D only when the sum at index(A) fails
     ])
     def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
-        from geninv import inverses
         real, calls = inverses._staircase, []
 
         def counting(A, tol):
@@ -484,7 +494,6 @@ class TestIndexReuse:
             assert len(calls) == analyses
 
     def test_theorem_4_5_indexes_each_block_once(self, monkeypatch):
-        from geninv import inverses
         real, seen = inverses._staircase, []
 
         def recording(A, tol):
@@ -510,14 +519,8 @@ class TestRecordWork:
     however many of its inverses and certificates a check takes."""
 
     @staticmethod
-    def _count(monkeypatch, module, name, theorem_id):
-        real, calls = getattr(module, name), []
-
-        def counting(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counting)
+    def _count(monkeypatch, modules, name, theorem_id):
+        calls = counting_calls(monkeypatch, modules, name)
         counts = set()
         for t in range(20):
             inst = instance_for(theorem_id, (4,), trial_seed(1, t))
@@ -532,14 +535,39 @@ class TestRecordWork:
     ])
     def test_one_refined_inverse_per_record(self, monkeypatch, theorem_id,
                                             solves):
-        from geninv import inverses
-        assert self._count(monkeypatch, inverses, "_refined_inverse",
+        assert self._count(monkeypatch, [inverses], "_refined_inverse",
                            theorem_id) == solves
 
     def test_one_exact_power_per_theorem_1_1_check(self, monkeypatch):
         # pc1 and d1 both need A^max(k,1); the record of A forms it once
-        assert self._count(monkeypatch, np.linalg, "matrix_power",
+        assert self._count(monkeypatch, POWER_CALLERS, "_power",
                            "T1_1") == {1}
+
+    def test_one_pseudo_core_and_drazin_inverse_per_record(self, monkeypatch):
+        # C3_2's star-DMP test and its conclusion both read a's pseudo core
+        # inverse; the record of a builds it, and its Drazin inverse, once
+        real, built, drazin_checks = inverses._finite, [], 0
+
+        def recording(X, kind):
+            built.append(kind)
+            return real(X, kind)
+
+        monkeypatch.setattr(inverses, "_finite", recording)
+        for t in range(20):
+            inst = instance_for("C3_2", (4,), trial_seed(1, t))
+            built.clear()
+            run_check("C3_2", inst.matrices)
+            assert built.count("pseudo core") == 3     # a, a + b and w
+            assert built.count("Drazin") <= 1          # a, when index(a) >= 1
+            drazin_checks += built.count("Drazin")
+        assert drazin_checks > 0
+
+    def test_record_returns_one_read_only_inverse(self):
+        record = inverses._CoreEP(gen_with_index(5, 2, 2, seed=3))
+        for method in (record.pcore_inverse, record.drazin_inverse):
+            X = method()
+            assert method() is X
+            assert not X.flags.writeable
 
 
 class TestCorollary46:
