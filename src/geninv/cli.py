@@ -109,6 +109,8 @@ def _parse_dims(args):
     """The --dims or --dim value as a tuple, or None if neither is given."""
     if args.dims is None:
         return None if args.dim is None else (args.dim,)
+    if args.dim is not None:
+        raise ValueError("give --dim or --dims, not both")
     try:
         return tuple(int(p) for p in args.dims.split(","))
     except ValueError:
@@ -341,7 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # The top-level parser succeeds only by handing the rest of argv to one
+    # subparser, so when argv[0] names a subcommand that parser (argparse
+    # keeps it in the choices of the subparsers action) is called directly;
+    # leftovers get the error the top-level parser would give.  Every other
+    # argv (empty, -h, --version, unknown command, leading option) goes
+    # through the full parser.
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparsers = parser._subparsers._group_actions[0].choices
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+        args.command = argv[0]
     try:
         tol = _policy_from(args)
     except ValueError as exc:

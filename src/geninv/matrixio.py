@@ -128,8 +128,19 @@ def parse_instance(obj, symbols) -> dict:
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value of the file at ``path``, as ``json.load`` gives it from
+    the file opened in text mode with UTF-8: the bytes are decoded in one
+    call and ``\r\n`` and lone ``\r`` become ``\n``, so values and the
+    positions in decode and JSON errors are the same.  Nesting too deep for
+    the decoder raises ``ValueError``."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
 
 
 _INDENT = "  "
@@ -185,8 +196,30 @@ def _write(value, level, out) -> None:
 
     ndarrays are written as :func:`matrix_to_obj` objects, numpy scalars as
     the matching Python numbers, complex numbers as [real, imaginary] pairs,
-    tuples as lists and dict keys through ``str``.
+    tuples as lists and dict keys through ``str``.  The common exact types
+    are dispatched first; subclasses and every other type take
+    :func:`_write_other`.
     """
+    cls = type(value)
+    if cls is str:
+        out.append(encode_basestring_ascii(value))
+    elif cls is float:
+        out.append(_float_text(value))
+    elif cls is bool:
+        out.append("true" if value else "false")
+    elif cls is dict:
+        _write_dict(value, level, out)
+    elif cls is list:
+        _write_list(value, level, out)
+    elif cls is np.ndarray:
+        _write_matrix(value, level, out)
+    elif cls is int:
+        out.append(int.__repr__(value))
+    else:
+        _write_other(value, level, out)
+
+
+def _write_other(value, level, out) -> None:
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, (float, np.floating)):
@@ -198,16 +231,7 @@ def _write(value, level, out) -> None:
     elif value is None:
         out.append("null")
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        sep = "\n" + _INDENT * (level + 1)
-        opener = "{"
-        for k, v in value.items():
-            out.append(opener + sep + encode_basestring_ascii(str(k)) + ": ")
-            opener = ","
-            _write(v, level + 1, out)
-        out.append("\n" + _INDENT * level + "}")
+        _write_dict(value, level, out)
     elif isinstance(value, (list, tuple)):
         _write_list(value, level, out)
     elif isinstance(value, np.ndarray):
@@ -217,6 +241,19 @@ def _write(value, level, out) -> None:
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         f"is not JSON serializable")
+
+
+def _write_dict(items, level, out) -> None:
+    if not items:
+        out.append("{}")
+        return
+    sep = "\n" + _INDENT * (level + 1)
+    opener = "{"
+    for k, v in items.items():
+        out.append(opener + sep + encode_basestring_ascii(str(k)) + ": ")
+        opener = ","
+        _write(v, level + 1, out)
+    out.append("\n" + _INDENT * level + "}")
 
 
 def _write_list(items, level, out) -> None:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import geninv.cli as cli
 from geninv.cli import build_parser, main
 from geninv.linalg import DEFAULT_POLICY
-from geninv.matrixio import dumps_report, matrix_to_obj, parse_instance, parse_matrix
+from geninv.matrixio import (
+    dumps_report, load_json, matrix_to_obj, parse_instance, parse_matrix)
 
 A33_OBJ = {"rows": 2, "cols": 2,
            "data": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
@@ -59,6 +61,43 @@ class TestMatrixIO:
         assert inst["x"].shape == (2, 2)
         with pytest.raises(ValueError):
             parse_instance({"a": A33_OBJ}, ("a", "b"))
+
+
+def _text_mode_load(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load_outcome(load, path):
+    try:
+        return ("value", load(path))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+class TestLoadJson:
+    """load_json gives what json.load gives on the file opened in text mode:
+    the same value, or the same error type and text."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"a": [1, 2.5],\r\n "b": "x\\r\\ny"}\r\n',
+        b'{"a":\r[1,\r2]}\r',
+        b'{"a": 1,\r\n\r "b": [true, null]}\n\r',
+        '{"s": "\u00e9\u4e2d"}'.encode(),
+        b'\xef\xbb\xbf{"a": 1}',
+        b'{"a": 1, "b": \xff}',
+        b" " * 20000 + b"\xc3(",
+        b'{"a": 1,\r\n "b": [1, 2,\r\n\r\n  ]}\r\n',
+        b'{"a":\r 1\r "b": 2}',
+        b"",
+    ], ids=["crlf", "lone-cr", "mixed-newlines", "non-ascii", "bom",
+            "invalid-utf8", "invalid-utf8-past-first-chunk", "malformed-crlf",
+            "malformed-lone-cr", "empty"])
+    def test_same_as_text_mode(self, tmp_path, data):
+        path = tmp_path / "f.json"
+        path.write_bytes(data)
+        expected = _load_outcome(_text_mode_load, path)
+        assert _load_outcome(load_json, path) == expected
 
 
 class TestCompute:
@@ -320,6 +359,19 @@ class TestMalformedInput:
         assert code == 2 and out is None
         assert err.startswith("error:") and "entry (0,0)" in err
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"a":' * 50000],
+                             ids=["arrays", "objects"])
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--kind", "pcore"],
+        ["verify", "--theorem", "L2_1"],
+    ], ids=["compute", "verify"])
+    def test_deeply_nested_input_exits_2(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, argv + ["--input", str(path)])
+        assert code == 2 and out is None
+        assert err == "error: JSON input nested too deeply\n"
+
     @pytest.mark.parametrize("flag", ["--rank-tol", "--eq-tol", "--res-tol"])
     @pytest.mark.parametrize("value", ["nan", "-1e-9", "1", "inf"])
     def test_tolerance_out_of_range_exits_2(self, capsys, tmp_path, flag, value):
@@ -425,6 +477,12 @@ class TestFuzz:
             assert code == 2, dims
             assert out is None and err.startswith("error:"), dims
 
+    def test_dim_and_dims_together_exit_2(self, capsys):
+        code, out, err = run(capsys, ["fuzz", "--theorem", "T4_1", "--dim", "3",
+                                      "--dims", "4,4", "--trials", "1"])
+        assert code == 2 and out is None
+        assert err == "error: give --dim or --dims, not both\n"
+
     @pytest.mark.parametrize("theorem,dims,rule", [
         ("L2_1", ["--dims", "5,3"], "L2_1 takes one dim in [1, 16]"),
         ("T1_1", ["--dims", "3,7"], "T1_1 takes one dim in [1, 16]"),
@@ -504,6 +562,60 @@ class TestParserReuse:
         assert "--theorem" in capsys.readouterr().err
         code, out, _ = run(capsys, ["example33"])
         assert code == 0 and out["report"]["verdict"] == "pass"
+
+
+class _Parsed(Exception):
+    """Raised in place of running a command; carries main's namespace."""
+
+
+def _parse_outcome(capsys, parse):
+    """How a parse ends: ("args", namespace) or ("exit", code, stdout,
+    stderr)."""
+    try:
+        args = parse()
+    except _Parsed as parsed:
+        args = parsed.args[0]
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return ("exit", exc.code, captured.out, captured.err)
+    return ("args", args)
+
+
+class TestHandOff:
+    """main hands argv to the subcommand's parser; every outcome must be the
+    one the full parser gives: the namespace, or the exit code with the
+    same usage and error text."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--kind", "pcore", "--input", "a.json"],
+        ["verify", "--theorem", "L2_1", "--input", "x.json", "--eq-tol", "1e-9"],
+        ["fuzz", "--theorem", "T4_1", "--dims", "3,2", "--trials", "2",
+         "--seed", "-1", "--res-tol", "1e-7"],
+        ["example33"],
+        ["verify", "-h"],
+        ["fuzz", "--trials", "1"],
+        ["verify", "--theorem", "L2_1", "--bogus"],
+        ["compute", "--kind", "pcore", "--input", "a.json", "stray"],
+        ["fuzz", "--theorem=T4_1"],
+        ["fuzz", "--theorem", "T4_1", "--trials", "x"],
+        ["verify", "--theorem", "L2_1", "--", "x.json"],
+        ["verify", "--theorem", "L2_1", "--version"],
+        [],
+        ["-h"],
+        ["--version"],
+        ["bogus"],
+    ], ids=["compute", "verify", "fuzz", "example33", "verify-help",
+            "missing-theorem", "unknown-option", "stray-positional",
+            "equals-form", "bad-int", "separator", "late-version", "empty",
+            "help", "version", "unknown-command"])
+    def test_same_outcome_as_full_parser(self, capsys, monkeypatch, argv):
+        def parsed(args):
+            raise _Parsed(args)
+
+        monkeypatch.setattr(cli, "_policy_from", parsed)
+        full = _parse_outcome(capsys,
+                              lambda: build_parser().parse_args(argv))
+        assert _parse_outcome(capsys, lambda: main(argv)) == full
 
 
 class TestExample33Command:

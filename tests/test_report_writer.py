@@ -6,7 +6,9 @@ convert the report to plain JSON values (every ndarray through
 must give the same text byte for byte.
 """
 
+import enum
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -46,6 +48,23 @@ def oracle_dumps(report) -> str:
 # ---------------------------------------------------------------------------
 # generated reports
 
+# subclasses, which the writer's exact-type dispatch passes to its fallback
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    ZERO = 0
+    HIGH = 7
+
+
 _any_float = st.floats(allow_nan=True, allow_infinity=True)
 _shapes = st.one_of(
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -76,6 +95,8 @@ _leaves = st.one_of(
     st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
     st.complex_numbers().map(np.complex128),
+    st.text().map(_Str),
+    st.sampled_from(_Level),
     _matrices,
 )
 _reports = st.recursive(
@@ -85,6 +106,9 @@ _reports = st.recursive(
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(st.text(max_size=5), children, max_size=4),
         st.dictionaries(st.integers(-3, 3), children, max_size=4),
+        st.lists(children, max_size=3).map(_List),
+        st.dictionaries(st.text(max_size=5), children,
+                        max_size=4).map(OrderedDict),
     ),
     max_leaves=20,
 )
@@ -100,6 +124,8 @@ class TestAgainstOracle:
         {}, [], (), {"m": np.zeros((0, 0))}, {"m": np.zeros((3, 0))},
         {1: "int key", None: "None key"}, {"x": float("nan"), "y": -0.0},
         {"nested": [{"m": np.full((2, 2), np.inf + 0j)}, [[]], {}]},
+        OrderedDict(s=_Str("x"), e=_Level.HIGH, l=_List([_Level.LOW, 1.5]),
+                    o=OrderedDict(), t=_List()),
     ])
     def test_edge_reports(self, report):
         assert dumps_report(report) == oracle_dumps(report)
