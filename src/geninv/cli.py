@@ -16,7 +16,8 @@ import sys
 import time
 
 from . import __version__
-from .linalg import DimensionError, TolerancePolicy, rel_residual, frobenius
+from .linalg import (DimensionError, TolerancePolicy, _relative, frobenius,
+                     rel_residual)
 from .inverses import (
     InverseNotDefinedError,
     core_inverse,
@@ -152,8 +153,8 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
             P = spectral_idempotent(A, tol)
             residuals = {
                 "idempotent": rel_residual(P @ P, P),
-                "commutes": frobenius(P @ A - A @ P) / max(
-                    1.0, frobenius(P) * frobenius(A)),
+                "commutes": _relative(frobenius(P @ A - A @ P),
+                                      frobenius(P) * frobenius(A)),
             }
             report["result"] = P
             report["residuals"] = residuals
@@ -191,6 +192,8 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
                      f"{sorted(THEOREM_SYMBOLS)}")
     symbols = THEOREM_SYMBOLS[theorem]
     instance = {}
+    if not symbols and args.input is not None:
+        return _fail(f"{theorem} takes no symbols; drop --input")
     if symbols:
         if not args.input:
             return _fail(f"{theorem} requires --input with symbols {list(symbols)}")

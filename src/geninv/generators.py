@@ -20,18 +20,20 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
+    _adj,
     _assemble,
     _eye,
     _inv,
     _power,
     _qr,
     _rank_cut,
+    _relative,
     _svd,
     frobenius,
     is_nilpotent_product,
 )
 from .inverses import _CoreEP
-from .theorems import COUPLING, THEOREM_SYMBOLS, _adj
+from .theorems import COUPLING, THEOREM_SYMBOLS
 
 __all__ = [
     "MAX_DIM",
@@ -178,7 +180,7 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
         block, ref = _equation_rows(terms)
         # sqrt(2) ||block|| is the norm of the realified rows
         # [[Re, -Im], [Im, Re]], so the drop decision is the realified one
-        if np.sqrt(2.0) * frobenius(block) > rtol * max(1.0, ref):
+        if _relative(np.sqrt(2.0) * frobenius(block), ref) > rtol:
             rows.append(block)
     if not rows:
         X = _crandn(rg, p, q)

@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _adj,
     _eye,
     _power,
     _rank_cut,
@@ -95,16 +96,6 @@ def _svd_pinv(A, tol):
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
-def _hermitian_defect(M):
-    """||M - M*|| / max(1, ||M||): how far M is from Hermitian."""
-    return frobenius(M - M.conj().T) / max(1.0, frobenius(M))
-
-
-def _commutator_defect(AX, XA):
-    """||AX - XA|| / max(1, ||AX||): how far X is from commuting with A."""
-    return frobenius(AX - XA) / max(1.0, frobenius(AX))
-
-
 def _outer_residuals(AX, XA, X, Ak):
     """Residuals of X A^(k+1) = A^k and A X^2 = X, given AX, XA and
     Ak = A^k."""
@@ -116,8 +107,8 @@ def _penrose_residuals(A, X):
     return {
         "p1": rel_residual(AX @ A, A),
         "p2": rel_residual(XA @ X, X),
-        "p3": _hermitian_defect(AX),
-        "p4": _hermitian_defect(XA),
+        "p3": rel_residual(AX, _adj(AX)),
+        "p4": rel_residual(XA, _adj(XA)),
     }
 
 
@@ -139,7 +130,7 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     AX = A @ X
     residuals = {
         "p1": rel_residual(AX @ A, A),
-        "p3": _hermitian_defect(AX),
+        "p3": rel_residual(AX, _adj(AX)),
     }
     return GenInverseResult("one_three", X, 0, residuals)
 
@@ -163,14 +154,14 @@ def _triple_residuals(A, X, Ak):
     """:func:`verify_defining_triple` given the exact power Ak = A^k."""
     AX = A @ X
     pc1, pc2 = _outer_residuals(AX, X @ A, X, Ak)
-    return {"pc1": pc1, "pc2": pc2, "pc3": _hermitian_defect(AX)}
+    return {"pc1": pc1, "pc2": pc2, "pc3": rel_residual(AX, _adj(AX))}
 
 
 def _drazin_residuals(A, X, Ak):
     """Residuals of X A^(k+1) = A^k, A X^2 = X and AX = XA, given Ak = A^k."""
     AX, XA = A @ X, X @ A
     d1, d2 = _outer_residuals(AX, XA, X, Ak)
-    return {"d1": d1, "d2": d2, "commute": _commutator_defect(AX, XA)}
+    return {"d1": d1, "d2": d2, "commute": rel_residual(XA, AX)}
 
 
 def _finite(X, kind):
@@ -298,7 +289,7 @@ class _CoreEP:
         residuals = {
             "p1": rel_residual(AX @ A, A),
             "p2": rel_residual(XA @ X, X),
-            "commute": _commutator_defect(AX, XA),
+            "commute": rel_residual(XA, AX),
         }
         return GenInverseResult("group", X, 1, residuals)
 
@@ -313,7 +304,7 @@ class _CoreEP:
             "column_space":
                 0.0 if _same_space(X, A, rank_a, tol) else 1.0,
             "row_space":
-                0.0 if _same_space(X.conj().T, A, rank_a, tol) else 1.0,
+                0.0 if _same_space(_adj(X), A, rank_a, tol) else 1.0,
         }
         return GenInverseResult("core", X, 1, residuals)
 

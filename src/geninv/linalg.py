@@ -210,9 +210,21 @@ def frobenius(A) -> float:
     return float(np.linalg.norm(A))
 
 
+def _adj(M):
+    """The involution M* of the paper: the conjugate transpose."""
+    return M.conj().T
+
+
+def _relative(norm, scale):
+    """``norm / max(1, scale)``: a norm judged against its reference scale,
+    floored at 1.  Every residual, equality and vanishing-product decision
+    in the package is this one rule."""
+    return norm / max(1.0, scale)
+
+
 def rel_residual(X, Y) -> float:
-    """``||X - Y||_F / max(1, ||Y||_F)`` - the package-wide residual scale."""
-    return frobenius(np.asarray(X) - np.asarray(Y)) / max(1.0, frobenius(Y))
+    """``||X - Y||_F`` relative to ``||Y||_F`` - the package-wide residual."""
+    return _relative(frobenius(np.asarray(X) - np.asarray(Y)), frobenius(Y))
 
 
 def _rank_cut(s, rtol: float) -> int:
@@ -273,8 +285,8 @@ def approx_equal(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     A, B = as_matrix(A), as_matrix(B)
     if A.shape != B.shape:
         raise DimensionError(f"cannot compare shapes {A.shape} and {B.shape}")
-    bound = tol.eq_rel_tol * max(1.0, frobenius(A), frobenius(B))
-    return frobenius(A - B) <= bound
+    return _relative(frobenius(A - B),
+                     max(frobenius(A), frobenius(B))) <= tol.eq_rel_tol
 
 
 def same_column_space(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
@@ -371,20 +383,18 @@ def product_with_scale(factors):
 def zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY):
     """Does the product of the factors vanish, at the factors' own scale?
 
-    Returns ``(value, vanishes)`` with value ``||P||_F / max(1, scale)``;
-    a product above the residual threshold still vanishes at rank zero.
+    Returns ``(value, vanishes)`` with value ``||P||_F`` relative to the
+    scale; a product above the residual threshold still vanishes at rank
+    zero.
     """
     P, scale_acc = product_with_scale(factors)
-    value = frobenius(P) / max(1.0, scale_acc)
-    if value <= tol.residual_tol:
-        return value, True
-    return value, numerical_rank(P, tol) == 0
+    value = _relative(frobenius(P), scale_acc)
+    return value, value <= tol.residual_tol or numerical_rank(P, tol) == 0
 
 
 def is_nilpotent_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """Is the product of the factors nilpotent?  A product that cancelled to
     rounding dust at the factors' own scale counts as the zero matrix."""
     P, scale_acc = product_with_scale(factors)
-    if frobenius(P) <= tol.residual_tol * max(1.0, scale_acc):
-        return True
-    return is_nilpotent(P, tol)
+    return (_relative(frobenius(P), scale_acc) <= tol.residual_tol
+            or is_nilpotent(P, tol))

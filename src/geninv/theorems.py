@@ -22,9 +22,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _adj,
     _assemble,
     _eye,
     _power,
+    _relative,
     _require_square,
     as_matrix,
     frobenius,
@@ -106,6 +108,12 @@ def _eq(label, value, tol) -> Check:
     return Check(label, float(value), float(value) <= tol.eq_rel_tol)
 
 
+def _certified(label, result, tol) -> Check:
+    """The certificate of a :class:`GenInverseResult`: its largest residual
+    against the residual threshold."""
+    return Check(label, result.max_residual, result.certified(tol))
+
+
 def _pair(a, b):
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -113,12 +121,60 @@ def _pair(a, b):
     return a, b
 
 
-def _commutation_hypotheses(a, b, tol):
-    astar = a.conj().T
-    return [
-        _res("ab_equals_ba", rel_residual(a @ b, b @ a), tol),
-        _res("astar_b_equals_b_astar", rel_residual(astar @ b, b @ astar), tol),
-    ]
+# ---------------------------------------------------------------------------
+# Word hypotheses.  A word such as "A*B" is a product of an instance's
+# matrices, one per symbol letter, a star taking the adjoint of the factor
+# before it.  Equations are (label, lhs, rhs); vanishing products are
+# (label, word), judged by :func:`zero_product`.
+
+_AB_BD = ("AB_equals_BD", "AB", "BD")
+_ASTAR_B = ("Astar_B_equals_B_Dstar", "A*B", "BD*")
+_DSTAR_C = ("Dstar_C_equals_C_Astar", "D*C", "CA*")
+_A_CSTAR = ("A_Cstar_equals_Cstar_D", "AC*", "C*D")
+_SHARED = (_AB_BD, ("DC_equals_CA", "DC", "CA"))
+_COMMUTATION = (("ab_equals_ba", "ab", "ba"),
+                ("astar_b_equals_b_astar", "a*b", "ba*"))
+_BC_CB_ZERO = (("BC_zero", "BC"), ("CB_zero", "CB"))
+
+# Each id's equations, in report order; T4_1..C4_4 share AB = BD, DC = CA.
+_EQUATIONS = {
+    **dict.fromkeys(("L2_1", "L2_2", "T3_1", "C3_2"), _COMMUTATION),
+    "T4_1": (*_SHARED, _ASTAR_B, _DSTAR_C),
+    "C4_2": (*_SHARED, _DSTAR_C, _ASTAR_B),
+    "T4_3": (*_SHARED, ("Bstar_A_equals_D_Bstar", "B*A", "DB*")),
+    "C4_4": (*_SHARED, _A_CSTAR),
+    "T4_5": (("CA_equals_DC", "CA", "DC"), _A_CSTAR),
+    "C4_6": (_AB_BD, _ASTAR_B),
+}
+
+# Each id's vanishing products, reported before its equations.
+_VANISHING = {
+    "L2_3": (("ab_zero", "ab"), ("ba_zero", "ba"), ("astar_b_zero", "a*b")),
+    "T4_5": _BC_CB_ZERO,
+    "C4_6": _BC_CB_ZERO,
+}
+
+
+def _factors(word, named):
+    """The factors of a word, ``named`` mapping each symbol to its matrix."""
+    factors = []
+    for ch in word:
+        factors.append(_adj(factors.pop()) if ch == "*" else named[ch])
+    return factors
+
+
+def _report(theorem_id, named, tol) -> TheoremReport:
+    """A report of the id holding its word hypotheses, judged on the matrices
+    that ``named`` maps the symbols to."""
+    report = TheoremReport(theorem_id, policy=tol)
+    checks = report.hypothesis_checks
+    for label, word in _VANISHING.get(theorem_id, ()):
+        value, ok = zero_product(_factors(word, named), tol)
+        checks.append(Check(label, value, ok))
+    for label, lhs, rhs in _EQUATIONS.get(theorem_id, ()):
+        left, right = (reduce(np.matmul, _factors(w, named)) for w in (lhs, rhs))
+        checks.append(_res(label, rel_residual(left, right), tol))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +184,7 @@ def _commutation_hypotheses(a, b, tol):
 def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """If ab = ba and a*b = ba*, the pseudo core inverse of a commutes with b."""
     a, b = _pair(a, b)
-    report = TheoremReport("L2_1", policy=tol)
-    report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
+    report = _report("L2_1", {"a": a, "b": b}, tol)
     X = _CoreEP(a, tol).pcore_inverse()
     report.conclusion_checks = [
         _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
@@ -141,14 +196,12 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Under the same hypotheses, (ab) has pseudo core inverse a_pc . b_pc."""
     a, b = _pair(a, b)
-    report = TheoremReport("L2_2", policy=tol)
-    report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
+    report = _report("L2_2", {"a": a, "b": b}, tol)
     apc = _CoreEP(a, tol).pcore_inverse()
     bpc = _CoreEP(b, tol).pcore_inverse()
     prod = pseudo_core(a @ b, tol)
     report.conclusion_checks = [
-        Check("product_certified", prod.max_residual,
-              prod.certified(tol)),
+        _certified("product_certified", prod, tol),
         _eq("factorized_form", rel_residual(prod.inverse, apc @ bpc), tol),
     ]
     report.witnesses["ab_pcore"] = prod.inverse
@@ -158,15 +211,9 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """If ab = ba = 0 and a*b = 0 then a + b has a pseudo core inverse."""
     a, b = _pair(a, b)
-    report = TheoremReport("L2_3", policy=tol)
-    for label, factors in (("ab_zero", [a, b]), ("ba_zero", [b, a]),
-                           ("astar_b_zero", [a.conj().T, b])):
-        value, ok = zero_product(factors, tol)
-        report.hypothesis_checks.append(Check(label, value, ok))
+    report = _report("L2_3", {"a": a, "b": b}, tol)
     spc = pseudo_core(a + b, tol)
-    report.conclusion_checks = [
-        Check("sum_certified", spc.max_residual, spc.certified(tol)),
-    ]
+    report.conclusion_checks = [_certified("sum_certified", spc, tol)]
     # Informational: how close a_pc + b_pc comes to the sum's defining triple.
     candidate = (_CoreEP(a, tol).pcore_inverse()
                  + _CoreEP(b, tol).pcore_inverse())
@@ -217,7 +264,7 @@ def _first_vanishing_sum(lefts, mids, right, tol, lo, hi):
         scale = 0.0
         for left_norm, right_norm in zip(left_norms, reversed(right_norms)):
             scale += left_norm * right_norm
-        if frobenius(total) <= tol.residual_tol * max(1.0, scale):
+        if _relative(frobenius(total), scale) <= tol.residual_tol:
             return m
     return 0
 
@@ -239,8 +286,8 @@ def _diagonal_blocks(a, b, d, tol):
                          max(a.shape[0], d.shape[0]))
     m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
     return [
-        Check("a_certified", apc.max_residual, apc.certified(tol)),
-        Check("d_certified", dpc.max_residual, dpc.certified(tol)),
+        _certified("a_certified", apc, tol),
+        _certified("d_certified", dpc, tol),
         Check("coupling_sum_vanishes", m, m > 0),
     ], m
 
@@ -249,10 +296,10 @@ def _triangular_pcore(x, split, tol):
     """The checks x_certified and pcore_upper_triangular of x, whose leading
     diagonal block has size ``split``, and x's pseudo core inverse."""
     xpc = pseudo_core(x, tol)
-    ll_value = frobenius(xpc.inverse[split:, :split]) / max(
-        1.0, frobenius(xpc.inverse))
+    ll_value = _relative(frobenius(xpc.inverse[split:, :split]),
+                         frobenius(xpc.inverse))
     return [
-        Check("x_certified", xpc.max_residual, xpc.certified(tol)),
+        _certified("x_certified", xpc, tol),
         _res("pcore_upper_triangular", ll_value, tol),
     ], xpc.inverse
 
@@ -290,7 +337,7 @@ def check_lemma_2_5_converse(x, split: int,
     if not (0 < split < n):
         raise ValueError(f"split must lie strictly inside (0, {n}), got {split}")
     lower = x[split:, :split]
-    if frobenius(lower) > tol.residual_tol * max(1.0, frobenius(x)):
+    if _relative(frobenius(lower), frobenius(x)) > tol.residual_tol:
         raise ValueError("lower-left block of x must vanish")
     a, b, d = x[:split, :split], x[:split, split:], x[split:, split:]
     report = TheoremReport("L2_5b", policy=tol)
@@ -312,8 +359,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     admissible exponent.  Both sides are evaluated independently and compared.
     """
     a, b = _pair(a, b)
-    report = TheoremReport("T3_1", policy=tol)
-    report.hypothesis_checks = _commutation_hypotheses(a, b, tol)
+    report = _report("T3_1", {"a": a, "b": b}, tol)
 
     eye = _eye(a.shape[0])
     ra = _CoreEP(a, tol)
@@ -350,22 +396,21 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
     """Star-DMP specialization: the corner condition is automatic, so both
     existence certificates must hold outright."""
     a, b = _pair(a, b)
-    report = TheoremReport("C3_2", policy=tol)
+    report = _report("C3_2", {"a": a, "b": b}, tol)
     ra = _CoreEP(a, tol)
     star, witness = ra.star_dmp()
-    report.hypothesis_checks = [Check("a_star_dmp", star, star)]
-    report.hypothesis_checks += _commutation_hypotheses(a, b, tol)
+    report.hypothesis_checks.insert(0, Check("a_star_dmp", star, star))
 
     X = ra.pcore_inverse()
-    bracket_value = frobenius(a @ X - X @ a) / max(
-        1.0, frobenius(a) * frobenius(X))
+    bracket_value = _relative(frobenius(a @ X - X @ a),
+                              frobenius(a) * frobenius(X))
     spc = pseudo_core(a + b, tol)
     eye = _eye(a.shape[0])
     wpc = pseudo_core(eye + X @ b, tol)
     report.conclusion_checks = [
         _res("pcore_commutes_with_a", bracket_value, tol),
-        Check("sum_certified", spc.max_residual, spc.certified(tol)),
-        Check("perturbation_certified", wpc.max_residual, wpc.certified(tol)),
+        _certified("sum_certified", spc, tol),
+        _certified("perturbation_certified", wpc, tol),
     ]
     report.witnesses["star_dmp_exponent"] = witness
     return _finish(report)
@@ -402,7 +447,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
         _eq("a_pcore_value", rel_residual(apc, expected_apc), tol),
         _eq("b_pcore_zero", frobenius(bpc), tol),
         _eq("perturbation_is_identity", rel_residual(w, eye), tol),
-        Check("perturbation_certified", wpc.max_residual, wpc.certified(tol)),
+        _certified("perturbation_certified", wpc, tol),
         Check("ab_differs_from_ba", numerical_rank(commutator, tol),
               numerical_rank(commutator, tol) > 0),
         _eq("annihilation_matrix_value",
@@ -435,16 +480,16 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     rAk = _CoreEP(Ak, tol)
     core_m = rAk.core()
     power_range = same_column_space(Ak, X, tol)
-    adjoint_range = same_column_space(X, X.conj().T, tol)
+    adjoint_range = same_column_space(X, _adj(X), tol)
     power_index = rAk.k
     report.conclusion_checks = [
-        Check("pcore_certified", apc.max_residual, apc.certified(tol)),
-        Check("drazin_certified", adr.max_residual, adr.certified(tol)),
-        Check("power_one_three_certified", a13.max_residual, a13.certified(tol)),
+        _certified("pcore_certified", apc, tol),
+        _certified("drazin_certified", adr, tol),
+        _certified("power_one_three_certified", a13, tol),
         Check("range_power_equals_range_pcore", power_range, power_range),
         Check("range_pcore_equals_range_adjoint", adjoint_range, adjoint_range),
         Check("power_index_at_most_one", power_index, power_index <= 1),
-        Check("power_core_certified", core_m.max_residual, core_m.certified(tol)),
+        _certified("power_core_certified", core_m, tol),
     ]
     report.witnesses["k"] = max(rA.k, 1)
     return _finish(report)
@@ -452,10 +497,6 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
 
 # ---------------------------------------------------------------------------
 # Block-operator results
-
-
-def _adj(M):
-    return M.conj().T
 
 
 def _validate_blocks(A, B, C, D):
@@ -468,38 +509,6 @@ def _validate_blocks(A, B, C, D):
             f"off-diagonal blocks must have shapes ({nA},{nD}) and "
             f"({nD},{nA}); got {B.shape}, {C.shape}")
     return A, B, C, D
-
-
-def _equation_checks(equations, blocks, tol):
-    """One residual check per equation (label, lhs, rhs) of the blocks
-    (A, B, C, D).  Each side is a word such as "A*B": one factor per block
-    letter, a star taking the adjoint of the factor before it."""
-    named = dict(zip("ABCD", blocks))
-
-    def product(word):
-        factors = []
-        for ch in word:
-            factors.append(_adj(factors.pop()) if ch == "*" else named[ch])
-        return reduce(np.matmul, factors)
-
-    return [_res(label, rel_residual(product(lhs), product(rhs)), tol)
-            for label, lhs, rhs in equations]
-
-
-_AB_BD = ("AB_equals_BD", "AB", "BD")
-_ASTAR_B = ("Astar_B_equals_B_Dstar", "A*B", "BD*")
-_DSTAR_C = ("Dstar_C_equals_C_Astar", "D*C", "CA*")
-_A_CSTAR = ("A_Cstar_equals_Cstar_D", "AC*", "C*D")
-_SHARED = (_AB_BD, ("DC_equals_CA", "DC", "CA"))
-
-# The hypothesis equations of each intertwined result, in report order:
-# AB = BD and DC = CA, then the result's starred intertwinings.
-_INTERTWININGS = {
-    "T4_1": (*_SHARED, _ASTAR_B, _DSTAR_C),
-    "C4_2": (*_SHARED, _DSTAR_C, _ASTAR_B),
-    "T4_3": (*_SHARED, ("Bstar_A_equals_D_Bstar", "B*A", "DB*")),
-    "C4_4": (*_SHARED, _A_CSTAR),
-}
 
 
 def _coupling_4_1(A, D, tol=DEFAULT_POLICY):
@@ -539,7 +548,7 @@ COUPLING = {
 
 def _m_certified_check(M, tol):
     mpc = pseudo_core(M, tol)
-    return Check("m_certified", mpc.max_residual, mpc.certified(tol)), mpc
+    return _certified("m_certified", mpc, tol), mpc
 
 
 def _dual_check(A, B, C, D, tol):
@@ -547,9 +556,9 @@ def _dual_check(A, B, C, D, tol):
     [[A*, C*], [B*, D*]] = M*, through which each corollary mirrors its
     theorem.  Assembled from the starred blocks, as the mirrored theorem
     does, so the certificate equals that theorem's bit for bit."""
-    cert, _ = _m_certified_check(_assemble(_adj(A), _adj(C), _adj(B), _adj(D)),
-                                 tol)
-    return Check("dual_arrangement_certified", cert.value, cert.passed)
+    Mstar = _assemble(_adj(A), _adj(C), _adj(B), _adj(D))
+    return _certified("dual_arrangement_certified", pseudo_core(Mstar, tol),
+                      tol)
 
 
 def _intertwined_report(theorem_id, A, B, C, D, tol):
@@ -557,12 +566,9 @@ def _intertwined_report(theorem_id, A, B, C, D, tol):
     its equations and the nilpotency of its coupling product as hypotheses,
     the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
     report and M's pseudo core result, to which the caller adds its own."""
-    report = TheoremReport(theorem_id, policy=tol)
+    report = _report(theorem_id, dict(A=A, B=B, C=C, D=D), tol)
     nilp = is_nilpotent_product(COUPLING[theorem_id](A, D, tol)(B, C), tol)
-    report.hypothesis_checks = [
-        *_equation_checks(_INTERTWININGS[theorem_id], (A, B, C, D), tol),
-        Check("coupling_nilpotent", nilp, nilp),
-    ]
+    report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert]
     report.witnesses["m_pcore"] = mpc.inverse
@@ -622,9 +628,7 @@ def check_theorem_4_5(A, B, C, D,
     """Zero-product coupling: BC = CB = 0 with one-sided intertwining and a
     vanishing triangular sum give the block matrix a pseudo core inverse."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("T4_5", policy=tol)
-    bc_value, bc_zero = zero_product([B, C], tol)
-    cb_value, cb_zero = zero_product([C, B], tol)
+    report = _report("T4_5", dict(A=A, B=B, C=C, D=D), tol)
     rA = _CoreEP(A, tol)
     iA = m = rA.k       # at index 0 the sum is empty and vanishes
     if iA:
@@ -634,13 +638,8 @@ def check_theorem_4_5(A, B, C, D,
             _, hi = _sum_window(iA, index(D, tol), max(A.shape[0], D.shape[0]))
             m = _first_vanishing_sum(*coupling, tol, iA + 1, hi)
     primary = m == iA
-    report.hypothesis_checks = [
-        Check("BC_zero", bc_value, bc_zero),
-        Check("CB_zero", cb_value, cb_zero),
-        *_equation_checks((("CA_equals_DC", "CA", "DC"), _A_CSTAR),
-                          (A, B, C, D), tol),
-        Check("coupling_sum_vanishes", m, primary or m > 0),
-    ]
+    report.hypothesis_checks.append(
+        Check("coupling_sum_vanishes", m, primary or m > 0))
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert]
     report.witnesses["sum_at_index_vanishes"] = primary
@@ -655,17 +654,11 @@ def check_corollary_4_6(A, B, C, D,
     nilpotent-part powers of A; verified through the conjugate-transpose
     arrangement as well."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = TheoremReport("C4_6", policy=tol)
-    bc_value, bc_zero = zero_product([B, C], tol)
-    cb_value, cb_zero = zero_product([C, B], tol)
+    report = _report("C4_6", dict(A=A, B=B, C=C, D=D), tol)
     pi_sum, scale = _CoreEP(A, tol).nilpotent_power_sum()
-    sum_value = frobenius(C @ pi_sum) / max(1.0, frobenius(C) * scale)
-    report.hypothesis_checks = [
-        Check("BC_zero", bc_value, bc_zero),
-        Check("CB_zero", cb_value, cb_zero),
-        *_equation_checks((_AB_BD, _ASTAR_B), (A, B, C, D), tol),
-        _res("C_kills_nilpotent_powers", sum_value, tol),
-    ]
+    sum_value = _relative(frobenius(C @ pi_sum), frobenius(C) * scale)
+    report.hypothesis_checks.append(
+        _res("C_kills_nilpotent_powers", sum_value, tol))
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert, _dual_check(A, B, C, D, tol)]
     report.witnesses["m_pcore"] = mpc.inverse

@@ -429,6 +429,18 @@ class TestVerify:
         assert code == 0
         assert out["report"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("path", ["/nonexistent.json", "inst.json"])
+    def test_input_for_an_id_without_symbols_exits_2(self, capsys, tmp_path,
+                                                     path):
+        # an instance file that would never be read, existing or not, is
+        # refused rather than echoed into the report
+        if path == "inst.json":
+            path = write(tmp_path, path, {"a": A33_OBJ})
+        code, out, err = run(capsys, ["verify", "--theorem", "EX3_3",
+                                      "--input", path])
+        assert code == 2 and out is None
+        assert err == "error: EX3_3 takes no symbols; drop --input\n"
+
     def test_failed_conclusion_exits_1(self, capsys):
         # an impossibly tight equality tolerance fails a conclusion check
         # while the (empty) hypothesis list still holds

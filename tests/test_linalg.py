@@ -1,4 +1,8 @@
 import hashlib
+import inspect
+import io
+import pathlib
+import tokenize
 
 import numpy as np
 import pytest
@@ -249,6 +253,36 @@ class TestKernelIsTheOnlyCaller:
         record.t_inverse
         record.t_inverse
         assert calls["solve"] == 1
+
+
+class TestOneResidualRule:
+    """The floor max(1, scale) of every residual, equality and vanishing
+    product is written once, in linalg._relative."""
+
+    @staticmethod
+    def _floor_sites():
+        sites = []
+        for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+            tokens = [t for t in tokenize.generate_tokens(
+                          io.StringIO(path.read_text()).readline)
+                      if t.type not in (tokenize.NL, tokenize.NEWLINE,
+                                        tokenize.COMMENT)]
+            for first, paren, one in zip(tokens, tokens[1:], tokens[2:]):
+                if ((first.string, paren.string, one.string)
+                        == ("max", "(", "1.0")):
+                    sites.append((path.name, first.start[0]))
+        return sites
+
+    def test_floor_is_written_once_in_relative(self):
+        lines, start = inspect.getsourcelines(linalg._relative)
+        (site,) = self._floor_sites()
+        assert site[0] == "linalg.py"
+        assert start <= site[1] < start + len(lines)
+
+    def test_relative_is_private(self):
+        assert "_relative" not in linalg.__all__
+        assert linalg._relative(3.0, 0.5) == 3.0
+        assert linalg._relative(3.0, 4.0) == 0.75
 
 
 class TestNumericalRank:

@@ -610,6 +610,40 @@ class TestDispatch:
         assert report.verdict == "hypotheses_not_met"
 
 
+class TestWordHypotheses:
+    """Every equation and vanishing-product hypothesis is a word over its
+    id's symbols, and the report lists them in table order."""
+
+    def test_words_use_only_the_id_symbols(self):
+        for table in (theorems._EQUATIONS, theorems._VANISHING):
+            for theorem_id, entries in table.items():
+                letters = set(THEOREM_SYMBOLS[theorem_id]) | {"*"}
+                for label, *words in entries:
+                    assert set("".join(words)) <= letters, (theorem_id, label)
+
+    def test_report_opens_with_the_table(self):
+        for theorem_id in THEOREM_SYMBOLS:
+            inst = instance_for(theorem_id, (3, 3), seed=4001)
+            labels = [c.label for c in
+                      run_check(theorem_id, inst.matrices).hypothesis_checks]
+            if theorem_id == "C3_2":
+                labels = labels[1:]         # a_star_dmp comes first
+            words = [e[0] for e in theorems._VANISHING.get(theorem_id, ())]
+            words += [e[0] for e in theorems._EQUATIONS.get(theorem_id, ())]
+            assert labels[:len(words)] == words, theorem_id
+
+    def test_star_is_the_adjoint_of_the_factor_before_it(self):
+        rg = np.random.default_rng(4002)
+        a, b = crandn(rg, 3, 3), crandn(rg, 3, 3)
+        report = check_lemma_2_1(a, b)
+        value = next(c.value for c in report.hypothesis_checks
+                     if c.label == "astar_b_equals_b_astar")
+        astar = a.conj().T
+        diff = np.linalg.norm(astar @ b - b @ astar)
+        assert value == pytest.approx(
+            diff / max(1.0, np.linalg.norm(b @ astar)), rel=1e-12)
+
+
 class TestDualArrangement:
     """Each corollary's dual_arrangement_certified check equals the
     m_certified check of its theorem run on [[A*, C*], [B*, D*]]."""
