@@ -11,6 +11,7 @@ Exit codes partition outcomes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -63,38 +64,21 @@ def _policy_args(parser):
 
 
 def _policy_from(args) -> TolerancePolicy:
-    kwargs = {}
-    if args.rank_tol is not None:
-        kwargs["rank_rel_tol"] = args.rank_tol
-    if args.eq_tol is not None:
-        kwargs["eq_rel_tol"] = args.eq_tol
-    if args.res_tol is not None:
-        kwargs["residual_tol"] = args.res_tol
-    return TolerancePolicy(**kwargs)
+    given = {"rank_rel_tol": args.rank_tol, "eq_rel_tol": args.eq_tol,
+             "residual_tol": args.res_tol}
+    return TolerancePolicy(**{k: v for k, v in given.items() if v is not None})
 
 
-def _policy_obj(tol: TolerancePolicy) -> dict:
-    return {
-        "rank_rel_tol": tol.rank_rel_tol,
-        "eq_rel_tol": tol.eq_rel_tol,
-        "residual_tol": tol.residual_tol,
-    }
+def _checks_obj(report) -> dict:
+    """The report's hypothesis and conclusion checks, as reports print them."""
+    return {kind: [{"label": c.label, "value": c.value, "pass": c.passed}
+                   for c in getattr(report, kind)]
+            for kind in ("hypothesis_checks", "conclusion_checks")}
 
 
-def _check_obj(check) -> dict:
-    return {"label": check.label, "value": check.value, "pass": check.passed}
-
-
-def _report_obj(report, with_witnesses=True) -> dict:
-    out = {
-        "theorem_id": report.theorem_id,
-        "verdict": report.verdict,
-        "hypothesis_checks": [_check_obj(c) for c in report.hypothesis_checks],
-        "conclusion_checks": [_check_obj(c) for c in report.conclusion_checks],
-    }
-    if with_witnesses:
-        out["witnesses"] = report.witnesses
-    return out
+def _report_obj(report) -> dict:
+    return {"theorem_id": report.theorem_id, "verdict": report.verdict,
+            **_checks_obj(report), "witnesses": report.witnesses}
 
 
 def _emit(report: dict) -> None:
@@ -136,7 +120,7 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
         "command": "compute",
         "version": __version__,
         "kind": kind,
-        "policy": _policy_obj(tol),
+        "policy": dataclasses.asdict(tol),
         "input": args.input,
     }
     try:
@@ -209,7 +193,7 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
         "command": "verify",
         "version": __version__,
         "theorem": theorem,
-        "policy": _policy_obj(tol),
+        "policy": dataclasses.asdict(tol),
         "input": args.input,
         "report": _report_obj(report),
     }
@@ -231,7 +215,10 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}")
     try:
-        dims = fuzz_dims(theorem, _parse_dims(args))
+        dims = _parse_dims(args)
+        if dims is not None and not THEOREM_SYMBOLS[theorem]:
+            return _fail(f"{theorem} takes no dims; drop --dim/--dims")
+        dims = fuzz_dims(theorem, dims)
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -252,8 +239,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
             "trial": trial,
             "verdict": report.verdict,
             "degenerate": instance.degenerate,
-            "hypothesis_checks": [_check_obj(c) for c in report.hypothesis_checks],
-            "conclusion_checks": [_check_obj(c) for c in report.conclusion_checks],
+            **_checks_obj(report),
         })
     elapsed = time.perf_counter() - started
 
@@ -261,7 +247,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
         "command": "fuzz",
         "version": __version__,
         "theorem": theorem,
-        "policy": _policy_obj(tol),
+        "policy": dataclasses.asdict(tol),
         "dims": list(dims),
         "trials": args.trials,
         "seed": args.seed,
@@ -286,7 +272,7 @@ def cmd_example33(args, tol: TolerancePolicy) -> int:
     out = {
         "command": "example33",
         "version": __version__,
-        "policy": _policy_obj(tol),
+        "policy": dataclasses.asdict(tol),
         "report": _report_obj(report),
     }
     _emit(out)

@@ -2,11 +2,16 @@
 
 Hypotheses that are linear in one unknown block are satisfied exactly by
 sampling from the nullspace of the complex-linear constraint system, taken
-from one complex thin SVD.  A conjugate-linear hypothesis is imposed through
-its adjoint, which is complex-linear and has the same solutions: B*A = DB*
-as A*B = BD*, and AC* = C*D as CA* = D*C.  The one nonlinear hypothesis
-(nilpotency of a coupling product) is handled by rejection with a capped
-retry count and a guaranteed zero fallback, flagged as degenerate.
+from one complex thin SVD.  Its equations are read off the words of
+``theorems._EQUATIONS``/``_VANISHING``: a word gives the term L X R, L and R
+the products of the factors before and after the unknown X (the identity
+for none), and of an equation's two words the one that ends in X gives the
+first term, the other one's L negated (Sylvester form).  A hypothesis with X
+starred is read through its adjoint, words reversed and stars toggled, which
+is complex-linear with the same solutions: B*A = DB* as A*B = BD*, and
+AC* = C*D as D*C = CA*.  The one nonlinear hypothesis (nilpotency of a
+coupling product) is handled by rejection with a capped retry count and a
+guaranteed zero fallback, flagged as degenerate.
 
 Every generator is a pure function of its arguments: equal seeds give
 bit-identical output.
@@ -15,12 +20,12 @@ bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
-    _adj,
     _assemble,
     _eye,
     _inv,
@@ -33,7 +38,7 @@ from .linalg import (
     is_nilpotent_product,
 )
 from .inverses import _CoreEP
-from .theorems import COUPLING, THEOREM_SYMBOLS
+from .theorems import COUPLING, THEOREM_SYMBOLS, _EQUATIONS, _VANISHING, _factors
 
 __all__ = [
     "MAX_DIM",
@@ -83,8 +88,6 @@ def _crandn(rg, *shape):
 
 
 def _clamp_singular_values(M, lo, hi):
-    if M.size == 0:
-        return M
     U, s, Vh = _svd(M)
     return (U * np.clip(s, lo, hi)) @ Vh
 
@@ -203,12 +206,28 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     return X, 2 * k
 
 
-def _intertwining_eqs(A, D):
-    """Equations AB = BD, A*B = BD* on B and DC = CA, D*C = CA* on C."""
-    IA = _eye(A.shape[0])
-    ID = _eye(D.shape[0])
-    return ([[(A, ID), (-IA, D)], [(_adj(A), ID), (-IA, _adj(D))]],
-            [[(D, IA), (-ID, A)], [(_adj(D), IA), (-ID, _adj(A))]])
+def _word_system(theorem_id, unknown, shape, named):
+    """Term lists, in report order, of the id's word hypotheses that name
+    ``unknown`` (of the given shape) and otherwise only symbols in ``named``."""
+    x, drawn = (unknown, False), {unknown, *named}
+    system = []
+    for _, *words in (*_VANISHING.get(theorem_id, ()),
+                      *_EQUATIONS.get(theorem_id, ())):
+        symbols = {s for word in words for s, _ in word}
+        if unknown not in symbols or not symbols <= drawn:
+            continue
+        if (unknown, True) in words[0]:
+            words = [tuple((s, not st) for s, st in word[::-1])
+                     for word in words]
+        terms = []
+        for word in sorted(words, key=lambda word: word[-1] != x):
+            i = word.index(x)
+            L, R = word[:i], word[i + 1:]
+            L = reduce(np.matmul, _factors(L, named)) if L else _eye(shape[0])
+            R = reduce(np.matmul, _factors(R, named)) if R else _eye(shape[1])
+            terms.append((-L if terms else L, R))
+        system.append(terms)
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +245,9 @@ def gen_commutant_pair(n: int, seed, target_index=None, scale: float = 1.0):
 
 
 def _commutant_sample(rg, a, scale):
-    n = a.shape[0]
-    b, _ = _nullspace_sample(rg, (n, n), _intertwining_eqs(a, a)[0], scale)
-    return b
+    # b under L2_1's commutation words, which L2_2, T3_1 and C3_2 share
+    system = _word_system("L2_1", "b", a.shape, {"a": a})
+    return _nullspace_sample(rg, a.shape, system, scale)[0]
 
 
 def gen_star_dmp(n: int, r: int, k: int, seed, scale: float = 1.0):
@@ -352,88 +371,76 @@ def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     return A, B, C, D, degenerate
 
 
-def _intertwined(seed, nA, nD, b_star, c_star, theorem_id, scale):
-    """B-then-C draw under AB = BD and DC = CA, plus A*B = BD* on B when
-    b_star and D*C = CA* on C when c_star, until the coupling product
-    ``COUPLING[theorem_id]`` is nilpotent."""
+def _intertwined(seed, nA, nD, theorem_id, scale):
+    """B, then C, drawn under the id's words; C is redrawn until the
+    coupling product ``COUPLING[theorem_id]`` is nilpotent."""
     _check_block_dims(nA, nD)
     rg = _rng(seed)
     A, D = _shared_block_pair(rg, nA, nD)
-    b_eqs, c_eqs = _intertwining_eqs(A, D)
-    return _sample_b_then_c(rg, A, D, b_eqs[:1 + b_star], c_eqs[:1 + c_star],
+    named = {"A": A, "D": D}
+    return _sample_b_then_c(rg, A, D,
+                            _word_system(theorem_id, "B", (nA, nD), named),
+                            _word_system(theorem_id, "C", (nD, nA), named),
                             COUPLING[theorem_id], scale)
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, A*B=BD*, D*C=CA* exact and
     A_pc B D_pc C nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, True, True, "T4_1", scale)
+    return _intertwined(seed, nA, nD, "T4_1", scale)
 
 
 def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
     """Same constraints as :func:`gen_intertwined_4_1` but the rejection
     tests nilpotency of B D_pc C A_pc."""
-    return _intertwined(seed, nA, nD, True, True, "C4_2", scale)
+    return _intertwined(seed, nA, nD, "C4_2", scale)
 
 
 def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, B*A=DB* exact and
-    B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate).
-
-    B*A = DB* is imposed as its adjoint A*B = BD*."""
-    return _intertwined(seed, nA, nD, True, False, "T4_3", scale)
+    B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate)."""
+    return _intertwined(seed, nA, nD, "T4_3", scale)
 
 
 def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with AB=BD, DC=CA, AC*=C*D exact and
-    A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate).
+    A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate)."""
+    return _intertwined(seed, nA, nD, "C4_4", scale)
 
-    AC* = C*D is imposed as its adjoint CA* = D*C."""
-    return _intertwined(seed, nA, nD, False, True, "C4_4", scale)
+
+def _zero_product(seed, nA, nD, theorem_id, order, last_terms, scale):
+    """(A, B, C, D, degenerate) for T4_5 and C4_6: B and C drawn in the
+    given order, each from the id's words on it, the second also under the
+    term list ``last_terms(rA, D)`` (rA the record of A) when A has index
+    >= 1.  Degenerate when either block is zero."""
+    _check_block_dims(nA, nD)
+    rg = _rng(seed)
+    A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
+    named, shapes = {"A": A, "D": D}, {"B": (nA, nD), "C": (nD, nA)}
+    rA = _CoreEP(A)
+    for X in order:
+        equations = _word_system(theorem_id, X, shapes[X], named)
+        if X == order[1] and rA.k >= 1:
+            equations.append(last_terms(rA, D))
+        named[X], _ = _nullspace_sample(rg, shapes[X], equations, scale)
+    B, C = named["B"], named["C"]
+    return A, B, C, D, frobenius(B) == 0.0 or frobenius(C) == 0.0
 
 
 def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with BC=0, CB=0, CA=DC, AC*=C*D and a vanishing coupling
-    sum: C is sampled first from {DC = CA, D*C = CA*} (AC* = C*D through its
-    adjoint), then B from {BC = 0, CB = 0, coupling sum = 0}; returns
-    (..., degenerate)."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-    A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
-    IA = _eye(nA)
-    ID = _eye(nD)
-    C, _ = _nullspace_sample(rg, (nD, nA), _intertwining_eqs(A, D)[1], scale)
-    degenerate = frobenius(C) == 0.0
-    rA = _CoreEP(A)
-    iA = rA.k
-    b_eqs = [[(IA, C)], [(C, ID)]]
-    if iA >= 1:
-        b_eqs.append(_coupling_terms(rA, D, iA))
-    B, nullity = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
-    if nullity == 0 or frobenius(B) == 0.0:
-        degenerate = True
-    return A, B, C, D, degenerate
+    sum: C is sampled first, then B; returns (..., degenerate)."""
+    return _zero_product(seed, nA, nD, "T4_5", "CB",
+                         lambda rA, D: _coupling_terms(rA, D, rA.k), scale)
 
 
 def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
     """(A, B, C, D) with BC=0, CB=0, AB=BD, A*B=BD* and C annihilating the
     nilpotent-part powers of A; B sampled first, then C; returns
     (..., degenerate)."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-    A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
-    IA = _eye(nA)
-    ID = _eye(nD)
-    B, _ = _nullspace_sample(rg, (nA, nD), _intertwining_eqs(A, D)[0], scale)
-    degenerate = frobenius(B) == 0.0
-    rA = _CoreEP(A)
-    c_eqs = [[(B, IA)], [(ID, B)]]
-    if rA.k >= 1:
-        c_eqs.append([(ID, rA.nilpotent_power_sum()[0])])
-    C, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
-    if nullity == 0 or frobenius(C) == 0.0:
-        degenerate = True
-    return A, B, C, D, degenerate
+    return _zero_product(
+        seed, nA, nD, "C4_6", "BC",
+        lambda rA, D: [(_eye(D.shape[0]), rA.nilpotent_power_sum()[0])], scale)
 
 
 # ---------------------------------------------------------------------------

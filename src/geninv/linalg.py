@@ -79,47 +79,42 @@ DEFAULT_POLICY = TolerancePolicy()
 # wrapper: dispatch, type resolution and result wrapping, which cost about
 # as much as the arithmetic at n <= 16.
 
-def _svd_errstate():
-    return np.errstate(call=_raise_linalgerror_svd_nonconvergence,
-                       invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
-def _singular_errstate():
-    return np.errstate(call=_raise_linalgerror_singular, invalid="call",
-                       over="ignore", divide="ignore", under="ignore")
+def _errstate(raise_error):
+    """numpy's errstate around a gufunc that signals failure with ``invalid``,
+    which ``raise_error`` turns into numpy's LinAlgError."""
+    return np.errstate(call=raise_error, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def _svd(M, full=True):
     """``np.linalg.svd(M, full_matrices=full)`` as a plain (U, s, Vh)."""
     gufunc = _umath_linalg.svd_f if full else _umath_linalg.svd_s
-    with _svd_errstate():
+    with _errstate(_raise_linalgerror_svd_nonconvergence):
         return gufunc(M, signature="D->DdD")
 
 
 def _svdvals(M):
     """``np.linalg.svd(M, compute_uv=False)``."""
-    with _svd_errstate():
+    with _errstate(_raise_linalgerror_svd_nonconvergence):
         return _umath_linalg.svd(M, signature="D->d")
 
 
 def _solve(A, B):
     """``np.linalg.solve(A, B)`` for a 2-D right-hand side B."""
-    with _singular_errstate():
+    with _errstate(_raise_linalgerror_singular):
         return _umath_linalg.solve(A, B, signature="DD->D")
 
 
 def _inv(A):
     """``np.linalg.inv(A)``."""
-    with _singular_errstate():
+    with _errstate(_raise_linalgerror_singular):
         return _umath_linalg.inv(A, signature="D->D")
 
 
 def _qr(M):
     """Q and the diagonal of R of ``numpy.linalg.qr(M)``."""
     a = M.astype(np.complex128, copy=True)      # overwritten by the factors
-    with np.errstate(call=_raise_linalgerror_qr, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
+    with _errstate(_raise_linalgerror_qr):
         tau = _umath_linalg.qr_r_raw(a, signature="D->D")
         Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
     return Q, np.diagonal(a)

@@ -136,8 +136,23 @@ _COMMUTATION = (("ab_equals_ba", "ab", "ba"),
                 ("astar_b_equals_b_astar", "a*b", "ba*"))
 _BC_CB_ZERO = (("BC_zero", "BC"), ("CB_zero", "CB"))
 
+
+def _tokens(word):
+    """A word's factors as (symbol, starred) tokens: "A*B" gives
+    (("A", True), ("B", False))."""
+    return tuple((ch, word[i + 1:i + 2] == "*")
+                 for i, ch in enumerate(word) if ch != "*")
+
+
+def _parsed(table):
+    """``table`` with every word replaced by its tokens, parsed once, here,
+    for the checks and the generators' constraint systems."""
+    return {tid: tuple((label, *map(_tokens, words)) for label, *words in rows)
+            for tid, rows in table.items()}
+
+
 # Each id's equations, in report order; T4_1..C4_4 share AB = BD, DC = CA.
-_EQUATIONS = {
+_EQUATIONS = _parsed({
     **dict.fromkeys(("L2_1", "L2_2", "T3_1", "C3_2"), _COMMUTATION),
     "T4_1": (*_SHARED, _ASTAR_B, _DSTAR_C),
     "C4_2": (*_SHARED, _DSTAR_C, _ASTAR_B),
@@ -145,22 +160,19 @@ _EQUATIONS = {
     "C4_4": (*_SHARED, _A_CSTAR),
     "T4_5": (("CA_equals_DC", "CA", "DC"), _A_CSTAR),
     "C4_6": (_AB_BD, _ASTAR_B),
-}
+})
 
 # Each id's vanishing products, reported before its equations.
-_VANISHING = {
+_VANISHING = _parsed({
     "L2_3": (("ab_zero", "ab"), ("ba_zero", "ba"), ("astar_b_zero", "a*b")),
     "T4_5": _BC_CB_ZERO,
     "C4_6": _BC_CB_ZERO,
-}
+})
 
 
-def _factors(word, named):
-    """The factors of a word, ``named`` mapping each symbol to its matrix."""
-    factors = []
-    for ch in word:
-        factors.append(_adj(factors.pop()) if ch == "*" else named[ch])
-    return factors
+def _factors(tokens, named):
+    """The factors of parsed ``tokens``, each symbol's matrix from ``named``."""
+    return [_adj(named[s]) if starred else named[s] for s, starred in tokens]
 
 
 def _report(theorem_id, named, tol) -> TheoremReport:

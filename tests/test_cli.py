@@ -501,7 +501,9 @@ class TestFuzz:
         ("T4_1", ["--dim", "12"], "T4_1 takes one or two dims, each in [1, 8]"),
         ("L2_3", ["--dim", "1"], "L2_3 takes one dim in [2, 16]"),
         ("L2_5a", ["--dims", "3,3,3"], "L2_5a takes one or two dims"),
-    ], ids=["L2_1-5,3", "T1_1-3,7", "T4_1-12", "L2_3-1", "L2_5a-3,3,3"])
+        ("EX3_3", ["--dim", "9"], "EX3_3 takes no dims; drop --dim/--dims\n"),
+    ], ids=["L2_1-5,3", "T1_1-3,7", "T4_1-12", "L2_3-1", "L2_5a-3,3,3",
+            "EX3_3-9"])
     def test_dims_outside_the_id_contract_exit_2(self, capsys, theorem, dims,
                                                  rule):
         # refused before any trial runs, with the id's own rule

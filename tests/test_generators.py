@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from geninv import generators
+from geninv import generators, theorems
 from geninv.linalg import DEFAULT_POLICY, zero_product
 from geninv.inverses import index, is_star_dmp, pseudo_core
 from geninv.generators import (
@@ -443,6 +443,82 @@ class TestNullspaceSample:
         got = {"commutant": _draw_digest(b), "T4_3": _draw_digest(B3, C3),
                "C4_4": _draw_digest(B4, C4), "T4_5": _draw_digest(B5, C5)}
         assert got == self.PINNED
+
+
+def _hand_systems(a, A, B, C, D):
+    """Reference: each generator's word systems as hand-written term lists,
+    keyed by (id, unknown), with the symbols drawn before the unknown."""
+    I = lambda n: np.eye(n, dtype=np.complex128)
+    st = lambda M: M.conj().T
+    n, nA, nD = a.shape[0], A.shape[0], D.shape[0]
+    IA, ID = I(nA), I(nD)
+    commutes = [[(a, I(n)), (-I(n), a)], [(st(a), I(n)), (-I(n), st(a))]]
+    ab_bd = [(A, ID), (-IA, D)]
+    astar_b = [(st(A), ID), (-IA, st(D))]
+    dc_ca = [(D, IA), (-ID, A)]
+    dstar_c = [(st(D), IA), (-ID, st(A))]
+    return {
+        **{(tid, "b", "a"): commutes for tid in ("L2_1", "L2_2", "T3_1", "C3_2")},
+        ("T4_1", "B", "AD"): [ab_bd, astar_b],
+        ("T4_1", "C", "AD"): [dc_ca, dstar_c],
+        ("C4_2", "B", "AD"): [ab_bd, astar_b],
+        ("C4_2", "C", "AD"): [dc_ca, dstar_c],
+        ("T4_3", "B", "AD"): [ab_bd, astar_b],
+        ("T4_3", "C", "AD"): [dc_ca],
+        ("C4_4", "B", "AD"): [ab_bd],
+        ("C4_4", "C", "AD"): [dc_ca, dstar_c],
+        ("T4_5", "C", "AD"): [dc_ca, dstar_c],
+        ("T4_5", "B", "ACD"): [[(IA, C)], [(C, ID)]],
+        ("C4_6", "B", "AD"): [ab_bd, astar_b],
+        ("C4_6", "C", "ABD"): [[(B, IA)], [(ID, B)]],
+    }
+
+
+class TestWordSystems:
+    """The generators' constraint systems are read off the checker's word
+    tables, and equal reference term lists written out by hand."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 4)])
+    def test_equal_the_hand_written_lists(self, dims):
+        nA, nD = dims
+        word_ids = {tid for tid in THEOREM_SYMBOLS
+                    if tid in theorems._EQUATIONS or tid in theorems._VANISHING}
+        for seed in range(5):
+            rg = np.random.default_rng((770, seed))
+            crandn = lambda *shape: generators._crandn(rg, *shape)
+            named = dict(a=crandn(nA, nA), b=crandn(nA, nA), A=crandn(nA, nA),
+                         B=crandn(nA, nD), C=crandn(nD, nA), D=crandn(nD, nD))
+            hand = _hand_systems(*(named[s] for s in "aABCD"))
+            # L2_3's pair is built on projections, not drawn from its words
+            assert {tid for tid, _, _ in hand} == word_ids - {"L2_3"}
+            for (tid, unknown, drawn), systems in hand.items():
+                shape = named[unknown].shape
+                got = generators._word_system(
+                    tid, unknown, shape, {s: named[s] for s in drawn})
+                assert len(got) == len(systems), (tid, unknown)
+                for terms, ref_terms in zip(got, systems):
+                    rows, ref = generators._equation_rows(terms)
+                    ref_rows, ref_ref = generators._equation_rows(ref_terms)
+                    assert rows.tobytes() == ref_rows.tobytes(), (tid, unknown)
+                    assert ref == ref_ref, (tid, unknown)
+
+    def test_generator_reads_the_table(self, monkeypatch):
+        # dropping B*A = DB* from T4_3's table leaves its B draw one equation
+        sample, counts = generators._nullspace_sample, []
+
+        def spy(rg, shape, equations, *args):
+            counts.append(len(equations))
+            return sample(rg, shape, equations, *args)
+
+        monkeypatch.setattr(generators, "_nullspace_sample", spy)
+        gen_intertwined_4_3(3, 3, seed=780)
+        assert counts[0] == 2
+        stated = theorems._EQUATIONS["T4_3"]
+        monkeypatch.setitem(theorems._EQUATIONS, "T4_3", tuple(
+            e for e in stated if e[0] != "Bstar_A_equals_D_Bstar"))
+        counts.clear()
+        gen_intertwined_4_3(3, 3, seed=780)
+        assert counts[0] == 1
 
 
 def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):

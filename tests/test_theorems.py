@@ -615,11 +615,18 @@ class TestWordHypotheses:
     id's symbols, and the report lists them in table order."""
 
     def test_words_use_only_the_id_symbols(self):
+        # the tables hold each word parsed into (symbol, starred) tokens
         for table in (theorems._EQUATIONS, theorems._VANISHING):
             for theorem_id, entries in table.items():
-                letters = set(THEOREM_SYMBOLS[theorem_id]) | {"*"}
                 for label, *words in entries:
-                    assert set("".join(words)) <= letters, (theorem_id, label)
+                    symbols = {s for word in words for s, _ in word}
+                    assert symbols <= set(THEOREM_SYMBOLS[theorem_id]), (
+                        theorem_id, label)
+
+    def test_a_star_marks_the_factor_before_it(self):
+        assert theorems._tokens("A*B") == (("A", True), ("B", False))
+        assert theorems._tokens("DB*") == (("D", False), ("B", True))
+        assert theorems._tokens("ab") == (("a", False), ("b", False))
 
     def test_report_opens_with_the_table(self):
         for theorem_id in THEOREM_SYMBOLS:
