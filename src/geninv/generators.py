@@ -20,7 +20,6 @@ bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .linalg import (
     _eye,
     _inv,
     _power,
+    _product,
     _qr,
     _rank_cut,
     _relative,
@@ -38,7 +38,7 @@ from .linalg import (
     is_nilpotent_product,
 )
 from .inverses import _CoreEP
-from .theorems import COUPLING, THEOREM_SYMBOLS, _EQUATIONS, _VANISHING, _factors
+from .theorems import COUPLING, THEOREM_SYMBOLS, _EQUATIONS, _VANISHING
 
 __all__ = [
     "MAX_DIM",
@@ -223,8 +223,8 @@ def _word_system(theorem_id, unknown, shape, named):
         for word in sorted(words, key=lambda word: word[-1] != x):
             i = word.index(x)
             L, R = word[:i], word[i + 1:]
-            L = reduce(np.matmul, _factors(L, named)) if L else _eye(shape[0])
-            R = reduce(np.matmul, _factors(R, named)) if R else _eye(shape[1])
+            L = _product(L, named) if L else _eye(shape[0])
+            R = _product(R, named) if R else _eye(shape[1])
             terms.append((-L if terms else L, R))
         system.append(terms)
     return system

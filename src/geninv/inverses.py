@@ -18,6 +18,7 @@ from .linalg import (
     TolerancePolicy,
     _adj,
     _eye,
+    _parsed,
     _power,
     _rank_cut,
     _require_square,
@@ -26,11 +27,11 @@ from .linalg import (
     _staircase,
     _svd,
     _two_eye,
+    _word_residual,
     approx_equal,
     as_matrix,
     frobenius,
     numerical_rank,
-    rel_residual,
 )
 
 __all__ = [
@@ -96,27 +97,34 @@ def _svd_pinv(A, tol):
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
-def _outer_residuals(AX, XA, X, Ak):
-    """Residuals of X A^(k+1) = A^k and A X^2 = X, given AX, XA and
-    Ak = A^k."""
-    return rel_residual(XA @ Ak, Ak), rel_residual(AX @ X, X)
+# Each kind's defining equations (label, lhs, rhs), in report order, as
+# words over A, its inverse X, K = A^max(k,1), P = AX and Q = XA; "P" = "P*"
+# states that AX is Hermitian.
+_DEFINING = _parsed({
+    "moore_penrose": (("p1", "PA", "A"), ("p2", "QX", "X"),
+                      ("p3", "P", "P*"), ("p4", "Q", "Q*")),
+    "one_three": (("p1", "PA", "A"), ("p3", "P", "P*")),
+    "group": (("p1", "PA", "A"), ("p2", "QX", "X"), ("commute", "Q", "P")),
+    "drazin": (("d1", "QK", "K"), ("d2", "PX", "X"), ("commute", "Q", "P")),
+    "core": (("p1", "PA", "A"),),
+    "pseudo_core": (("pc1", "QK", "K"), ("pc2", "PX", "X"), ("pc3", "P", "P*")),
+})
 
 
-def _penrose_residuals(A, X):
-    AX, XA = A @ X, X @ A
-    return {
-        "p1": rel_residual(AX @ A, A),
-        "p2": rel_residual(XA @ X, X),
-        "p3": rel_residual(AX, _adj(AX)),
-        "p4": rel_residual(XA, _adj(XA)),
-    }
+def _residuals(kind, A, X, K=None):
+    """The residuals of the kind's rows of ``_DEFINING`` for the inverse X of
+    A, with AX and XA formed once; K = A^max(k,1) where a word names it."""
+    named = {"A": A, "X": X, "K": K, "P": A @ X, "Q": X @ A}
+    return {label: _word_residual(lhs, rhs, named)
+            for label, lhs, rhs in _DEFINING[kind]}
 
 
 def moore_penrose(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with AXA=A, XAX=X and AX, XA both Hermitian."""
     A = as_matrix(A)
     X = _svd_pinv(A, tol)
-    return GenInverseResult("moore_penrose", X, 0, _penrose_residuals(A, X))
+    return GenInverseResult("moore_penrose", X, 0,
+                            _residuals("moore_penrose", A, X))
 
 
 def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
@@ -127,12 +135,7 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """
     A = _require_square(A)
     X = _svd_pinv(A, tol)
-    AX = A @ X
-    residuals = {
-        "p1": rel_residual(AX @ A, A),
-        "p3": rel_residual(AX, _adj(AX)),
-    }
-    return GenInverseResult("one_three", X, 0, residuals)
+    return GenInverseResult("one_three", X, 0, _residuals("one_three", A, X))
 
 
 def _refined_inverse(Ahat):
@@ -148,20 +151,6 @@ def _refined_inverse(Ahat):
     Y = _solve(Ahat, _eye(n))
     Y = Y @ (two - Ahat @ Y)
     return (two - Y @ Ahat) @ Y
-
-
-def _triple_residuals(A, X, Ak):
-    """:func:`verify_defining_triple` given the exact power Ak = A^k."""
-    AX = A @ X
-    pc1, pc2 = _outer_residuals(AX, X @ A, X, Ak)
-    return {"pc1": pc1, "pc2": pc2, "pc3": rel_residual(AX, _adj(AX))}
-
-
-def _drazin_residuals(A, X, Ak):
-    """Residuals of X A^(k+1) = A^k, A X^2 = X and AX = XA, given Ak = A^k."""
-    AX, XA = A @ X, X @ A
-    d1, d2 = _outer_residuals(AX, XA, X, Ak)
-    return {"d1": d1, "d2": d2, "commute": rel_residual(XA, AX)}
 
 
 def _finite(X, kind):
@@ -273,25 +262,19 @@ class _CoreEP:
 
     def pseudo_core(self) -> GenInverseResult:
         X = self.pcore_inverse()
-        residuals = _triple_residuals(self.A, X, self.exact_power)
+        residuals = _residuals("pseudo_core", self.A, X, self.exact_power)
         return GenInverseResult("pseudo_core", X, self.k, residuals)
 
     def drazin(self) -> GenInverseResult:
         X = self.drazin_inverse()
-        return GenInverseResult("drazin", X, self.k,
-                                _drazin_residuals(self.A, X, self.exact_power))
+        residuals = _residuals("drazin", self.A, X, self.exact_power)
+        return GenInverseResult("drazin", X, self.k, residuals)
 
     def group(self) -> GenInverseResult:
         if self.k > 1:
             raise InverseNotDefinedError("group", self.k)
-        A, X = self.A, self.drazin_inverse()
-        AX, XA = A @ X, X @ A
-        residuals = {
-            "p1": rel_residual(AX @ A, A),
-            "p2": rel_residual(XA @ X, X),
-            "commute": rel_residual(XA, AX),
-        }
-        return GenInverseResult("group", X, 1, residuals)
+        X = self.drazin_inverse()
+        return GenInverseResult("group", X, 1, _residuals("group", self.A, X))
 
     def core(self) -> GenInverseResult:
         if self.k > 1:
@@ -300,7 +283,7 @@ class _CoreEP:
         X = self.pcore_inverse()
         rank_a = numerical_rank(A, tol)     # one rank for both spaces
         residuals = {
-            "p1": rel_residual(A @ X @ A, A),
+            **_residuals("core", A, X),
             "column_space":
                 0.0 if _same_space(X, A, rank_a, tol) else 1.0,
             "row_space":
@@ -343,7 +326,7 @@ def verify_defining_triple(A, X, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
     A, X = _require_square(A), _require_square(X)
     if A.shape != X.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {X.shape}")
-    return _triple_residuals(A, X, _power(A, k))
+    return _residuals("pseudo_core", A, X, _power(A, k))
 
 
 def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:

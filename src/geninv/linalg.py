@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -220,6 +221,37 @@ def _relative(norm, scale):
 def rel_residual(X, Y) -> float:
     """``||X - Y||_F`` relative to ``||Y||_F`` - the package-wide residual."""
     return _relative(frobenius(np.asarray(X) - np.asarray(Y)), frobenius(Y))
+
+
+# The one reader of words.  A word such as "A*B" is a product of named
+# matrices, one per letter, a star taking the adjoint of the factor before it.
+
+def _tokens(word):
+    """A word's factors as (symbol, starred) tokens: "A*B" gives
+    (("A", True), ("B", False))."""
+    return tuple((ch, word[i + 1:i + 2] == "*")
+                 for i, ch in enumerate(word) if ch != "*")
+
+
+def _parsed(table):
+    """Rows (label, word, ...) per key, each word parsed once into tokens."""
+    return {key: tuple((label, *map(_tokens, words)) for label, *words in rows)
+            for key, rows in table.items()}
+
+
+def _factors(tokens, named):
+    """The factors of parsed ``tokens``, each symbol's matrix from ``named``."""
+    return [_adj(named[s]) if starred else named[s] for s, starred in tokens]
+
+
+def _product(tokens, named):
+    """The product of the factors of parsed ``tokens``, taken left to right."""
+    return functools.reduce(operator.matmul, _factors(tokens, named))
+
+
+def _word_residual(lhs, rhs, named):
+    """:func:`rel_residual` of the equation lhs = rhs of two parsed words."""
+    return rel_residual(_product(lhs, named), _product(rhs, named))
 
 
 def _rank_cut(s, rtol: float) -> int:

@@ -25,9 +25,13 @@ from .linalg import (
     _adj,
     _assemble,
     _eye,
+    _factors,
+    _parsed,
     _power,
     _relative,
     _require_square,
+    _tokens,  # noqa: F401 - the word parser, read as theorems._tokens
+    _word_residual,
     as_matrix,
     frobenius,
     is_nilpotent_product,
@@ -38,10 +42,10 @@ from .linalg import (
 )
 from .inverses import (
     _CoreEP,
+    _residuals,
     index,
     one_three,
     pseudo_core,
-    verify_defining_triple,
 )
 
 __all__ = [
@@ -86,18 +90,16 @@ class TheoremReport:
     hypothesis_checks: list = field(default_factory=list)
     conclusion_checks: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-    verdict: str = "pass"
     policy: TolerancePolicy = DEFAULT_POLICY
 
-
-def _finish(report: TheoremReport) -> TheoremReport:
-    if any(not c.passed for c in report.hypothesis_checks):
-        report.verdict = "hypotheses_not_met"
-    elif any(not c.passed for c in report.conclusion_checks):
-        report.verdict = "fail"
-    else:
-        report.verdict = "pass"
-    return report
+    @property
+    def verdict(self) -> str:
+        """``hypotheses_not_met``, ``fail`` or ``pass``, read off the checks."""
+        if any(not c.passed for c in self.hypothesis_checks):
+            return "hypotheses_not_met"
+        if any(not c.passed for c in self.conclusion_checks):
+            return "fail"
+        return "pass"
 
 
 def _res(label, value, tol) -> Check:
@@ -122,10 +124,8 @@ def _pair(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Word hypotheses.  A word such as "A*B" is a product of an instance's
-# matrices, one per symbol letter, a star taking the adjoint of the factor
-# before it.  Equations are (label, lhs, rhs); vanishing products are
-# (label, word), judged by :func:`zero_product`.
+# Word hypotheses over an instance's symbols.  Equations are (label, lhs,
+# rhs); vanishing products are (label, word), judged by :func:`zero_product`.
 
 _AB_BD = ("AB_equals_BD", "AB", "BD")
 _ASTAR_B = ("Astar_B_equals_B_Dstar", "A*B", "BD*")
@@ -135,20 +135,6 @@ _SHARED = (_AB_BD, ("DC_equals_CA", "DC", "CA"))
 _COMMUTATION = (("ab_equals_ba", "ab", "ba"),
                 ("astar_b_equals_b_astar", "a*b", "ba*"))
 _BC_CB_ZERO = (("BC_zero", "BC"), ("CB_zero", "CB"))
-
-
-def _tokens(word):
-    """A word's factors as (symbol, starred) tokens: "A*B" gives
-    (("A", True), ("B", False))."""
-    return tuple((ch, word[i + 1:i + 2] == "*")
-                 for i, ch in enumerate(word) if ch != "*")
-
-
-def _parsed(table):
-    """``table`` with every word replaced by its tokens, parsed once, here,
-    for the checks and the generators' constraint systems."""
-    return {tid: tuple((label, *map(_tokens, words)) for label, *words in rows)
-            for tid, rows in table.items()}
 
 
 # Each id's equations, in report order; T4_1..C4_4 share AB = BD, DC = CA.
@@ -170,11 +156,6 @@ _VANISHING = _parsed({
 })
 
 
-def _factors(tokens, named):
-    """The factors of parsed ``tokens``, each symbol's matrix from ``named``."""
-    return [_adj(named[s]) if starred else named[s] for s, starred in tokens]
-
-
 def _report(theorem_id, named, tol) -> TheoremReport:
     """A report of the id holding its word hypotheses, judged on the matrices
     that ``named`` maps the symbols to."""
@@ -184,8 +165,7 @@ def _report(theorem_id, named, tol) -> TheoremReport:
         value, ok = zero_product(_factors(word, named), tol)
         checks.append(Check(label, value, ok))
     for label, lhs, rhs in _EQUATIONS.get(theorem_id, ()):
-        left, right = (reduce(np.matmul, _factors(w, named)) for w in (lhs, rhs))
-        checks.append(_res(label, rel_residual(left, right), tol))
+        checks.append(_res(label, _word_residual(lhs, rhs, named), tol))
     return report
 
 
@@ -202,7 +182,7 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
         _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
     ]
     report.witnesses["a_pcore"] = X
-    return _finish(report)
+    return report
 
 
 def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -217,23 +197,24 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
         _eq("factorized_form", rel_residual(prod.inverse, apc @ bpc), tol),
     ]
     report.witnesses["ab_pcore"] = prod.inverse
-    return _finish(report)
+    return report
 
 
 def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """If ab = ba = 0 and a*b = 0 then a + b has a pseudo core inverse."""
     a, b = _pair(a, b)
     report = _report("L2_3", {"a": a, "b": b}, tol)
-    spc = pseudo_core(a + b, tol)
+    rs = _CoreEP(a + b, tol)
+    spc = rs.pseudo_core()
     report.conclusion_checks = [_certified("sum_certified", spc, tol)]
-    # Informational: how close a_pc + b_pc comes to the sum's defining triple.
-    candidate = (_CoreEP(a, tol).pcore_inverse()
-                 + _CoreEP(b, tol).pcore_inverse())
-    k = max(spc.index_used, 1)
+    # Informational: how close a_pc + b_pc comes to the sum's defining
+    # triple, against the power A^max(k,1) that the sum's record holds.
+    candidate = as_matrix(_CoreEP(a, tol).pcore_inverse()
+                          + _CoreEP(b, tol).pcore_inverse())
     report.witnesses["sum_pcore"] = spc.inverse
-    report.witnesses["additive_candidate_residuals"] = verify_defining_triple(
-        a + b, candidate, k, tol)
-    return _finish(report)
+    report.witnesses["additive_candidate_residuals"] = _residuals(
+        "pseudo_core", rs.A, candidate, rs.exact_power)
+    return report
 
 
 def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -249,7 +230,7 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     ]
     report.witnesses["left_annihilates"] = left
     report.witnesses["right_annihilates"] = right
-    return _finish(report)
+    return report
 
 
 def _first_vanishing_sum(lefts, mids, right, tol, lo, hi):
@@ -333,7 +314,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
     report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
-    return _finish(report)
+    return report
 
 
 def check_lemma_2_5_converse(x, split: int,
@@ -357,7 +338,7 @@ def check_lemma_2_5_converse(x, split: int,
     report.conclusion_checks, m = _diagonal_blocks(a, b, d, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
-    return _finish(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +382,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
         "perturbation_pcore": wpc.inverse,
         "annihilation_value": ann_value,
     })
-    return _finish(report)
+    return report
 
 
 def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -425,7 +406,7 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
         _certified("perturbation_certified", wpc, tol),
     ]
     report.witnesses["star_dmp_exponent"] = witness
-    return _finish(report)
+    return report
 
 
 _EX33_NOTE = (
@@ -454,18 +435,19 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     spc = _CoreEP(a + b, tol).pcore_inverse()
     annihilation = ra.spectral_idempotent() @ spc @ a @ apc
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
+    commutator_rank = numerical_rank(commutator, tol)
+    annihilation_rank = numerical_rank(annihilation, tol)
 
     report.conclusion_checks = [
         _eq("a_pcore_value", rel_residual(apc, expected_apc), tol),
         _eq("b_pcore_zero", frobenius(bpc), tol),
         _eq("perturbation_is_identity", rel_residual(w, eye), tol),
         _certified("perturbation_certified", wpc, tol),
-        Check("ab_differs_from_ba", numerical_rank(commutator, tol),
-              numerical_rank(commutator, tol) > 0),
+        Check("ab_differs_from_ba", commutator_rank, commutator_rank > 0),
         _eq("annihilation_matrix_value",
             rel_residual(annihilation, expected_ann), tol),
-        Check("annihilation_rank_one", numerical_rank(annihilation, tol),
-              numerical_rank(annihilation, tol) == 1),
+        Check("annihilation_rank_one", annihilation_rank,
+              annihilation_rank == 1),
     ]
     report.witnesses.update({
         "a_pcore": apc,
@@ -474,7 +456,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
         "annihilation": annihilation,
         "note": _EX33_NOTE,
     })
-    return _finish(report)
+    return report
 
 
 def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
@@ -504,7 +486,7 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
         _certified("power_core_certified", core_m, tol),
     ]
     report.witnesses["k"] = max(rA.k, 1)
-    return _finish(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +576,7 @@ def check_theorem_4_1(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report, mpc = _intertwined_report("T4_1", A, B, C, D, tol)
     report.witnesses["m_pcore_residuals"] = mpc.residuals
-    return _finish(report)
+    return report
 
 
 def check_corollary_4_2(A, B, C, D,
@@ -605,7 +587,7 @@ def check_corollary_4_2(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report, _ = _intertwined_report("C4_2", A, B, C, D, tol)
     report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
-    return _finish(report)
+    return report
 
 
 def check_theorem_4_3(A, B, C, D,
@@ -622,7 +604,7 @@ def check_theorem_4_3(A, B, C, D,
     q2pc = _CoreEP(Q @ Q, tol).pcore_inverse()
     report.conclusion_checks.append(
         _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol))
-    return _finish(report)
+    return report
 
 
 def check_corollary_4_4(A, B, C, D,
@@ -632,7 +614,7 @@ def check_corollary_4_4(A, B, C, D,
     A, B, C, D = _validate_blocks(A, B, C, D)
     report, _ = _intertwined_report("C4_4", A, B, C, D, tol)
     report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
-    return _finish(report)
+    return report
 
 
 def check_theorem_4_5(A, B, C, D,
@@ -657,7 +639,7 @@ def check_theorem_4_5(A, B, C, D,
     report.witnesses["sum_at_index_vanishes"] = primary
     report.witnesses["m"] = m
     report.witnesses["m_pcore"] = mpc.inverse
-    return _finish(report)
+    return report
 
 
 def check_corollary_4_6(A, B, C, D,
@@ -674,7 +656,7 @@ def check_corollary_4_6(A, B, C, D,
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert, _dual_check(A, B, C, D, tol)]
     report.witnesses["m_pcore"] = mpc.inverse
-    return _finish(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,13 @@ class TestWordSystems:
         gen_intertwined_4_3(3, 3, seed=780)
         assert counts[0] == 1
 
+    def test_commutation_ids_state_the_words_the_commutant_draw_reads(self):
+        # _commutant_sample draws b for L2_1, L2_2, T3_1 and C3_2 from
+        # L2_1's words, so the four entries must stay one statement
+        entries = {theorems._EQUATIONS[tid]
+                   for tid in ("L2_1", "L2_2", "T3_1", "C3_2")}
+        assert len(entries) == 1
+
 
 def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     """Reference: the B-then-C rejection loop as each intertwined sampler

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import geninv.inverses as inverses
+import geninv.linalg as linalg
 from geninv.linalg import (
     DEFAULT_POLICY,
     DimensionError,
     approx_equal,
+    rel_residual,
+    same_column_space,
 )
 from geninv.inverses import (
     InverseNotDefinedError,
@@ -359,3 +363,97 @@ class TestStarDmp:
         # core has condition about 1e6; A is star-DMP of index 3 by
         # construction, and the witness is the index
         assert is_star_dmp(gen_star_dmp(n, r, 3, seed)) == (True, 3)
+
+
+def hand_residuals(kind, A, X, Ak=None):
+    """The defining-equation residuals as each inverse kind wrote them out
+    before ``inverses._DEFINING`` held them as words: the reference the word
+    reader must match bit for bit.  Ak is A^max(k,1)."""
+    AX, XA = A @ X, X @ A
+    p1 = rel_residual(AX @ A, A)
+    if kind == "moore_penrose":
+        return {"p1": p1, "p2": rel_residual(XA @ X, X),
+                "p3": rel_residual(AX, AX.conj().T),
+                "p4": rel_residual(XA, XA.conj().T)}
+    if kind == "one_three":
+        return {"p1": p1, "p3": rel_residual(AX, AX.conj().T)}
+    if kind == "group":
+        return {"p1": p1, "p2": rel_residual(XA @ X, X),
+                "commute": rel_residual(XA, AX)}
+    if kind == "core":
+        return {"p1": rel_residual(A @ X @ A, A),
+                "column_space": 0.0 if same_column_space(X, A) else 1.0,
+                "row_space":
+                    0.0 if same_column_space(X.conj().T, A) else 1.0}
+    outer = rel_residual(XA @ Ak, Ak), rel_residual(AX @ X, X)
+    if kind == "drazin":
+        return {"d1": outer[0], "d2": outer[1],
+                "commute": rel_residual(XA, AX)}
+    return {"pc1": outer[0], "pc2": outer[1],
+            "pc3": rel_residual(AX, AX.conj().T)}
+
+
+def _bits(residuals):
+    return [(label, float(value).hex()) for label, value in residuals.items()]
+
+
+class TestDefiningWords:
+    """Every certificate is read off the words of ``inverses._DEFINING``."""
+
+    KINDS = (("moore_penrose", moore_penrose), ("one_three", one_three),
+             ("group", group_inverse), ("drazin", drazin),
+             ("core", core_inverse), ("pseudo_core", pseudo_core))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_equal_the_hand_written_residuals(self, n):
+        for k in range(min(n, 4) + 1):
+            for r in sorted({n - k, (n - k) // 2}) if k else [n]:
+                for c in (1e-6, 1.0, 1e6):
+                    A = c * gen_with_index(n, k, r, seed=100 * n + 10 * k + r)
+                    Ak = np.linalg.matrix_power(A, max(k, 1))
+                    for kind, fn in self.KINDS:
+                        if kind in ("group", "core") and k > 1:
+                            continue
+                        result = fn(A)
+                        ref = hand_residuals(kind, A, result.inverse, Ak)
+                        assert _bits(result.residuals) == _bits(ref), (
+                            n, k, r, c, kind)
+                    X = pseudo_core(A).inverse + 1e-3
+                    for j in (1, 2, 3):
+                        ref = hand_residuals(
+                            "pseudo_core", A, X, np.linalg.matrix_power(A, j))
+                        assert (_bits(verify_defining_triple(A, X, j))
+                                == _bits(ref)), (n, k, r, c, j)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (16, 7)])
+    def test_rectangular_moore_penrose(self, shape):
+        rg = np.random.default_rng(sum(shape))
+        for c in (1e-6, 1.0, 1e6):
+            A = c * crandn(rg, *shape)
+            A[:, 0] = 0.0
+            result = moore_penrose(A)
+            ref = hand_residuals("moore_penrose", A, result.inverse)
+            assert _bits(result.residuals) == _bits(ref)
+
+    def test_certificate_holds_the_rows_of_the_table(self, monkeypatch):
+        rows = inverses._DEFINING["pseudo_core"]
+        monkeypatch.setitem(inverses._DEFINING, "pseudo_core", rows[:2])
+        A = gen_with_index(4, 2, 1, seed=7)
+        assert list(pseudo_core(A).residuals) == ["pc1", "pc2"]
+
+    def test_hermitian_words_take_the_adjoint_through_the_reader(
+            self, monkeypatch):
+        # pc3, p3 and p4 reach linalg._adj through the word reader, so an
+        # involution other than * would change one function
+        seen, real = [], linalg._adj
+        monkeypatch.setattr(linalg, "_adj",
+                            lambda M: seen.append(M.copy()) or real(M))
+        A = gen_with_index(4, 2, 1, seed=7)
+        for fn, starred in ((pseudo_core, "P"), (one_three, "P"),
+                            (moore_penrose, "PQ")):
+            seen.clear()
+            X = fn(A).inverse
+            named = {"P": A @ X, "Q": X @ A}
+            assert len(seen) == len(starred), fn.__name__
+            for M, symbol in zip(seen, starred):
+                assert np.array_equal(M, named[symbol]), fn.__name__

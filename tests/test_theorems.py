@@ -3,11 +3,14 @@ import pytest
 
 import geninv.generators as generators
 import geninv.inverses as inverses
+import geninv.linalg as linalg
 import geninv.theorems as theorems
 from geninv.linalg import approx_equal
 from geninv.inverses import pseudo_core
 from geninv.theorems import (
     THEOREM_SYMBOLS,
+    Check,
+    TheoremReport,
     check_corollary_3_2,
     check_corollary_4_2,
     check_corollary_4_4,
@@ -98,6 +101,13 @@ class TestLemma23:
     def test_orthogonal_support_pair(self):
         a, b = gen_annihilating_pair(6, seed=304)
         assert check_lemma_2_3(a, b).verdict == "pass"
+
+    def test_overflowing_additive_candidate_raises(self):
+        # a_pc = 1/a and b_pc = 1/b are finite, but their sum overflows
+        a = np.array([[6e-309]], dtype=complex)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="finite"):
+            check_lemma_2_3(a, a)
 
 
 class TestLemma24:
@@ -264,6 +274,24 @@ class TestExample33:
         assert approx_equal(report.witnesses["sum_pcore"], expected_sum_pcore)
         assert approx_equal(report.witnesses["annihilation"], expected_ann)
         assert "note" in report.witnesses
+
+    def test_each_rank_taken_once(self, monkeypatch):
+        # one SVD for the commutator's rank and one for the annihilation's
+        calls = counting_calls(monkeypatch, [linalg], "_svdvals")
+        reproduce_example_3_3()
+        assert len(calls) == 2
+
+
+class TestVerdict:
+    """The verdict is read off the checks whenever it is asked for."""
+
+    def test_follows_checks_added_after_the_report_is_built(self):
+        report = TheoremReport("L2_1")
+        assert report.verdict == "pass"
+        report.conclusion_checks.append(Check("late_conclusion", 1.0, False))
+        assert report.verdict == "fail"
+        report.hypothesis_checks.append(Check("late_hypothesis", 1.0, False))
+        assert report.verdict == "hypotheses_not_met"
 
 
 class TestTheorem11:
@@ -542,6 +570,12 @@ class TestRecordWork:
         # pc1 and d1 both need A^max(k,1); the record of A forms it once
         assert self._count(monkeypatch, POWER_CALLERS, "_power",
                            "T1_1") == {1}
+
+    def test_one_exact_power_per_lemma_2_3_check(self, monkeypatch):
+        # the sum's certificate and the additive candidate's residuals both
+        # need (a + b)^max(k,1); the record of a + b forms it once
+        assert self._count(monkeypatch, POWER_CALLERS, "_power",
+                           "L2_3") == {1}
 
     def test_one_pseudo_core_and_drazin_inverse_per_record(self, monkeypatch):
         # C3_2's star-DMP test and its conclusion both read a's pseudo core
