@@ -9,9 +9,10 @@ for none), and of an equation's two words the one that ends in X gives the
 first term, the other one's L negated (Sylvester form).  A hypothesis with X
 starred is read through its adjoint, words reversed and stars toggled, which
 is complex-linear with the same solutions: B*A = DB* as A*B = BD*, and
-AC* = C*D as D*C = CA*.  The one nonlinear hypothesis (nilpotency of a
-coupling product) is handled by rejection with a capped retry count and a
-guaranteed zero fallback, flagged as degenerate.
+AC* = C*D as D*C = CA*.  The one nonlinear hypothesis, that the coupling
+word ``theorems.COUPLING[id]`` is nilpotent, is handled by rejection with a
+capped retry count and a guaranteed zero fallback, flagged as degenerate.
+A drawn block has unit norm; multiply the whole instance to vary its scale.
 
 Every generator is a pure function of its arguments: equal seeds give
 bit-identical output.
@@ -27,6 +28,7 @@ from .linalg import (
     DEFAULT_POLICY,
     _assemble,
     _eye,
+    _factors,
     _inv,
     _power,
     _product,
@@ -38,7 +40,8 @@ from .linalg import (
     is_nilpotent_product,
 )
 from .inverses import _CoreEP
-from .theorems import COUPLING, THEOREM_SYMBOLS, _EQUATIONS, _VANISHING
+from .theorems import (COUPLING, THEOREM_SYMBOLS, _EQUATIONS, _VANISHING,
+                       _derive)
 
 __all__ = [
     "MAX_DIM",
@@ -167,16 +170,16 @@ def _equation_rows(terms):
     return S, ref
 
 
-def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
+def _nullspace_sample(rg, shape, equations):
     """Random solution of the stacked homogeneous equations, or zero.
 
     equations: list of term lists as in :func:`_equation_rows`.  Equations
     whose coefficients vanish at their factors' scale are dropped as
     identically-zero constraints.  Returns (X, nullity), the nullity counted
-    in real dimensions; X has Frobenius norm ``scale`` unless the solution
-    space is trivial.
+    in real dimensions; X, times 1/||X|| (the pinned draws hold those bits,
+    not those of X / ||X||), has unit norm unless the solution space is trivial.
     """
-    rtol = DEFAULT_POLICY.rank_rel_tol if rtol is None else rtol
+    rtol = DEFAULT_POLICY.rank_rel_tol
     p, q = shape
     rows = []
     for terms in equations:
@@ -187,7 +190,7 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
             rows.append(block)
     if not rows:
         X = _crandn(rg, p, q)
-        return X * (scale / frobenius(X)), 2 * p * q
+        return X * (1.0 / frobenius(X)), 2 * p * q
     # Every stack built here is tall or square, so the thin Vh holds the whole
     # null space: an equation with square L and R adds a square pq-by-pq
     # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
@@ -202,7 +205,7 @@ def _nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     X = (basis @ (g[:k] + 1j * g[k:])).reshape((p, q), order="F")
     nf = frobenius(X)
     if nf > 0:
-        X = X * (scale / nf)
+        X = X * (1.0 / nf)
     return X, 2 * k
 
 
@@ -234,23 +237,23 @@ def _word_system(theorem_id, unknown, shape, named):
 # Single-matrix and pair generators
 
 
-def gen_commutant_pair(n: int, seed, target_index=None, scale: float = 1.0):
+def gen_commutant_pair(n: int, seed, target_index=None):
     """(a, b) with ab = ba and a*b = ba* exactly, b sampled from the joint
     nullspace of the two stacked intertwining systems."""
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n, target_index)
     a = _with_index_rng(rg, n, k, r)
-    b = _commutant_sample(rg, a, scale)
+    b = _commutant_sample(rg, a)
     return a, b
 
 
-def _commutant_sample(rg, a, scale):
+def _commutant_sample(rg, a):
     # b under L2_1's commutation words, which L2_2, T3_1 and C3_2 share
     system = _word_system("L2_1", "b", a.shape, {"a": a})
-    return _nullspace_sample(rg, a.shape, system, scale)[0]
+    return _nullspace_sample(rg, a.shape, system)[0]
 
 
-def gen_star_dmp(n: int, r: int, k: int, seed, scale: float = 1.0):
+def gen_star_dmp(n: int, r: int, k: int, seed):
     """Unitary block sum of a normal invertible part and a nilpotent chain.
 
     Some power of the result has coinciding Moore-Penrose and group inverses.
@@ -267,10 +270,10 @@ def gen_star_dmp(n: int, r: int, k: int, seed, scale: float = 1.0):
         core[:r, :r] = W @ np.diag(lam) @ W.conj().T
     core[r:, r:] = _nilpotent_chain(rg, n - r, k)
     U = _random_unitary(rg, n)
-    return scale * (U @ core @ U.conj().T)
+    return U @ core @ U.conj().T
 
 
-def gen_annihilating_pair(n: int, seed, scale: float = 1.0):
+def gen_annihilating_pair(n: int, seed):
     """(a, b) supported on complementary orthogonal projections, so that
     ab = ba = a*b = 0 exactly."""
     if n < 2:
@@ -280,8 +283,8 @@ def gen_annihilating_pair(n: int, seed, scale: float = 1.0):
     s = int(rg.integers(1, n))
     P = W[:, :s] @ W[:, :s].conj().T
     Q = W[:, s:] @ W[:, s:].conj().T
-    a = P @ (scale * _crandn(rg, n, n)) @ P
-    b = Q @ (scale * _crandn(rg, n, n)) @ Q
+    a = P @ _crandn(rg, n, n) @ P
+    b = Q @ _crandn(rg, n, n) @ Q
     return a, b
 
 
@@ -293,7 +296,7 @@ def _coupling_terms(ra, d, m):
             for j, P in enumerate(products)]
 
 
-def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
+def gen_lemma_2_5_instance(na: int, nd: int, seed):
     """(a, b, d) with the triangular coupling sum vanishing at
     m = index(a) + index(d) + 1 by construction.
 
@@ -307,7 +310,7 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed, scale: float = 1.0):
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
     terms = _coupling_terms(_CoreEP(a), d, ka + kd + 1)
-    b, nullity = _nullspace_sample(rg, (na, nd), [terms], scale)
+    b, nullity = _nullspace_sample(rg, (na, nd), [terms])
     return a, b, d, nullity == 0
 
 
@@ -346,23 +349,22 @@ def _check_block_dims(nA, nD):
         raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
 
 
-def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
-    """Draw B from its equations, then redraw C from its own until the
-    coupling product is nilpotent; C = 0 and degenerate after _RETRY_CAP
-    draws or when C's solution space is trivial.
-
-    ``product_factors(A, D)`` is called once, before the draws; it returns
-    the function of (B, C) that lists the coupling product's factors."""
+def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
+    """Draw B from its equations, then redraw C from its own until the id's
+    coupling word is nilpotent; C = 0 and degenerate after _RETRY_CAP draws
+    or when C's solution space is trivial.  The word's letters derived from
+    A and D are formed once, those whose words name C once per draw."""
     nA, nD = A.shape[0], D.shape[0]
-    B, _ = _nullspace_sample(rg, (nA, nD), b_eqs, scale)
+    B, _ = _nullspace_sample(rg, (nA, nD), b_eqs)
     degenerate = frobenius(B) == 0.0
-    product = product_factors(A, D)
+    named = _derive(theorem_id, {"A": A, "B": B, "D": D})
     C = None
     for _ in range(_RETRY_CAP):
-        Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs, scale)
+        Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs)
         if nullity == 0:
             break
-        if is_nilpotent_product(product(B, Cc)):
+        drawn = _derive(theorem_id, {**named, "C": Cc})
+        if is_nilpotent_product(_factors(COUPLING[theorem_id], drawn)):
             C = Cc
             break
     if C is None:
@@ -371,7 +373,7 @@ def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     return A, B, C, D, degenerate
 
 
-def _intertwined(seed, nA, nD, theorem_id, scale):
+def _intertwined(seed, nA, nD, theorem_id):
     """B, then C, drawn under the id's words; C is redrawn until the
     coupling product ``COUPLING[theorem_id]`` is nilpotent."""
     _check_block_dims(nA, nD)
@@ -381,34 +383,34 @@ def _intertwined(seed, nA, nD, theorem_id, scale):
     return _sample_b_then_c(rg, A, D,
                             _word_system(theorem_id, "B", (nA, nD), named),
                             _word_system(theorem_id, "C", (nD, nA), named),
-                            COUPLING[theorem_id], scale)
+                            theorem_id)
 
 
-def gen_intertwined_4_1(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_intertwined_4_1(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, A*B=BD*, D*C=CA* exact and
     A_pc B D_pc C nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "T4_1", scale)
+    return _intertwined(seed, nA, nD, "T4_1")
 
 
-def gen_intertwined_4_2(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_intertwined_4_2(nA: int, nD: int, seed):
     """Same constraints as :func:`gen_intertwined_4_1` but the rejection
     tests nilpotency of B D_pc C A_pc."""
-    return _intertwined(seed, nA, nD, "C4_2", scale)
+    return _intertwined(seed, nA, nD, "C4_2")
 
 
-def gen_intertwined_4_3(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_intertwined_4_3(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, B*A=DB* exact and
     B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "T4_3", scale)
+    return _intertwined(seed, nA, nD, "T4_3")
 
 
-def gen_intertwined_4_4(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_intertwined_4_4(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, AC*=C*D exact and
     A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "C4_4", scale)
+    return _intertwined(seed, nA, nD, "C4_4")
 
 
-def _zero_product(seed, nA, nD, theorem_id, order, last_terms, scale):
+def _zero_product(seed, nA, nD, theorem_id, order, last_terms):
     """(A, B, C, D, degenerate) for T4_5 and C4_6: B and C drawn in the
     given order, each from the id's words on it, the second also under the
     term list ``last_terms(rA, D)`` (rA the record of A) when A has index
@@ -422,66 +424,66 @@ def _zero_product(seed, nA, nD, theorem_id, order, last_terms, scale):
         equations = _word_system(theorem_id, X, shapes[X], named)
         if X == order[1] and rA.k >= 1:
             equations.append(last_terms(rA, D))
-        named[X], _ = _nullspace_sample(rg, shapes[X], equations, scale)
+        named[X], _ = _nullspace_sample(rg, shapes[X], equations)
     B, C = named["B"], named["C"]
     return A, B, C, D, frobenius(B) == 0.0 or frobenius(C) == 0.0
 
 
-def gen_zero_product_4_5(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_zero_product_4_5(nA: int, nD: int, seed):
     """(A, B, C, D) with BC=0, CB=0, CA=DC, AC*=C*D and a vanishing coupling
     sum: C is sampled first, then B; returns (..., degenerate)."""
     return _zero_product(seed, nA, nD, "T4_5", "CB",
-                         lambda rA, D: _coupling_terms(rA, D, rA.k), scale)
+                         lambda rA, D: _coupling_terms(rA, D, rA.k))
 
 
-def gen_zero_product_4_6(nA: int, nD: int, seed, scale: float = 1.0):
+def gen_zero_product_4_6(nA: int, nD: int, seed):
     """(A, B, C, D) with BC=0, CB=0, AB=BD, A*B=BD* and C annihilating the
     nilpotent-part powers of A; B sampled first, then C; returns
     (..., degenerate)."""
     return _zero_product(
         seed, nA, nD, "C4_6", "BC",
-        lambda rA, D: [(_eye(D.shape[0]), rA.nilpotent_power_sum()[0])], scale)
+        lambda rA, D: [(_eye(D.shape[0]), rA.nilpotent_power_sum()[0])])
 
 
 # ---------------------------------------------------------------------------
 # Catalog samplers
 
 
-def _l2_4_pair(n, seed, scale):
+def _l2_4_pair(n, seed):
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n)
     a = _with_index_rng(rg, n, k, r)
     if rg.integers(0, 2):
         X = _CoreEP(a).pcore_inverse()
-        b = (X @ a) @ (scale * _crandn(rg, n, n))   # inside the range condition
+        b = (X @ a) @ _crandn(rg, n, n)   # inside the range condition
     else:
-        b = scale * _crandn(rg, n, n)
+        b = _crandn(rg, n, n)
     return a, b
 
 
-def _c3_2_pair(n, seed, scale):
+def _c3_2_pair(n, seed):
     # (k, r) and b come from rg, a from gen_star_dmp's own stream of the seed
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n, kmax=2)
-    a = gen_star_dmp(n, r, k, seed, scale)
-    b = _commutant_sample(rg, a, scale)
+    a = gen_star_dmp(n, r, k, seed)
+    b = _commutant_sample(rg, a)
     return a, b
 
 
-def _theorem_1_1(n, seed, scale):
+def _theorem_1_1(n, seed):
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n)
     return (_with_index_rng(rg, n, k, r),)
 
 
-def _lemma_2_5b(na, nd, seed, scale):
-    a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed, scale)
+def _lemma_2_5b(na, nd, seed):
+    a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed)
     return _assemble(a, b, np.zeros_like(b.T), d), na, degenerate
 
 
 # id: (default fuzz dims, smallest and largest dim, sampler).  An id takes at
 # most as many dims as its default has; one dim means square blocks.
-# sample(*dims, seed, scale=) returns the values of the id's THEOREM_SYMBOLS
+# sample(*dims, seed) returns the values of the id's THEOREM_SYMBOLS
 # in order, then the degeneracy flag if the sampler can raise it.
 _SAMPLERS = {
     "L2_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
@@ -493,7 +495,7 @@ _SAMPLERS = {
     "T1_1": ((4,), 1, MAX_DIM, _theorem_1_1),
     "T3_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
     "C3_2": ((4,), 1, MAX_DIM, _c3_2_pair),
-    "EX3_3": ((4,), 1, MAX_DIM, lambda n, seed, scale: ()),
+    "EX3_3": ((4,), 1, MAX_DIM, lambda n, seed: ()),
     "T4_1": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_1),
     "C4_2": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_2),
     "T4_3": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_3),
@@ -523,13 +525,13 @@ def fuzz_dims(theorem_id: str, dims=None) -> tuple:
     return dims
 
 
-def instance_for(theorem_id: str, dims, seed, scale: float = 1.0) -> Instance:
+def instance_for(theorem_id: str, dims, seed) -> Instance:
     """Instance satisfying the named result's hypotheses, for fuzzing.
 
     Single-matrix ids read ``dims[0]``; block ids read ``dims[0]`` and
     ``dims[1]``, or square blocks when ``dims`` has one entry."""
     default, _, _, sample = _row(theorem_id)
     sizes = (dims[0], dims[1] if len(dims) > 1 else dims[0])[:len(default)]
-    out = sample(*sizes, seed, scale=scale)
+    out = sample(*sizes, seed)
     symbols = THEOREM_SYMBOLS[theorem_id]
     return Instance(dict(zip(symbols, out)), *out[len(symbols):])

@@ -110,11 +110,17 @@ _DEFINING = _parsed({
     "pseudo_core": (("pc1", "QK", "K"), ("pc2", "PX", "X"), ("pc3", "P", "P*")),
 })
 
+# The kinds whose words name Q; no other kind forms it.
+_NAMES_Q = {kind for kind, rows in _DEFINING.items()
+            if "Q" in {s for _, *words in rows for w in words for s, _ in w}}
+
 
 def _residuals(kind, A, X, K=None):
     """The residuals of the kind's rows of ``_DEFINING`` for the inverse X of
-    A, with AX and XA formed once; K = A^max(k,1) where a word names it."""
-    named = {"A": A, "X": X, "K": K, "P": A @ X, "Q": X @ A}
+    A, with AX formed once; K = A^max(k,1) and Q = XA where a word names
+    them."""
+    named = {"A": A, "X": X, "K": K, "P": A @ X,
+             "Q": X @ A if kind in _NAMES_Q else None}
     return {label: _word_residual(lhs, rhs, named)
             for label, lhs, rhs in _DEFINING[kind]}
 

@@ -28,9 +28,10 @@ from .linalg import (
     _factors,
     _parsed,
     _power,
+    _product,
     _relative,
     _require_square,
-    _tokens,  # noqa: F401 - the word parser, read as theorems._tokens
+    _tokens,
     _word_residual,
     as_matrix,
     frobenius,
@@ -208,12 +209,15 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     spc = rs.pseudo_core()
     report.conclusion_checks = [_certified("sum_certified", spc, tol)]
     # Informational: how close a_pc + b_pc comes to the sum's defining
-    # triple, against the power A^max(k,1) that the sum's record holds.
-    candidate = as_matrix(_CoreEP(a, tol).pcore_inverse()
-                          + _CoreEP(b, tol).pcore_inverse())
+    # triple, against the power A^max(k,1) that the sum's record holds;
+    # None when the candidate overflows.
+    with np.errstate(over="ignore"):
+        candidate = (_CoreEP(a, tol).pcore_inverse()
+                     + _CoreEP(b, tol).pcore_inverse())
     report.witnesses["sum_pcore"] = spc.inverse
-    report.witnesses["additive_candidate_residuals"] = _residuals(
-        "pseudo_core", rs.A, candidate, rs.exact_power)
+    report.witnesses["additive_candidate_residuals"] = (
+        _residuals("pseudo_core", rs.A, candidate, rs.exact_power)
+        if np.isfinite(candidate).all() else None)
     return report
 
 
@@ -505,39 +509,24 @@ def _validate_blocks(A, B, C, D):
     return A, B, C, D
 
 
-def _coupling_4_1(A, D, tol=DEFAULT_POLICY):
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
-    return lambda B, C: [apc, B, dpc, C]
+# Each intertwined result's nilpotent coupling product, a word over the blocks
+# and the letters of _PCORE, read by the checks and the generators alike.
+COUPLING = {tid: _tokens(word) for tid, word in (
+    ("T4_1", "aBdC"), ("C4_2", "BdCa"), ("T4_3", "BqDCpA"), ("C4_4", "ApBDqC"))}
+
+# Each derived letter and the word it is the pseudo core inverse of.
+_PCORE = {letter: _tokens(word) for letter, word in (
+    ("a", "A"), ("d", "D"), ("p", "BC"), ("q", "CB"))}
 
 
-def _coupling_4_2(A, D, tol=DEFAULT_POLICY):
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
-    return lambda B, C: [B, dpc, C, apc]
-
-
-def _coupling_4_3(A, D, tol=DEFAULT_POLICY):
-    return lambda B, C: [B, _CoreEP(C @ B, tol).pcore_inverse(), D, C,
-                         _CoreEP(B @ C, tol).pcore_inverse(), A]
-
-
-def _coupling_4_4(A, D, tol=DEFAULT_POLICY):
-    # the unique conformable factor order of A (BC)_pc B D (CB)_pc C
-    return lambda B, C: [A, _CoreEP(B @ C, tol).pcore_inverse(), B, D,
-                         _CoreEP(C @ B, tol).pcore_inverse(), C]
-
-
-# The factors of each intertwined result's nilpotent coupling product:
-# COUPLING[id](A, D, tol) does the work that depends on A and D alone and
-# returns the function of (B, C) that lists the factors.  The checks below
-# and the generators' rejection samplers both read it.
-COUPLING = {
-    "T4_1": _coupling_4_1,
-    "C4_2": _coupling_4_2,
-    "T4_3": _coupling_4_3,
-    "C4_4": _coupling_4_4,
-}
+def _derive(theorem_id, named, tol=DEFAULT_POLICY):
+    """``named`` with the pseudo core inverse of each derived letter of the
+    id's coupling word added, once the letter's own word is drawn."""
+    for letter, _ in COUPLING[theorem_id]:
+        word = _PCORE.get(letter)
+        if word and letter not in named and all(s in named for s, _ in word):
+            named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse()
+    return named
 
 
 def _m_certified_check(M, tol):
@@ -560,8 +549,9 @@ def _intertwined_report(theorem_id, A, B, C, D, tol):
     its equations and the nilpotency of its coupling product as hypotheses,
     the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
     report and M's pseudo core result, to which the caller adds its own."""
-    report = _report(theorem_id, dict(A=A, B=B, C=C, D=D), tol)
-    nilp = is_nilpotent_product(COUPLING[theorem_id](A, D, tol)(B, C), tol)
+    named = _derive(theorem_id, dict(A=A, B=B, C=C, D=D), tol)
+    report = _report(theorem_id, named, tol)
+    nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
     report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
     cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
     report.conclusion_checks = [cert]

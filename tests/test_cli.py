@@ -396,6 +396,17 @@ class TestVerify:
                                     "--input", path])
         assert code == 0
 
+    def test_lemma_2_3_overflowing_candidate_passes(self, capsys, tmp_path):
+        # a_pc + b_pc overflows for a = b = [[6e-309]]; that witness is
+        # informational, so the verdict stands and the command exits 0
+        tiny = matrix_to_obj(np.array([[6e-309]]))
+        path = write(tmp_path, "inst.json", {"a": tiny, "b": tiny})
+        code, out, err = run(capsys, ["verify", "--theorem", "L2_3",
+                                      "--input", path])
+        assert code == 0 and "error" not in err
+        assert out["report"]["verdict"] == "pass"
+        assert out["report"]["witnesses"]["additive_candidate_residuals"] is None
+
     def test_generated_block_instance(self, capsys, tmp_path):
         from geninv.generators import gen_intertwined_4_1
         A, B, C, D, _ = gen_intertwined_4_1(3, 2, seed=404)

@@ -6,7 +6,7 @@ import pytest
 
 from geninv import generators, theorems
 from geninv.linalg import DEFAULT_POLICY, zero_product
-from geninv.inverses import index, is_star_dmp, pseudo_core
+from geninv.inverses import _CoreEP, index, is_star_dmp, pseudo_core
 from geninv.generators import (
     fuzz_dims,
     gen_annihilating_pair,
@@ -101,13 +101,14 @@ class TestCommutantPair:
         # nullspace machinery the pair generator uses
         from geninv.generators import _commutant_sample, _rng
         a = np.diag([1.0, 2.0]).astype(complex)
-        b = _commutant_sample(_rng(12), a, 1.0)
+        b = _commutant_sample(_rng(12), a)
         off = np.array([[0, 1], [1, 0]], dtype=float)
         assert np.linalg.norm(b * off) < 1e-10
 
-    def test_norm_scaling(self):
-        _, b = gen_commutant_pair(4, seed=13, scale=2.5)
-        assert 0.5 * 2.5 <= np.linalg.norm(b) <= 2.0 * 2.5
+    def test_unit_norm(self):
+        # a drawn block has unit norm; scale tests multiply whole instances
+        _, b = gen_commutant_pair(4, seed=13)
+        assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
 
 
 class TestStarDmp:
@@ -279,11 +280,11 @@ def _realified_rows(shape, lin_terms, conj_terms):
     return rows, ref
 
 
-def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
+def _two_svd_nullspace_sample(rg, shape, equations):
     """Reference: the nullspace draw from the realified system, with a
     rank-only SVD and a full SVD.  equations: list of (lin_terms,
     conj_terms)."""
-    rtol = DEFAULT_POLICY.rank_rel_tol if rtol is None else rtol
+    rtol = DEFAULT_POLICY.rank_rel_tol
     p, q = shape
     rows = []
     for lin, conj in equations:
@@ -292,7 +293,7 @@ def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
             rows.append(block)
     if not rows:
         X = generators._crandn(rg, p, q)
-        return X * (scale / np.linalg.norm(X)), 2 * p * q
+        return X * (1.0 / np.linalg.norm(X)), 2 * p * q
     A = np.vstack(rows)
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
@@ -305,7 +306,7 @@ def _two_svd_nullspace_sample(rg, shape, equations, scale=1.0, rtol=None):
     X = (v[: p * q] + 1j * v[p * q:]).reshape((p, q), order="F")
     nf = np.linalg.norm(X)
     if nf > 0:
-        X = X * (scale / nf)
+        X = X * (1.0 / nf)
     return X, nullity
 
 
@@ -354,12 +355,11 @@ class TestNullspaceSample:
         stated = stated or (lambda i, eqs: _linear(eqs))
         draws, current = [], []
 
-        def spy(rg, shape, equations, scale=1.0, rtol=None):
+        def spy(rg, shape, equations):
             system = stated(len(current), equations)
             ref_rg = copy.deepcopy(rg)
-            X, nullity = sample(rg, shape, equations, scale, rtol)
-            _, nullity_ref = _two_svd_nullspace_sample(
-                ref_rg, shape, system, scale, rtol)
+            X, nullity = sample(rg, shape, equations)
+            _, nullity_ref = _two_svd_nullspace_sample(ref_rg, shape, system)
             assert nullity == nullity_ref
             assert rg.bit_generator.state == ref_rg.bit_generator.state
             tol = DEFAULT_POLICY.residual_tol
@@ -506,9 +506,9 @@ class TestWordSystems:
         # dropping B*A = DB* from T4_3's table leaves its B draw one equation
         sample, counts = generators._nullspace_sample, []
 
-        def spy(rg, shape, equations, *args):
+        def spy(rg, shape, equations):
             counts.append(len(equations))
-            return sample(rg, shape, equations, *args)
+            return sample(rg, shape, equations)
 
         monkeypatch.setattr(generators, "_nullspace_sample", spy)
         gen_intertwined_4_3(3, 3, seed=780)
@@ -528,16 +528,44 @@ class TestWordSystems:
         assert len(entries) == 1
 
 
-def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
+def _coupling_4_1(A, D, tol=DEFAULT_POLICY):
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
+    return lambda B, C: [apc, B, dpc, C]
+
+
+def _coupling_4_2(A, D, tol=DEFAULT_POLICY):
+    apc = _CoreEP(A, tol).pcore_inverse()
+    dpc = _CoreEP(D, tol).pcore_inverse()
+    return lambda B, C: [B, dpc, C, apc]
+
+
+def _coupling_4_3(A, D, tol=DEFAULT_POLICY):
+    return lambda B, C: [B, _CoreEP(C @ B, tol).pcore_inverse(), D, C,
+                         _CoreEP(B @ C, tol).pcore_inverse(), A]
+
+
+def _coupling_4_4(A, D, tol=DEFAULT_POLICY):
+    return lambda B, C: [A, _CoreEP(B @ C, tol).pcore_inverse(), B, D,
+                         _CoreEP(C @ B, tol).pcore_inverse(), C]
+
+
+# Reference: each coupling product's factors as hand-written closures, the
+# part that depends on A and D alone formed before (B, C) are given.
+_HAND_COUPLING = {"T4_1": _coupling_4_1, "C4_2": _coupling_4_2,
+                  "T4_3": _coupling_4_3, "C4_4": _coupling_4_4}
+
+
+def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
     """Reference: the B-then-C rejection loop as each intertwined sampler
-    once spelled it out."""
+    once spelled it out, with the hand-written coupling closures."""
     nA, nD = A.shape[0], D.shape[0]
-    B, _ = generators._nullspace_sample(rg, (nA, nD), b_eqs, scale)
+    B, _ = generators._nullspace_sample(rg, (nA, nD), b_eqs)
     degenerate = np.linalg.norm(B) == 0.0
-    product = product_factors(A, D)
+    product = _HAND_COUPLING[theorem_id](A, D)
     C = None
     for _ in range(generators._RETRY_CAP):
-        Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs, scale)
+        Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs)
         if nullity == 0:
             break
         if generators.is_nilpotent_product(product(B, Cc)):
@@ -549,30 +577,47 @@ def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, product_factors, scale):
     return A, B, C, D, degenerate
 
 
+def _factor_bytes(factors):
+    return [(F.shape, F.tobytes()) for F in factors]
+
+
 class TestRejectionSampler:
     """The shared B-then-C sampler reproduces the reference loop bit for bit
-    inside every intertwined generator."""
+    inside every intertwined generator, tests the same coupling factors at
+    every draw, and forms the pseudo core inverses of A and D once."""
 
     SAMPLERS = (gen_intertwined_4_1, gen_intertwined_4_2,
                 gen_intertwined_4_3, gen_intertwined_4_4)
 
-    def _compare(self, monkeypatch, seeds):
+    def _compare(self, monkeypatch, seeds, nilpotent=None):
+        """Run every sampler under a spy that replays the reference loop;
+        ``nilpotent(factors)`` stands in for the nilpotency test when given.
+        Returns the outputs and the count of nilpotency tests per side."""
         sample = generators._sample_b_then_c
-        results = []
+        test = nilpotent or generators.is_nilpotent_product
+        results, tested = [], []
 
-        def spy(rg, A, D, b_eqs, c_eqs, product_factors, scale):
+        def recorded(factors, tol=DEFAULT_POLICY):
+            tested.append(_factor_bytes(factors))
+            return test(factors, tol)
+
+        def spy(rg, A, D, b_eqs, c_eqs, theorem_id):
             ref_rg = copy.deepcopy(rg)
-            out = sample(rg, A, D, b_eqs, c_eqs, product_factors, scale)
-            ref = _loop_b_then_c(ref_rg, A, D, b_eqs, c_eqs, product_factors,
-                                 scale)
+            tested.clear()
+            out = sample(rg, A, D, b_eqs, c_eqs, theorem_id)
+            mine = list(tested)
+            tested.clear()
+            ref = _loop_b_then_c(ref_rg, A, D, b_eqs, c_eqs, theorem_id)
+            assert mine == tested
             for M, M_ref in zip(out[:4], ref[:4]):
                 assert M.tobytes() == M_ref.tobytes()
             assert out[4] == ref[4]
             assert rg.bit_generator.state == ref_rg.bit_generator.state
-            results.append(out)
+            results.append((out, len(mine)))
             return out
 
         monkeypatch.setattr(generators, "_sample_b_then_c", spy)
+        monkeypatch.setattr(generators, "is_nilpotent_product", recorded)
         for sampler in self.SAMPLERS:
             for nA, nD in ((2, 2), (3, 2), (3, 3)):
                 for seed in seeds:
@@ -584,16 +629,77 @@ class TestRejectionSampler:
         self._compare(monkeypatch, range(900, 904))
 
     def test_retry_cap_fallback(self, monkeypatch):
-        tests = []
-
-        def never_nilpotent(factors, tol=DEFAULT_POLICY):
-            tests.append(len(factors))
-            return False
-
-        monkeypatch.setattr(generators, "is_nilpotent_product", never_nilpotent)
-        results = self._compare(monkeypatch, (910,))
-        # both the sampler and the reference draw C _RETRY_CAP times per call
-        assert len(tests) == 2 * generators._RETRY_CAP * len(results)
-        for A, B, C, D, degenerate in results:
+        results = self._compare(monkeypatch, (910,),
+                                nilpotent=lambda factors, tol: False)
+        for (A, B, C, D, degenerate), tested in results:
+            # the sampler draws C _RETRY_CAP times per call, as the reference
+            assert tested == generators._RETRY_CAP
             assert degenerate
             assert not C.any() and C.shape == (D.shape[0], A.shape[0])
+
+    def test_analyses_a_and_d_once(self, monkeypatch):
+        # under a never-nilpotent test, every draw of C is tested, yet A and
+        # D are analysed once each per call, not once per draw
+        analysed, record = [], theorems._CoreEP
+
+        def counted(M, tol=DEFAULT_POLICY):
+            analysed.append(M)
+            return record(M, tol)
+
+        monkeypatch.setattr(generators, "is_nilpotent_product",
+                            lambda factors, tol=DEFAULT_POLICY: False)
+        monkeypatch.setattr(theorems, "_CoreEP", counted)
+        A, _, _, D, degenerate = gen_intertwined_4_1(3, 3, seed=920)
+        assert degenerate and len(analysed) == 2
+        assert analysed[0] is A and analysed[1] is D
+
+
+class TestCouplingWords:
+    """Each coupling product is a word of theorems.COUPLING over the blocks
+    and the pseudo core letters of theorems._PCORE; its factors equal the
+    hand-written closures', and the check and the generator read one entry."""
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 4)])
+    def test_check_factors_equal_the_closures(self, monkeypatch, dims):
+        tested, test = [], theorems.is_nilpotent_product
+
+        def recorded(factors, tol=DEFAULT_POLICY):
+            tested.append(_factor_bytes(factors))
+            return test(factors, tol)
+
+        monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
+        for theorem_id, closure in _HAND_COUPLING.items():
+            for seed in range(4):
+                inst = instance_for(theorem_id, dims, trial_seed(930, seed))
+                A, B, C, D = (inst.matrices[s] for s in "ABCD")
+                tested.clear()
+                run_check(theorem_id, inst.matrices)
+                assert tested == [_factor_bytes(closure(A, D)(B, C))], (
+                    theorem_id, seed)
+
+    def test_check_and_generator_read_one_entry(self, monkeypatch):
+        # dropping the last factor C from T4_1's word changes what both the
+        # check's coupling_nilpotent and T4_1's generator test
+        lengths, test = [], generators.is_nilpotent_product
+
+        def recorded(factors, tol=DEFAULT_POLICY):
+            lengths.append(len(factors))
+            return test(factors, tol)
+
+        monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
+        monkeypatch.setattr(generators, "is_nilpotent_product", recorded)
+        A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
+        theorems.check_theorem_4_1(A, B, C, D)
+        assert set(lengths) == {4}
+        monkeypatch.setitem(theorems.COUPLING, "T4_1",
+                            theorems.COUPLING["T4_1"][:-1])
+        lengths.clear()
+        A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
+        report = theorems.check_theorem_4_1(A, B, C, D)
+        assert lengths and set(lengths) == {3}
+        # the check's verdict is the nilpotency of A_pc B D_pc
+        nilp = next(c for c in report.hypothesis_checks
+                    if c.label == "coupling_nilpotent")
+        expected = test([theorems._CoreEP(A).pcore_inverse(), B,
+                         theorems._CoreEP(D).pcore_inverse()])
+        assert nilp.passed == expected

@@ -457,3 +457,37 @@ class TestDefiningWords:
             assert len(seen) == len(starred), fn.__name__
             for M, symbol in zip(seen, starred):
                 assert np.array_equal(M, named[symbol]), fn.__name__
+
+
+class _CountingProducts(np.ndarray):
+    """An ndarray that counts the matrix products taken with it, its
+    results included, in the list ``log``."""
+
+    log = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(ufunc)
+        plain = [x.view(np.ndarray) if isinstance(x, _CountingProducts)
+                 else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if isinstance(out, np.ndarray):
+            out = out.view(_CountingProducts)
+            out.log = self.log
+        return out
+
+
+class TestResidualProducts:
+    """``_residuals`` forms XA only for the kinds whose rows name it."""
+
+    @pytest.mark.parametrize("kind,products", [
+        ("one_three", 2), ("core", 2), ("moore_penrose", 4), ("group", 4),
+        ("drazin", 4), ("pseudo_core", 4)])
+    def test_products_formed(self, kind, products):
+        A = gen_with_index(4, 1, 3, seed=8)       # index 1: K = A
+        X = pseudo_core(A).inverse
+        cA, cX = A.view(_CountingProducts), X.view(_CountingProducts)
+        cA.log = cX.log = log = []
+        got = inverses._residuals(kind, cA, cX, cA)
+        assert len(log) == products
+        assert _bits(got) == _bits(inverses._residuals(kind, A, X, A))

@@ -102,12 +102,15 @@ class TestLemma23:
         a, b = gen_annihilating_pair(6, seed=304)
         assert check_lemma_2_3(a, b).verdict == "pass"
 
-    def test_overflowing_additive_candidate_raises(self):
-        # a_pc = 1/a and b_pc = 1/b are finite, but their sum overflows
+    def test_overflowing_additive_candidate_is_none(self):
+        # a_pc = 1/a and b_pc = 1/b are finite, but their sum overflows; the
+        # informational candidate is dropped and the verdict stands
         a = np.array([[6e-309]], dtype=complex)
-        with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                       match="finite"):
-            check_lemma_2_3(a, a)
+        with np.errstate(over="ignore"):
+            report = check_lemma_2_3(a, a)
+        assert report.verdict == "pass"
+        assert report.witnesses["additive_candidate_residuals"] is None
+        assert np.isfinite(report.witnesses["sum_pcore"]).all()
 
 
 class TestLemma24:
@@ -250,7 +253,7 @@ class TestCorollary32:
     def test_generated_star_dmp(self):
         a = gen_star_dmp(6, 3, 2, seed=308)
         from geninv.generators import _commutant_sample, _rng
-        b = _commutant_sample(_rng(309), a, 1.0)
+        b = _commutant_sample(_rng(309), a)
         report = check_corollary_3_2(a, b)
         assert report.verdict == "pass"
 
@@ -649,13 +652,20 @@ class TestWordHypotheses:
     id's symbols, and the report lists them in table order."""
 
     def test_words_use_only_the_id_symbols(self):
-        # the tables hold each word parsed into (symbol, starred) tokens
-        for table in (theorems._EQUATIONS, theorems._VANISHING):
+        # the tables hold each word parsed into (symbol, starred) tokens; a
+        # coupling word may also name the pseudo core letters of _PCORE
+        coupling = {tid: (("coupling", word),)
+                    for tid, word in theorems.COUPLING.items()}
+        for table, extra in ((theorems._EQUATIONS, set()),
+                             (theorems._VANISHING, set()),
+                             (coupling, set(theorems._PCORE))):
             for theorem_id, entries in table.items():
                 for label, *words in entries:
                     symbols = {s for word in words for s, _ in word}
-                    assert symbols <= set(THEOREM_SYMBOLS[theorem_id]), (
-                        theorem_id, label)
+                    allowed = set(THEOREM_SYMBOLS[theorem_id]) | extra
+                    assert symbols <= allowed, (theorem_id, label)
+        for letter, word in theorems._PCORE.items():
+            assert {s for s, _ in word} <= set("ABCD"), letter
 
     def test_a_star_marks_the_factor_before_it(self):
         assert theorems._tokens("A*B") == (("A", True), ("B", False))
