@@ -30,6 +30,7 @@ from .linalg import (
     _eye,
     _factors,
     _inv,
+    _Named,
     _power,
     _product,
     _qr,
@@ -212,19 +213,19 @@ def _nullspace_sample(rg, shape, equations):
 def _word_system(theorem_id, unknown, shape, named):
     """Term lists, in report order, of the id's word hypotheses that name
     ``unknown`` (of the given shape) and otherwise only symbols in ``named``."""
-    x, drawn = (unknown, False), {unknown, *named}
+    drawn, named = {unknown, *named}, _Named(named)
     system = []
     for _, *words in (*_VANISHING.get(theorem_id, ()),
                       *_EQUATIONS.get(theorem_id, ())):
-        symbols = {s for word in words for s, _ in word}
+        symbols = {key[0] for word in words for key in word}
         if unknown not in symbols or not symbols <= drawn:
             continue
-        if (unknown, True) in words[0]:
-            words = [tuple((s, not st) for s, st in word[::-1])
-                     for word in words]
+        if unknown + "*" in words[0]:
+            words = [tuple(key[0] if key[1:] else key + "*"
+                           for key in word[::-1]) for word in words]
         terms = []
-        for word in sorted(words, key=lambda word: word[-1] != x):
-            i = word.index(x)
+        for word in sorted(words, key=lambda word: word[-1] != unknown):
+            i = word.index(unknown)
             L, R = word[:i], word[i + 1:]
             L = _product(L, named) if L else _eye(shape[0])
             R = _product(R, named) if R else _eye(shape[1])
@@ -357,13 +358,13 @@ def _sample_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
     nA, nD = A.shape[0], D.shape[0]
     B, _ = _nullspace_sample(rg, (nA, nD), b_eqs)
     degenerate = frobenius(B) == 0.0
-    named = _derive(theorem_id, {"A": A, "B": B, "D": D})
+    named = _derive(theorem_id, _Named(A=A, B=B, D=D))
     C = None
     for _ in range(_RETRY_CAP):
         Cc, nullity = _nullspace_sample(rg, (nD, nA), c_eqs)
         if nullity == 0:
             break
-        drawn = _derive(theorem_id, {**named, "C": Cc})
+        drawn = _derive(theorem_id, _Named(named, C=Cc))
         if is_nilpotent_product(_factors(COUPLING[theorem_id], drawn)):
             C = Cc
             break

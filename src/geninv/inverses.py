@@ -9,6 +9,7 @@ of trusting the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .linalg import (
     TolerancePolicy,
     _adj,
     _eye,
+    _Named,
     _parsed,
     _power,
     _rank_cut,
@@ -70,7 +72,12 @@ class GenInverseResult:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        """The largest residual, 0 for none; NaN when any residual is NaN,
+        so that a NaN never certifies."""
+        values = self.residuals.values()
+        if any(math.isnan(v) for v in values):
+            return math.nan
+        return max(values, default=0.0)
 
     def certified(self, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
         return self.max_residual <= tol.residual_tol
@@ -86,10 +93,8 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 
 
 def _svd_pinv(A, tol):
-    """Moore-Penrose inverse via SVD with the policy's relative rank cut."""
-    A = as_matrix(A)
-    if A.size == 0 or frobenius(A) == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
+    """Moore-Penrose inverse of a validated A via SVD with the policy's
+    relative rank cut; zero for an empty or all-zero spectrum."""
     U, s, Vh = _svd(A)
     r = _rank_cut(s, tol.rank_rel_tol)
     if r == 0:
@@ -112,15 +117,15 @@ _DEFINING = _parsed({
 
 # The kinds whose words name Q; no other kind forms it.
 _NAMES_Q = {kind for kind, rows in _DEFINING.items()
-            if "Q" in {s for _, *words in rows for w in words for s, _ in w}}
+            if "Q" in {key[0] for _, *words in rows for w in words for key in w}}
 
 
 def _residuals(kind, A, X, K=None):
     """The residuals of the kind's rows of ``_DEFINING`` for the inverse X of
     A, with AX formed once; K = A^max(k,1) and Q = XA where a word names
     them."""
-    named = {"A": A, "X": X, "K": K, "P": A @ X,
-             "Q": X @ A if kind in _NAMES_Q else None}
+    named = _Named(A=A, X=X, K=K, P=A @ X,
+                   Q=X @ A if kind in _NAMES_Q else None)
     return {label: _word_residual(lhs, rhs, named)
             for label, lhs, rhs in _DEFINING[kind]}
 
@@ -194,13 +199,15 @@ class _CoreEP:
         self._pcore = self._drazin = None
 
     def __getattr__(self, name):
-        # Fills t_inverse and exact_power on first use.  Python calls this
-        # only when the instance has no such attribute, so later reads are
-        # plain attribute reads.
+        # Fills t_inverse, exact_power and rank on first use.  Python calls
+        # this only when the instance has no such attribute, so later reads
+        # are plain attribute reads.
         if name == "t_inverse":
             value = _refined_inverse(self.T)
         elif name == "exact_power":
             value = _power(self.A, max(self.k, 1))
+        elif name == "rank":
+            value = numerical_rank(self.A, self.tol)
         else:
             raise AttributeError(name)
         setattr(self, name, value)
@@ -287,14 +294,10 @@ class _CoreEP:
             raise InverseNotDefinedError("core", self.k)
         A, tol = self.A, self.tol
         X = self.pcore_inverse()
-        rank_a = numerical_rank(A, tol)     # one rank for both spaces
-        residuals = {
-            **_residuals("core", A, X),
-            "column_space":
-                0.0 if _same_space(X, A, rank_a, tol) else 1.0,
-            "row_space":
-                0.0 if _same_space(_adj(X), A, rank_a, tol) else 1.0,
-        }
+        residuals = _residuals("core", A, X)
+        for label, Y in (("column_space", X), ("row_space", _adj(X))):
+            same = _same_space(Y, A, numerical_rank(Y, tol), self.rank, tol)
+            residuals[label] = 0.0 if same else 1.0
         return GenInverseResult("core", X, 1, residuals)
 
     def star_dmp(self):

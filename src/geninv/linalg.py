@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import re
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy._core._multiarray_umath import vdot as _vdot
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import (
     _raise_linalgerror_qr,
@@ -72,52 +74,60 @@ DEFAULT_POLICY = TolerancePolicy()
 # Dense kernel.  Every SVD, solve, inverse, QR, matrix power and block
 # assembly in the package goes through these functions.  Each LAPACK call
 # is, for a 2-D complex128 input, the gufunc that ``np.linalg.svd``/
-# ``solve``/``inv``/``qr`` call, with the same signature and inside the same
-# ``np.errstate``; so the result is the same bits, a LinAlgError carries
+# ``solve``/``inv``/``qr`` call, with the same signature and under the same
+# error state; so the result is the same bits, a LinAlgError carries
 # numpy's message, and no new warning escapes.  ``_power`` forms numpy's
 # ``matrix_power`` products in numpy's order, and ``_assemble`` fills the
 # array ``numpy.block`` would build.  What is skipped is numpy's per-call
-# wrapper: dispatch, type resolution and result wrapping, which cost about
-# as much as the arithmetic at n <= 16.
+# wrapper: dispatch, type resolution, result wrapping and a fresh
+# ``np.errstate``, which cost about as much as the arithmetic at n <= 16.
 
-def _errstate(raise_error):
-    """numpy's errstate around a gufunc that signals failure with ``invalid``,
-    which ``raise_error`` turns into numpy's LinAlgError."""
-    return np.errstate(call=raise_error, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
+# numpy's error state for a gufunc that signals failure with ``invalid``,
+# which the handler turns into numpy's LinAlgError; each built once, here.
+_SVD_STATE, _SINGULAR_STATE, _QR_STATE = (
+    _make_extobj(call=raise_error, invalid="call", over="ignore",
+                 divide="ignore", under="ignore")
+    for raise_error in (_raise_linalgerror_svd_nonconvergence,
+                        _raise_linalgerror_singular, _raise_linalgerror_qr))
+
+
+def _lapack(state, gufunc, *args, signature):
+    """``gufunc(*args, signature=signature)`` with numpy's error state set to
+    the prebuilt ``state``; the caller's state is back on return or raise."""
+    token = _extobj_contextvar.set(state)
+    try:
+        return gufunc(*args, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _svd(M, full=True):
     """``np.linalg.svd(M, full_matrices=full)`` as a plain (U, s, Vh)."""
     gufunc = _umath_linalg.svd_f if full else _umath_linalg.svd_s
-    with _errstate(_raise_linalgerror_svd_nonconvergence):
-        return gufunc(M, signature="D->DdD")
+    return _lapack(_SVD_STATE, gufunc, M, signature="D->DdD")
 
 
 def _svdvals(M):
     """``np.linalg.svd(M, compute_uv=False)``."""
-    with _errstate(_raise_linalgerror_svd_nonconvergence):
-        return _umath_linalg.svd(M, signature="D->d")
+    return _lapack(_SVD_STATE, _umath_linalg.svd, M, signature="D->d")
 
 
 def _solve(A, B):
     """``np.linalg.solve(A, B)`` for a 2-D right-hand side B."""
-    with _errstate(_raise_linalgerror_singular):
-        return _umath_linalg.solve(A, B, signature="DD->D")
+    return _lapack(_SINGULAR_STATE, _umath_linalg.solve, A, B,
+                   signature="DD->D")
 
 
 def _inv(A):
     """``np.linalg.inv(A)``."""
-    with _errstate(_raise_linalgerror_singular):
-        return _umath_linalg.inv(A, signature="D->D")
+    return _lapack(_SINGULAR_STATE, _umath_linalg.inv, A, signature="D->D")
 
 
 def _qr(M):
     """Q and the diagonal of R of ``numpy.linalg.qr(M)``."""
     a = M.astype(np.complex128, copy=True)      # overwritten by the factors
-    with _errstate(_raise_linalgerror_qr):
-        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-        Q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    tau = _lapack(_QR_STATE, _umath_linalg.qr_r_raw, a, signature="D->D")
+    Q = _lapack(_QR_STATE, _umath_linalg.qr_reduced, a, tau, signature="DD->D")
     return Q, np.diagonal(a)
 
 
@@ -192,18 +202,48 @@ def _require_square(A) -> np.ndarray:
     return A
 
 
+_SQRT_TINY = 2.0 ** -511        # the square root of the least normal float
+
+
 def frobenius(A) -> float:
-    """Frobenius norm, bit for bit ``np.linalg.norm(A)``.
+    """Frobenius norm, bit for bit ``np.linalg.norm(A)`` wherever its sum of
+    squares is a normal float.
 
     For a complex128 array this is numpy's own formula, inlined to skip the
     dispatch: the squared norms of the real and imaginary parts of the
-    K-order ravel, summed, then the square root.
+    K-order ravel, summed, then the square root.  numpy's ``vdot``, called
+    without its dispatch, takes the same BLAS dot as ``ndarray.dot`` but
+    raises no floating-point warning.  Where the sum overflows or underflows
+    for finite, nonzero entries, they are scaled by a power of two first, so
+    ``frobenius(2**j * A)`` is ``2**j * frobenius(A)`` at every magnitude.
     """
     if type(A) is np.ndarray and A.dtype == np.complex128:
         x = A.ravel(order="K")
         xr, xi = x.real, x.imag
-        return math.sqrt(xr.dot(xr) + xi.dot(xi))
-    return float(np.linalg.norm(A))
+        norm = math.sqrt(_vdot(xr, xr) + _vdot(xi, xi))
+    else:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(A))
+    if _SQRT_TINY <= norm < math.inf:
+        return norm
+    return _rescaled_frobenius(A, norm)
+
+
+def _rescaled_frobenius(A, norm):
+    """:func:`frobenius` of A, whose plain norm ``norm`` fell outside the
+    normal range, from its K-order ravel scaled by 2**-e, e the exponent of
+    its largest real or imaginary part; ``norm`` itself for an all-zero or
+    non-finite A."""
+    if not np.count_nonzero(A):         # the common case, an exact zero
+        return norm
+    parts = np.asarray(A, dtype=np.complex128).ravel(order="K").view(np.float64)
+    with np.errstate(all="ignore"):
+        top = np.abs(parts).max()
+        if not 0.0 < top < math.inf:
+            return norm
+        e = math.frexp(top)[1]
+        scaled = frobenius(np.ldexp(parts, -e).view(np.complex128))
+        return float(np.ldexp(scaled, e))
 
 
 def _adj(M):
@@ -225,33 +265,50 @@ def rel_residual(X, Y) -> float:
 
 # The one reader of words.  A word such as "A*B" is a product of named
 # matrices, one per letter, a star taking the adjoint of the factor before it.
+# Each factor is a key of a :class:`_Named` map: the symbol, starred or not.
 
 def _tokens(word):
-    """A word's factors as (symbol, starred) tokens: "A*B" gives
-    (("A", True), ("B", False))."""
-    return tuple((ch, word[i + 1:i + 2] == "*")
-                 for i, ch in enumerate(word) if ch != "*")
+    """A word's factors as keys, the star kept with its symbol: "A*B" gives
+    ("A*", "B")."""
+    return tuple(re.findall(r"[^*]\*?", word))
 
 
 def _parsed(table):
-    """Rows (label, word, ...) per key, each word parsed once into tokens."""
+    """Rows (label, word, ...) per key, each word parsed once into keys."""
     return {key: tuple((label, *map(_tokens, words)) for label, *words in rows)
             for key, rows in table.items()}
 
 
-def _factors(tokens, named):
-    """The factors of parsed ``tokens``, each symbol's matrix from ``named``."""
-    return [_adj(named[s]) if starred else named[s] for s, starred in tokens]
+class _Named(dict):
+    """The matrices a word's symbols name.  A starred key "S*" is formed from
+    "S" through :func:`_adj` on first use and stored: the one place the
+    involution reaches a matrix."""
+
+    def __missing__(self, key):
+        if key[1:] != "*":
+            raise KeyError(key)
+        value = self[key] = _adj(self[key[0]])
+        return value
 
 
-def _product(tokens, named):
-    """The product of the factors of parsed ``tokens``, taken left to right."""
-    return functools.reduce(operator.matmul, _factors(tokens, named))
+def _factors(word, named):
+    """The factors of a parsed word, each key's matrix from ``named``."""
+    return list(map(named.__getitem__, word))
+
+
+def _product(word, named):
+    """The product of the factors of a parsed word, taken left to right."""
+    P = named[word[0]]
+    for key in word[1:]:
+        P = P @ named[key]
+    return P
 
 
 def _word_residual(lhs, rhs, named):
-    """:func:`rel_residual` of the equation lhs = rhs of two parsed words."""
-    return rel_residual(_product(lhs, named), _product(rhs, named))
+    """:func:`rel_residual` of the equation lhs = rhs of two parsed words,
+    on the products as they come."""
+    L, R = _product(lhs, named), _product(rhs, named)
+    return _relative(frobenius(L - R), frobenius(R))
 
 
 def _rank_cut(s, rtol: float) -> int:
@@ -286,21 +343,20 @@ def _staircase(A, tol):
     first by a factor of cond(T).
     """
     n = A.shape[0]
-    Q = _eye(n)             # the first step replaces it with a writable I U
-    M = A.copy()
-    ranks, cut = [n], None
+    Q, M, ranks, cut = _eye(n), A, [n], None
     while ranks[-1]:
         m = ranks[-1]
         U, s, _ = _svd(M[:m, :m])
         if cut is None:
             cut = tol.rank_rel_tol * s[0]
         r = int(np.count_nonzero(s > cut))
-        if m == n:
-            Q = Q @ U
+        if m == n:          # the first step, on A itself; Q = I U, not U,
+            Q = Q @ U       # for the bits of its signed zeros
+            M = (U.conj().T @ A) @ U
         else:
             Q[:, :m] = Q[:, :m] @ U
-        M[:m] = U.conj().T @ M[:m]
-        M[:, :m] = M[:, :m] @ U
+            M[:m] = U.conj().T @ M[:m]
+            M[:, :m] = M[:, :m] @ U
         if r == m:
             break
         M[r:m, :m] = 0.0
@@ -322,16 +378,16 @@ def same_column_space(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     if A.shape[0] != B.shape[0]:
         raise DimensionError(
             f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return _same_space(A, B, numerical_rank(B, tol), tol)
+    return _same_space(A, B, numerical_rank(A, tol), numerical_rank(B, tol),
+                       tol)
 
 
-def _same_space(A, B, rank_b: int, tol: TolerancePolicy) -> bool:
+def _same_space(A, B, rank_a: int, rank_b: int, tol: TolerancePolicy) -> bool:
     """:func:`same_column_space` of two matrices with equal row counts, given
-    ``rank_b = numerical_rank(B)``; raises ValueError for a non-finite A."""
-    ra = numerical_rank(A, tol)
-    if ra != rank_b:
+    their numerical ranks, so a caller that holds a rank takes it once."""
+    if rank_a != rank_b:
         return False
-    return numerical_rank(np.hstack([A, B]), tol) == ra
+    return numerical_rank(np.hstack([A, B]), tol) == rank_a
 
 
 def _scaled_powers(A, tol: TolerancePolicy):

@@ -26,11 +26,13 @@ from .linalg import (
     _assemble,
     _eye,
     _factors,
+    _Named,
     _parsed,
     _power,
     _product,
     _relative,
     _require_square,
+    _same_space,
     _tokens,
     _word_residual,
     as_matrix,
@@ -38,7 +40,6 @@ from .linalg import (
     is_nilpotent_product,
     numerical_rank,
     rel_residual,
-    same_column_space,
     zero_product,
 )
 from .inverses import (
@@ -161,7 +162,7 @@ def _report(theorem_id, named, tol) -> TheoremReport:
     """A report of the id holding its word hypotheses, judged on the matrices
     that ``named`` maps the symbols to."""
     report = TheoremReport(theorem_id, policy=tol)
-    checks = report.hypothesis_checks
+    checks, named = report.hypothesis_checks, _Named(named)
     for label, word in _VANISHING.get(theorem_id, ()):
         value, ok = zero_product(_factors(word, named), tol)
         checks.append(Check(label, value, ok))
@@ -477,8 +478,11 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     X = apc.inverse
     rAk = _CoreEP(Ak, tol)
     core_m = rAk.core()
-    power_range = same_column_space(Ak, X, tol)
-    adjoint_range = same_column_space(X, _adj(X), tol)
+    # rank(A^k) is the one core_m took, and rank(X) serves both comparisons
+    rank_x, Xstar = numerical_rank(X, tol), _adj(X)
+    power_range = _same_space(Ak, X, rAk.rank, rank_x, tol)
+    adjoint_range = _same_space(X, Xstar, rank_x, numerical_rank(Xstar, tol),
+                                tol)
     power_index = rAk.k
     report.conclusion_checks = [
         _certified("pcore_certified", apc, tol),
@@ -522,9 +526,9 @@ _PCORE = {letter: _tokens(word) for letter, word in (
 def _derive(theorem_id, named, tol=DEFAULT_POLICY):
     """``named`` with the pseudo core inverse of each derived letter of the
     id's coupling word added, once the letter's own word is drawn."""
-    for letter, _ in COUPLING[theorem_id]:
+    for letter in COUPLING[theorem_id]:
         word = _PCORE.get(letter)
-        if word and letter not in named and all(s in named for s, _ in word):
+        if word and letter not in named and all(k[0] in named for k in word):
             named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse()
     return named
 
@@ -549,7 +553,7 @@ def _intertwined_report(theorem_id, A, B, C, D, tol):
     its equations and the nilpotency of its coupling product as hypotheses,
     the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
     report and M's pseudo core result, to which the caller adds its own."""
-    named = _derive(theorem_id, dict(A=A, B=B, C=C, D=D), tol)
+    named = _derive(theorem_id, _Named(A=A, B=B, C=C, D=D), tol)
     report = _report(theorem_id, named, tol)
     nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
     report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from geninv.linalg import (
     same_column_space,
 )
 from geninv.inverses import (
+    GenInverseResult,
     InverseNotDefinedError,
     core_inverse,
     drazin,
@@ -491,3 +494,59 @@ class TestResidualProducts:
         got = inverses._residuals(kind, cA, cX, cA)
         assert len(log) == products
         assert _bits(got) == _bits(inverses._residuals(kind, A, X, A))
+
+
+class TestNanNeverCertifies:
+    """A NaN residual makes max_residual NaN wherever it sits, and a NaN
+    never certifies."""
+
+    LABELS = ("pc1", "pc2", "pc3")
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("others", [0.0, 1e-20, 1.0])
+    def test_nan_in_every_position(self, position, others):
+        residuals = dict.fromkeys(self.LABELS, others)
+        residuals[self.LABELS[position]] = math.nan
+        result = GenInverseResult("pseudo_core", np.zeros((2, 2)), 1,
+                                  residuals)
+        assert math.isnan(result.max_residual)
+        assert not result.certified()
+
+    def test_finite_residuals(self):
+        result = GenInverseResult("pseudo_core", np.zeros((2, 2)), 1,
+                                  {"pc1": 1e-12, "pc2": 3e-8, "pc3": 0.0})
+        assert result.max_residual == 3e-8
+        assert not result.certified()
+        assert GenInverseResult("core", np.zeros((2, 2)), 1).max_residual == 0.0
+
+    def test_tiny_input_and_wrong_inverse(self):
+        # the sum of squares of X ~ 2^600 overflowed, so pc2 read inf/inf
+        A = 2.0 ** -600 * gen_with_index(4, 1, 3, seed=3)
+        result = pseudo_core(A)
+        assert all(math.isfinite(v) for v in result.residuals.values())
+        assert result.certified()
+        X = result.inverse
+        wrong = GenInverseResult("pseudo_core", 2 * X, 1,
+                                 verify_defining_triple(A, 2 * X, 1))
+        assert not wrong.certified()
+
+
+class TestExtremeScale:
+    """Certificates keep their meaning where a plain sum of squares would
+    underflow or overflow."""
+
+    def test_pseudo_core_residuals_are_not_lost_to_underflow(self):
+        # X ~ 2^520: the plain sums of squares underflowed to pc1 = pc2 = 0
+        A = 2.0 ** -520 * gen_with_index(4, 1, 3, seed=3)
+        residuals = pseudo_core(A).residuals
+        assert 0.0 < residuals["pc2"] < 1e-13
+        assert 0.0 < residuals["pc3"] < 1e-13
+
+    @pytest.mark.parametrize("kind", [moore_penrose, one_three])
+    def test_tiny_invertible_matrix_keeps_its_inverse(self, kind):
+        # a norm-based zero test underflowed here and returned X = 0
+        B = gen_with_index(4, 0, 4, seed=3)
+        result = kind(1e-165 * B)
+        assert result.certified()
+        assert np.allclose(1e-165 * result.inverse, np.linalg.pinv(B),
+                           rtol=1e-10, atol=1e-12)

@@ -301,6 +301,14 @@ class TestTheorem11:
     def test_identity(self):
         assert check_theorem_1_1(np.eye(3)).verdict == "pass"
 
+    def test_each_rank_taken_once(self, monkeypatch):
+        # rank(A^k), rank(X), rank(X*) and the three ranks of core_m's
+        # spaces, plus one stacked rank per range comparison (three)
+        A = gen_with_index(5, 2, 2, seed=11)
+        calls = counting_calls(monkeypatch, [linalg], "_svdvals")
+        assert check_theorem_1_1(A).verdict == "pass"
+        assert len(calls) == 9
+
     def test_nilpotent(self):
         assert check_theorem_1_1(SHIFT).verdict == "pass"
 
@@ -652,8 +660,8 @@ class TestWordHypotheses:
     id's symbols, and the report lists them in table order."""
 
     def test_words_use_only_the_id_symbols(self):
-        # the tables hold each word parsed into (symbol, starred) tokens; a
-        # coupling word may also name the pseudo core letters of _PCORE
+        # the tables hold each word parsed into keys, a symbol and its star
+        # if any; a coupling word may also name the letters of _PCORE
         coupling = {tid: (("coupling", word),)
                     for tid, word in theorems.COUPLING.items()}
         for table, extra in ((theorems._EQUATIONS, set()),
@@ -661,16 +669,16 @@ class TestWordHypotheses:
                              (coupling, set(theorems._PCORE))):
             for theorem_id, entries in table.items():
                 for label, *words in entries:
-                    symbols = {s for word in words for s, _ in word}
+                    symbols = {key[0] for word in words for key in word}
                     allowed = set(THEOREM_SYMBOLS[theorem_id]) | extra
                     assert symbols <= allowed, (theorem_id, label)
         for letter, word in theorems._PCORE.items():
-            assert {s for s, _ in word} <= set("ABCD"), letter
+            assert {key[0] for key in word} <= set("ABCD"), letter
 
     def test_a_star_marks_the_factor_before_it(self):
-        assert theorems._tokens("A*B") == (("A", True), ("B", False))
-        assert theorems._tokens("DB*") == (("D", False), ("B", True))
-        assert theorems._tokens("ab") == (("a", False), ("b", False))
+        assert theorems._tokens("A*B") == ("A*", "B")
+        assert theorems._tokens("DB*") == ("D", "B*")
+        assert theorems._tokens("ab") == ("a", "b")
 
     def test_report_opens_with_the_table(self):
         for theorem_id in THEOREM_SYMBOLS:
