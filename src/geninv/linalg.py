@@ -215,7 +215,9 @@ def frobenius(A) -> float:
     without its dispatch, takes the same BLAS dot as ``ndarray.dot`` but
     raises no floating-point warning.  Where the sum overflows or underflows
     for finite, nonzero entries, they are scaled by a power of two first, so
-    ``frobenius(2**j * A)`` is ``2**j * frobenius(A)`` at every magnitude.
+    ``frobenius(2**j * A)`` is ``2**j * frobenius(A)`` exactly, outside the
+    band where a nonzero part's square is subnormal while the sum of squares
+    is normal: there such squares lose bits.
     """
     if type(A) is np.ndarray and A.dtype == np.complex128:
         x = A.ravel(order="K")
@@ -234,11 +236,9 @@ def _rescaled_frobenius(A, norm):
     normal range, from its K-order ravel scaled by 2**-e, e the exponent of
     its largest real or imaginary part; ``norm`` itself for an all-zero or
     non-finite A."""
-    if not np.count_nonzero(A):         # the common case, an exact zero
-        return norm
     parts = np.asarray(A, dtype=np.complex128).ravel(order="K").view(np.float64)
     with np.errstate(all="ignore"):
-        top = np.abs(parts).max()
+        top = np.abs(parts).max(initial=0.0)
         if not 0.0 < top < math.inf:
             return norm
         e = math.frexp(top)[1]
@@ -260,7 +260,12 @@ def _relative(norm, scale):
 
 def rel_residual(X, Y) -> float:
     """``||X - Y||_F`` relative to ``||Y||_F`` - the package-wide residual."""
-    return _relative(frobenius(np.asarray(X) - np.asarray(Y)), frobenius(Y))
+    return _residual(np.asarray(X), np.asarray(Y))
+
+
+def _residual(X, Y):
+    """:func:`rel_residual` of two arrays."""
+    return _relative(frobenius(X - Y), frobenius(Y))
 
 
 # The one reader of words.  A word such as "A*B" is a product of named
@@ -307,8 +312,7 @@ def _product(word, named):
 def _word_residual(lhs, rhs, named):
     """:func:`rel_residual` of the equation lhs = rhs of two parsed words,
     on the products as they come."""
-    L, R = _product(lhs, named), _product(rhs, named)
-    return _relative(frobenius(L - R), frobenius(R))
+    return _residual(_product(lhs, named), _product(rhs, named))
 
 
 def _rank_cut(s, rtol: float) -> int:
