@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import __version__
-from .linalg import (DimensionError, TolerancePolicy, _relative, frobenius,
-                     rel_residual)
+from .linalg import (DEFAULT_POLICY, DimensionError, TolerancePolicy,
+                     _relative, frobenius, rel_residual)
 from .inverses import (
     InverseNotDefinedError,
     core_inverse,
@@ -64,9 +64,19 @@ def _policy_args(parser):
 
 
 def _policy_from(args) -> TolerancePolicy:
+    """The policy the options give; the shared default when none is given."""
     given = {"rank_rel_tol": args.rank_tol, "eq_rel_tol": args.eq_tol,
              "residual_tol": args.res_tol}
-    return TolerancePolicy(**{k: v for k, v in given.items() if v is not None})
+    given = {k: v for k, v in given.items() if v is not None}
+    return TolerancePolicy(**given) if given else DEFAULT_POLICY
+
+
+_POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(TolerancePolicy))
+
+
+def _policy_obj(tol) -> dict:
+    """The policy's fields in declaration order, as reports print them."""
+    return {name: getattr(tol, name) for name in _POLICY_FIELDS}
 
 
 def _checks_obj(report) -> dict:
@@ -120,7 +130,7 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
         "command": "compute",
         "version": __version__,
         "kind": kind,
-        "policy": dataclasses.asdict(tol),
+        "policy": _policy_obj(tol),
         "input": args.input,
     }
     try:
@@ -193,7 +203,7 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
         "command": "verify",
         "version": __version__,
         "theorem": theorem,
-        "policy": dataclasses.asdict(tol),
+        "policy": _policy_obj(tol),
         "input": args.input,
         "report": _report_obj(report),
     }
@@ -247,7 +257,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
         "command": "fuzz",
         "version": __version__,
         "theorem": theorem,
-        "policy": dataclasses.asdict(tol),
+        "policy": _policy_obj(tol),
         "dims": list(dims),
         "trials": args.trials,
         "seed": args.seed,
@@ -272,7 +282,7 @@ def cmd_example33(args, tol: TolerancePolicy) -> int:
     out = {
         "command": "example33",
         "version": __version__,
-        "policy": dataclasses.asdict(tol),
+        "policy": _policy_obj(tol),
         "report": _report_obj(report),
     }
     _emit(out)

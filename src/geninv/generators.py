@@ -2,14 +2,16 @@
 
 Hypotheses that are linear in one unknown block are satisfied exactly by
 sampling from the nullspace of the complex-linear constraint system, taken
-from one complex thin SVD.  Its equations are read off the words of
-``theorems._EQUATIONS``/``_VANISHING``: a word gives the term L X R, L and R
-the products of the factors before and after the unknown X (the identity
-for none), and of an equation's two words the one that ends in X gives the
-first term, the other one's L negated (Sylvester form).  A hypothesis with X
-starred is read through its adjoint, words reversed and stars toggled, which
-is complex-linear with the same solutions: B*A = DB* as A*B = BD*, and
-AC* = C*D as D*C = CA*.  The one nonlinear hypothesis, that the coupling
+from its right singular vectors: a stack with at least floor(17n/9) rows
+for its n columns is QR-factored once and the SVD is taken of its square R,
+as LAPACK's SVD would do itself (``linalg._svd_right``).  Its equations are
+read off the words of ``theorems._EQUATIONS``/``_VANISHING``: a word gives
+the term L X R, L and R the products of the factors before and after the
+unknown X (the identity for none), and of an equation's two words the one
+that ends in X gives the first term, the other one's L negated (Sylvester
+form).  A hypothesis with X starred is read through its adjoint, words
+reversed and stars toggled, which is complex-linear with the same
+solutions: B*A = DB* as A*B = BD*, and AC* = C*D as D*C = CA*.  The one nonlinear hypothesis, that the coupling
 word ``theorems.COUPLING[id]`` is nilpotent, is handled by rejection with a
 capped retry count and a guaranteed zero fallback, flagged as degenerate.
 A drawn block has unit norm; multiply the whole instance to vary its scale.
@@ -37,6 +39,7 @@ from .linalg import (
     _rank_cut,
     _relative,
     _svd,
+    _svd_right,
     frobenius,
     is_nilpotent_product,
 )
@@ -196,7 +199,7 @@ def _nullspace_sample(rg, shape, equations):
     # null space: an equation with square L and R adds a square pq-by-pq
     # block, and of the BC = 0, CB = 0 pairs (T4_5, C4_6) the block with more
     # rows than columns is kept whenever the other one is.
-    _, s, Vh = _svd(np.vstack(rows), full=False)
+    s, Vh = _svd_right(np.vstack(rows))
     basis = Vh[_rank_cut(s, rtol):].conj().T
     k = basis.shape[1]
     if k == 0:

@@ -295,8 +295,9 @@ class _CoreEP:
         A, tol = self.A, self.tol
         X = self.pcore_inverse()
         residuals = _residuals("core", A, X)
+        rank_x = numerical_rank(X, tol)     # X* has X's singular values
         for label, Y in (("column_space", X), ("row_space", _adj(X))):
-            same = _same_space(Y, A, numerical_rank(Y, tol), self.rank, tol)
+            same = _same_space(Y, A, rank_x, self.rank, tol)
             residuals[label] = 0.0 if same else 1.0
         return GenInverseResult("core", X, 1, residuals)
 

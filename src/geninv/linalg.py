@@ -76,7 +76,9 @@ DEFAULT_POLICY = TolerancePolicy()
 # is, for a 2-D complex128 input, the gufunc that ``np.linalg.svd``/
 # ``solve``/``inv``/``qr`` call, with the same signature and under the same
 # error state; so the result is the same bits, a LinAlgError carries
-# numpy's message, and no new warning escapes.  ``_power`` forms numpy's
+# numpy's message, and no new warning escapes.  ``_svd_right`` gives the
+# thin SVD's s and Vh, taking first, for a tall enough matrix, the QR that
+# LAPACK's SVD would take itself.  ``_power`` forms numpy's
 # ``matrix_power`` products in numpy's order, and ``_assemble`` fills the
 # array ``numpy.block`` would build.  What is skipped is numpy's per-call
 # wrapper: dispatch, type resolution, result wrapping and a fresh
@@ -101,10 +103,29 @@ def _lapack(state, gufunc, *args, signature):
         _extobj_contextvar.reset(token)
 
 
-def _svd(M, full=True):
-    """``np.linalg.svd(M, full_matrices=full)`` as a plain (U, s, Vh)."""
-    gufunc = _umath_linalg.svd_f if full else _umath_linalg.svd_s
-    return _lapack(_SVD_STATE, gufunc, M, signature="D->DdD")
+def _svd(M):
+    """``np.linalg.svd(M)`` as a plain (U, s, Vh)."""
+    return _lapack(_SVD_STATE, _umath_linalg.svd_f, M, signature="D->DdD")
+
+
+def _svd_right(M):
+    """s and Vh of ``np.linalg.svd(M, full_matrices=False)``, without U.
+
+    LAPACK's zgesdd QR-factors an m x n matrix with m >= floor(17n/9) and
+    takes the SVD of the n x n R alone (Chan 1982).  Such an M is factored
+    here by the same QR, and the thin SVD is taken of its R, below-diagonal
+    entries zero, so s and Vh are the same bits and no m x n left factor is
+    formed.  Any other shape takes the thin SVD of M itself.  The bits agree
+    for a finite M whose largest entry zgesdd does not rescale, about
+    1e-138 to 1e138; a NaN raises numpy's LinAlgError.
+    """
+    m, n = M.shape
+    if m >= 17 * n // 9:
+        a = M.astype(np.complex128, copy=True)      # overwritten by the QR
+        _lapack(_QR_STATE, _umath_linalg.qr_r_raw, a, signature="D->D")
+        M = np.triu(a[:n])
+    _, s, Vh = _lapack(_SVD_STATE, _umath_linalg.svd_s, M, signature="D->DdD")
+    return s, Vh
 
 
 def _svdvals(M):

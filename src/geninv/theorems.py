@@ -479,10 +479,10 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     rAk = _CoreEP(Ak, tol)
     core_m = rAk.core()
     # rank(A^k) is the one core_m took, and rank(X) serves both comparisons
-    rank_x, Xstar = numerical_rank(X, tol), _adj(X)
+    # and X*, which has X's singular values
+    rank_x = numerical_rank(X, tol)
     power_range = _same_space(Ak, X, rAk.rank, rank_x, tol)
-    adjoint_range = _same_space(X, Xstar, rank_x, numerical_rank(Xstar, tol),
-                                tol)
+    adjoint_range = _same_space(X, _adj(X), rank_x, rank_x, tol)
     power_index = rAk.k
     report.conclusion_checks = [
         _certified("pcore_certified", apc, tol),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -567,6 +568,26 @@ class TestFuzz:
                                     "--trials", "3", "--seed", "1"])
         assert code == 5
         assert out["summary"]["hypotheses_not_met"] == 3
+
+
+class TestPolicyBlock:
+    """One policy object per run, printed as asdict would print it."""
+
+    def test_no_option_gives_the_default_policy(self):
+        for argv in (["example33"], ["fuzz", "--theorem", "L2_1"]):
+            args = build_parser().parse_args(argv)
+            assert cli._policy_from(args) is DEFAULT_POLICY
+
+    @pytest.mark.parametrize("options", [
+        [], ["--rank-tol", "1e-9"], ["--eq-tol", "1e-6", "--res-tol", "0.0"]])
+    def test_printed_block_equals_asdict(self, capsys, options):
+        args = build_parser().parse_args(["example33", *options])
+        tol = cli._policy_from(args)
+        assert (dumps_report({"policy": cli._policy_obj(tol)})
+                == dumps_report({"policy": dataclasses.asdict(tol)}))
+        code, out, _ = run(capsys, ["example33", *options])
+        assert list(out["policy"].items()) == list(
+            dataclasses.asdict(tol).items())
 
 
 class TestParserReuse:

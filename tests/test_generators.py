@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from geninv import generators, theorems
 from geninv.linalg import DEFAULT_POLICY, zero_product
@@ -472,6 +473,31 @@ def _hand_systems(a, A, B, C, D):
         ("C4_6", "B", "AD"): [ab_bd, astar_b],
         ("C4_6", "C", "ABD"): [[(B, IA)], [(ID, B)]],
     }
+
+
+class TestNullspaceRoute:
+    """A tall stack is QR-factored once and only its square R reaches the
+    thin SVD; a square stack reaches it as it is."""
+
+    @pytest.fixture
+    def gufunc_calls(self, monkeypatch):
+        calls = []
+        for name in ("qr_r_raw", "svd_s"):
+            def spy(M, *args, real=getattr(_umath_linalg, name), name=name,
+                    **kwargs):
+                calls.append((name, M.shape))
+                return real(M, *args, **kwargs)
+            monkeypatch.setattr(_umath_linalg, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_commutant_stack_takes_one_qr(self, gufunc_calls, seed):
+        gen_commutant_pair(8, seed)
+        assert gufunc_calls == [("qr_r_raw", (128, 64)), ("svd_s", (64, 64))]
+
+    def test_square_coupling_stack_takes_no_qr(self, gufunc_calls):
+        gen_lemma_2_5_instance(3, 3, seed=0)
+        assert gufunc_calls == [("svd_s", (9, 9))]
 
 
 class TestWordSystems:

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import io
+import itertools
 import pathlib
 import tokenize
 
@@ -9,6 +10,7 @@ import pytest
 import sympy as sp
 from numpy.linalg import LinAlgError
 
+import geninv.generators as generators
 import geninv.inverses as inverses
 import geninv.linalg as linalg
 from geninv.generators import fuzz_dims, gen_with_index, instance_for, trial_seed
@@ -24,6 +26,7 @@ from geninv.linalg import (
     _qr,
     _solve,
     _svd,
+    _svd_right,
     _svdvals,
     _two_eye,
     approx_equal,
@@ -108,6 +111,14 @@ def same_bytes(got, want):
             and got.tobytes() == want.tobytes())
 
 
+def assert_right_factor_bits(M):
+    """_svd_right(M) is s and Vh of numpy's thin SVD, bit for bit."""
+    _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    got = _svd_right(M)
+    assert len(got) == 2
+    assert same_bytes(got[0], s) and same_bytes(got[1], Vh), M.shape
+
+
 @pytest.mark.filterwarnings("error")
 class TestKernel:
     """The kernel equals np.linalg and np.block bit for bit, errors
@@ -119,12 +130,40 @@ class TestKernel:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_svd_bits_equal_numpy(self, shape):
         M = crandn(np.random.default_rng(sum(shape)), *shape)
-        for full in (True, False):
-            got = _svd(M, full=full)
-            want = np.linalg.svd(M, full_matrices=full)
-            assert len(got) == 3
-            assert all(same_bytes(g, w) for g, w in zip(got, want))
+        got = _svd(M)
+        assert len(got) == 3
+        assert all(same_bytes(g, w) for g, w in zip(got, np.linalg.svd(M)))
+        assert_right_factor_bits(M)
         assert same_bytes(_svdvals(M), np.linalg.svd(M, compute_uv=False))
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8, 9, 16, 64))
+    def test_right_factor_on_both_sides_of_lapacks_path_rule(self, n):
+        # zgesdd QR-factors a stack with m >= floor(17n/9) rows itself and
+        # works on R; _svd_right takes the same QR only there
+        rg = np.random.default_rng(400 + n)
+        cut = 17 * n // 9
+        for m in sorted({max(n, cut - 2), max(n, cut - 1), cut, cut + 1,
+                         2 * n + 3}):
+            for rank in {n, max(1, n // 2)}:
+                M = crandn(rg, m, rank) @ crandn(rg, rank, n)
+                assert_right_factor_bits(M)
+
+    def test_right_factor_of_every_generated_stack(self, monkeypatch):
+        # each sampler at each of its dims, up to the 512 x 256 stack of a
+        # pair id at n = 16
+        stacks = []
+        monkeypatch.setattr(generators, "_svd_right",
+                            lambda M: stacks.append(M) or _svd_right(M))
+        samplers = {row[3]: row for row in generators._SAMPLERS.values()}
+        for default, lo, hi, sample in samplers.values():
+            for dims in itertools.product(range(lo, hi + 1),
+                                          repeat=len(default)):
+                sample(*dims, trial_seed(3, 0))
+        shapes = {M.shape for M in stacks}
+        assert max(shapes) == (512, 256)
+        assert {m >= 17 * n // 9 for m, n in shapes} == {True, False}
+        for M in stacks:
+            assert_right_factor_bits(M)
 
     @pytest.mark.parametrize("n", SQUARE)
     def test_solve_and_inv_bits_equal_numpy(self, n):
@@ -143,8 +182,9 @@ class TestKernel:
     def test_nan_raises_numpys_error(self):
         M = np.eye(4, dtype=np.complex128)
         M[1, 2] = np.nan
-        for call in (lambda: _svd(M), lambda: _svd(M, full=False),
-                     lambda: _svdvals(M)):
+        tall = np.vstack([M, M])
+        for call in (lambda: _svd(M), lambda: _svd_right(M),
+                     lambda: _svd_right(tall), lambda: _svdvals(M)):
             with pytest.raises(LinAlgError) as err:
                 call()
             assert str(err.value) == "SVD did not converge"

@@ -302,12 +302,13 @@ class TestTheorem11:
         assert check_theorem_1_1(np.eye(3)).verdict == "pass"
 
     def test_each_rank_taken_once(self, monkeypatch):
-        # rank(A^k), rank(X), rank(X*) and the three ranks of core_m's
-        # spaces, plus one stacked rank per range comparison (three)
+        # rank(A^k), rank(X) and rank(X_m) of core_m's inverse, each of
+        # X and X_m serving its adjoint too, plus one stacked rank per range
+        # comparison (four: two of core_m's, two here)
         A = gen_with_index(5, 2, 2, seed=11)
         calls = counting_calls(monkeypatch, [linalg], "_svdvals")
         assert check_theorem_1_1(A).verdict == "pass"
-        assert len(calls) == 9
+        assert len(calls) == 7
 
     def test_nilpotent(self):
         assert check_theorem_1_1(SHIFT).verdict == "pass"
