@@ -458,7 +458,7 @@ def _l2_4_pair(n, seed):
     k, r = _draw_index_rank(rg, n)
     a = _with_index_rng(rg, n, k, r)
     if rg.integers(0, 2):
-        X = _CoreEP(a).pcore_inverse()
+        X = _CoreEP(a).pcore_inverse
         b = (X @ a) @ _crandn(rg, n, n)   # inside the range condition
     else:
         b = _crandn(rg, n, n)

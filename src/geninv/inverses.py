@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -179,14 +180,16 @@ class _CoreEP:
 
     Holds the validated matrix A and, from one :func:`_staircase`, the rank
     chain of its powers, its index k, the unitary Q, whose first r columns
-    span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  Every
-    inverse kind built on range(A^k), the spectral idempotent and the
-    star-DMP test come from here, so a caller that needs several of them
-    builds one record.  T^{-1}, the exact power A^max(k,1) that the
-    certificates use, and the pseudo core and Drazin inverses are each
-    computed once, on first use; the two inverses are read-only.  A
-    certificate is computed only by the methods that return a
-    :class:`GenInverseResult`.
+    span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  The
+    staircase's first step is the SVD of A cut at the rule of
+    :func:`numerical_rank`, so rank(A) is its first count and A takes one
+    SVD.  Every inverse kind built on range(A^k), the spectral idempotent
+    and the star-DMP test come from here, so a caller that needs several of
+    them builds one record.  T^{-1}, the exact power A^max(k,1) that the
+    certificates use, and the pseudo core and Drazin inverses are cached
+    properties, each formed once on first read; the two inverses are
+    read-only.  A certificate is computed only by the methods that return
+    a :class:`GenInverseResult`.
     """
 
     def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -194,24 +197,17 @@ class _CoreEP:
         self.tol = tol
         self.ranks, self.Q, self.M = _staircase(self.A, tol)
         self.k, self.r = len(self.ranks) - 1, self.ranks[-1]
+        self.rank = self.ranks[min(self.k, 1)]
         r = self.r
         self.T, self.S, self.N = self.M[:r, :r], self.M[:r, r:], self.M[r:, r:]
-        self._pcore = self._drazin = None
 
-    def __getattr__(self, name):
-        # Fills t_inverse, exact_power and rank on first use.  Python calls
-        # this only when the instance has no such attribute, so later reads
-        # are plain attribute reads.
-        if name == "t_inverse":
-            value = _refined_inverse(self.T)
-        elif name == "exact_power":
-            value = _power(self.A, max(self.k, 1))
-        elif name == "rank":
-            value = numerical_rank(self.A, self.tol)
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
+    @cached_property
+    def t_inverse(self) -> np.ndarray:
+        return _refined_inverse(self.T)
+
+    @cached_property
+    def exact_power(self) -> np.ndarray:
+        return _power(self.A, max(self.k, 1))
 
     def scaled_power(self) -> np.ndarray:
         """A^max(k,1) = Q [[T^k0, X], [0, 0]] Q* at unit Frobenius norm, read
@@ -226,32 +222,29 @@ class _CoreEP:
         P = self.Q[:, :r] @ (R @ self.Q.conj().T)
         return P / frobenius(P)
 
+    @cached_property
     def pcore_inverse(self) -> np.ndarray:
         """Q1 T^{-1} Q1*, Q1 the first r columns of Q.  Raises ValueError
         when an entry is not finite: T^{-1} can overflow on finite input."""
-        if self._pcore is None:
-            Q1 = self.Q[:, :self.r]
-            self._pcore = _finite(Q1 @ (self.t_inverse @ Q1.conj().T),
-                                  "pseudo core")
-        return self._pcore
+        Q1 = self.Q[:, :self.r]
+        return _finite(Q1 @ (self.t_inverse @ Q1.conj().T), "pseudo core")
 
+    @cached_property
     def drazin_inverse(self) -> np.ndarray:
         """Q [[T^{-1}, Z], [0, 0]] Q* with Z = sum_{j<k} T^-(j+2) S N^j, the
         solution of T Z - Z N = T^{-1} S that makes it commute with A.  The
         sum is taken by Horner's rule: Z = Y G, G = Y (S + G N) k times.
         Raises ValueError when an entry is not finite."""
-        if self._drazin is None:
-            Y, S, N = self.t_inverse, self.S, self.N
-            G = np.zeros_like(S)
-            for _ in range(self.k):
-                G = Y @ (S + G @ N)
-            X = self.Q[:, :self.r] @ (np.hstack([Y, Y @ G]) @ self.Q.conj().T)
-            self._drazin = _finite(X, "Drazin")
-        return self._drazin
+        Y, S, N = self.t_inverse, self.S, self.N
+        G = np.zeros_like(S)
+        for _ in range(self.k):
+            G = Y @ (S + G @ N)
+        X = self.Q[:, :self.r] @ (np.hstack([Y, Y @ G]) @ self.Q.conj().T)
+        return _finite(X, "Drazin")
 
     def spectral_idempotent(self) -> np.ndarray:
         """I - A A^D: the projection onto the nilpotent part along the core."""
-        return _eye(self.A.shape[0]) - self.A @ self.drazin_inverse()
+        return _eye(self.A.shape[0]) - self.A @ self.drazin_inverse
 
     def nilpotent_powers(self, m):
         """A^(i-1) A_pi for i = 1..m, A_pi the spectral idempotent, and their
@@ -274,26 +267,26 @@ class _CoreEP:
         return sum(products, np.zeros_like(self.A)), scale
 
     def pseudo_core(self) -> GenInverseResult:
-        X = self.pcore_inverse()
+        X = self.pcore_inverse
         residuals = _residuals("pseudo_core", self.A, X, self.exact_power)
         return GenInverseResult("pseudo_core", X, self.k, residuals)
 
     def drazin(self) -> GenInverseResult:
-        X = self.drazin_inverse()
+        X = self.drazin_inverse
         residuals = _residuals("drazin", self.A, X, self.exact_power)
         return GenInverseResult("drazin", X, self.k, residuals)
 
     def group(self) -> GenInverseResult:
         if self.k > 1:
             raise InverseNotDefinedError("group", self.k)
-        X = self.drazin_inverse()
+        X = self.drazin_inverse
         return GenInverseResult("group", X, 1, _residuals("group", self.A, X))
 
     def core(self) -> GenInverseResult:
         if self.k > 1:
             raise InverseNotDefinedError("core", self.k)
         A, tol = self.A, self.tol
-        X = self.pcore_inverse()
+        X = self.pcore_inverse
         residuals = _residuals("core", A, X)
         rank_x = numerical_rank(X, tol)     # X* has X's singular values
         for label, Y in (("column_space", X), ("row_space", _adj(X))):
@@ -306,7 +299,7 @@ class _CoreEP:
         A^k is, which holds exactly when A^D = A^pc (Gao and Chen 2018)."""
         if self.k == 0:
             return True, 1
-        if approx_equal(self.drazin_inverse(), self.pcore_inverse(), self.tol):
+        if approx_equal(self.drazin_inverse, self.pcore_inverse, self.tol):
             return True, self.k
         return False, 0
 

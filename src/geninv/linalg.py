@@ -171,13 +171,10 @@ def _two_eye(n):
 def _power(A, k):
     """``numpy.linalg.matrix_power(A, k)`` of a square A for k >= 0: the same
     products in the same order, so the same bits.  A^0 is the shared
-    read-only ``_eye(n)`` and A^1 is A itself."""
+    read-only ``_eye(n)``, and A^3 is numpy's (A A) A, where the binary loop
+    would form A (A A); the loop gives A^1 = A itself and A^2 = A A."""
     if k == 0:
         return _eye(A.shape[0])
-    if k == 1:
-        return A
-    if k == 2:
-        return A @ A
     if k == 3:
         return (A @ A) @ A
     z = result = None               # binary decomposition, low bit first

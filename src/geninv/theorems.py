@@ -92,7 +92,6 @@ class TheoremReport:
     hypothesis_checks: list = field(default_factory=list)
     conclusion_checks: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-    policy: TolerancePolicy = DEFAULT_POLICY
 
     @property
     def verdict(self) -> str:
@@ -161,7 +160,7 @@ _VANISHING = _parsed({
 def _report(theorem_id, named, tol) -> TheoremReport:
     """A report of the id holding its word hypotheses, judged on the matrices
     that ``named`` maps the symbols to."""
-    report = TheoremReport(theorem_id, policy=tol)
+    report = TheoremReport(theorem_id)
     checks, named = report.hypothesis_checks, _Named(named)
     for label, word in _VANISHING.get(theorem_id, ()):
         value, ok = zero_product(_factors(word, named), tol)
@@ -179,7 +178,7 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """If ab = ba and a*b = ba*, the pseudo core inverse of a commutes with b."""
     a, b = _pair(a, b)
     report = _report("L2_1", {"a": a, "b": b}, tol)
-    X = _CoreEP(a, tol).pcore_inverse()
+    X = _CoreEP(a, tol).pcore_inverse
     report.conclusion_checks = [
         _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
     ]
@@ -191,8 +190,8 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """Under the same hypotheses, (ab) has pseudo core inverse a_pc . b_pc."""
     a, b = _pair(a, b)
     report = _report("L2_2", {"a": a, "b": b}, tol)
-    apc = _CoreEP(a, tol).pcore_inverse()
-    bpc = _CoreEP(b, tol).pcore_inverse()
+    apc = _CoreEP(a, tol).pcore_inverse
+    bpc = _CoreEP(b, tol).pcore_inverse
     prod = pseudo_core(a @ b, tol)
     report.conclusion_checks = [
         _certified("product_certified", prod, tol),
@@ -213,8 +212,8 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     # triple, against the power A^max(k,1) that the sum's record holds;
     # None when the candidate overflows.
     with np.errstate(over="ignore"):
-        candidate = (_CoreEP(a, tol).pcore_inverse()
-                     + _CoreEP(b, tol).pcore_inverse())
+        candidate = (_CoreEP(a, tol).pcore_inverse
+                     + _CoreEP(b, tol).pcore_inverse)
     report.witnesses["sum_pcore"] = spc.inverse
     report.witnesses["additive_candidate_residuals"] = (
         _residuals("pseudo_core", rs.A, candidate, rs.exact_power)
@@ -225,8 +224,8 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """(1 - a_pc a) b = 0 and (1 - a a_pc) b = 0 hold or fail together."""
     a, b = _pair(a, b)
-    report = TheoremReport("L2_4", policy=tol)
-    X = _CoreEP(a, tol).pcore_inverse()
+    report = TheoremReport("L2_4")
+    X = _CoreEP(a, tol).pcore_inverse
     eye = _eye(a.shape[0])
     _, left = zero_product([eye - X @ a, b], tol)
     _, right = zero_product([eye - a @ X, b], tol)
@@ -313,7 +312,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
         raise ValueError(
             f"expected shapes (na,na), (na,nd), (nd,nd); got {a.shape}, "
             f"{b.shape}, {d.shape}")
-    report = TheoremReport("L2_5a", policy=tol)
+    report = TheoremReport("L2_5a")
     report.hypothesis_checks, m = _diagonal_blocks(a, b, d, tol)
     x = _assemble(a, b, np.zeros((nd, na), dtype=np.complex128), d)
     report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
@@ -338,7 +337,7 @@ def check_lemma_2_5_converse(x, split: int,
     if _relative(frobenius(lower), frobenius(x)) > tol.residual_tol:
         raise ValueError("lower-left block of x must vanish")
     a, b, d = x[:split, :split], x[:split, split:], x[split:, split:]
-    report = TheoremReport("L2_5b", policy=tol)
+    report = TheoremReport("L2_5b")
     report.hypothesis_checks, xpc = _triangular_pcore(x, split, tol)
     report.conclusion_checks, m = _diagonal_blocks(a, b, d, tol)
     report.witnesses["m"] = m
@@ -361,7 +360,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
 
     eye = _eye(a.shape[0])
     ra = _CoreEP(a, tol)
-    apc = ra.pcore_inverse()
+    apc = ra.pcore_inverse
     api = ra.spectral_idempotent()
     s = a + b
     spc = pseudo_core(s, tol)
@@ -399,7 +398,7 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
     star, witness = ra.star_dmp()
     report.hypothesis_checks.insert(0, Check("a_star_dmp", star, star))
 
-    X = ra.pcore_inverse()
+    X = ra.pcore_inverse
     bracket_value = _relative(frobenius(a @ X - X @ a),
                               frobenius(a) * frobenius(X))
     spc = pseudo_core(a + b, tol)
@@ -426,18 +425,18 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """Fixed 2x2 instance showing the commutation hypotheses are necessary."""
     a = np.array([[1j, 0], [0, 0]], dtype=np.complex128)
     b = np.array([[0, 0], [1, 0]], dtype=np.complex128)
-    report = TheoremReport("EX3_3", policy=tol)
+    report = TheoremReport("EX3_3")
 
     ra = _CoreEP(a, tol)
-    apc = ra.pcore_inverse()
-    bpc = _CoreEP(b, tol).pcore_inverse()
+    apc = ra.pcore_inverse
+    bpc = _CoreEP(b, tol).pcore_inverse
     eye = _eye(2)
     w = eye + apc @ b
     wpc = pseudo_core(w, tol)
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)
 
     commutator = a @ b - b @ a
-    spc = _CoreEP(a + b, tol).pcore_inverse()
+    spc = _CoreEP(a + b, tol).pcore_inverse
     annihilation = ra.spectral_idempotent() @ spc @ a @ apc
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
     commutator_rank = numerical_rank(commutator, tol)
@@ -467,7 +466,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Cross-check of the equivalent existence routes on one instance."""
     A = _require_square(A)
-    report = TheoremReport("T1_1", policy=tol)
+    report = TheoremReport("T1_1")
     rA = _CoreEP(A, tol)
     # the power taken from the decomposition has rank exactly r, so the
     # rank-based range comparisons below are not polluted by rounding dust
@@ -477,13 +476,15 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     a13 = one_three(Ak, tol)
     X = apc.inverse
     rAk = _CoreEP(Ak, tol)
-    core_m = rAk.core()
-    # rank(A^k) is the one core_m took, and rank(X) serves both comparisons
-    # and X*, which has X's singular values
+    # rank(X) serves both comparisons and X*, which has X's singular values
     rank_x = numerical_rank(X, tol)
     power_range = _same_space(Ak, X, rAk.rank, rank_x, tol)
     adjoint_range = _same_space(X, _adj(X), rank_x, rank_x, tol)
     power_index = rAk.k
+    # a power of index > 1 has no core inverse; its check reads null
+    power_core = (_certified("power_core_certified", rAk.core(), tol)
+                  if power_index <= 1 else
+                  Check("power_core_certified", None, False))
     report.conclusion_checks = [
         _certified("pcore_certified", apc, tol),
         _certified("drazin_certified", adr, tol),
@@ -491,7 +492,7 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
         Check("range_power_equals_range_pcore", power_range, power_range),
         Check("range_pcore_equals_range_adjoint", adjoint_range, adjoint_range),
         Check("power_index_at_most_one", power_index, power_index <= 1),
-        _certified("power_core_certified", core_m, tol),
+        power_core,
     ]
     report.witnesses["k"] = max(rA.k, 1)
     return report
@@ -529,7 +530,7 @@ def _derive(theorem_id, named, tol=DEFAULT_POLICY):
     for letter in COUPLING[theorem_id]:
         word = _PCORE.get(letter)
         if word and letter not in named and all(k[0] in named for k in word):
-            named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse()
+            named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse
     return named
 
 
@@ -594,8 +595,8 @@ def check_theorem_4_3(A, B, C, D,
     nA, nD = A.shape[0], D.shape[0]
     Q = _assemble(np.zeros((nA, nA), dtype=np.complex128), B,
                   C, np.zeros((nD, nD), dtype=np.complex128))
-    qpc = _CoreEP(Q, tol).pcore_inverse()
-    q2pc = _CoreEP(Q @ Q, tol).pcore_inverse()
+    qpc = _CoreEP(Q, tol).pcore_inverse
+    q2pc = _CoreEP(Q @ Q, tol).pcore_inverse
     report.conclusion_checks.append(
         _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol))
     return report

@@ -453,6 +453,21 @@ class TestVerify:
         assert code == 2 and out is None
         assert err == "error: EX3_3 takes no symbols; drop --input\n"
 
+    def test_theorem_1_1_power_of_index_two_exits_1(self, capsys, tmp_path):
+        # the scaled power of this A has index 2 by its own staircase: the
+        # check reports that, and the valid input does not exit 2
+        A = np.array([[1e-5, 1, 0], [0, 0, 1], [0, 0, 0]])
+        path = write(tmp_path, "inst.json", {"A": matrix_to_obj(A)})
+        code, out, err = run(capsys, ["verify", "--theorem", "T1_1",
+                                      "--input", path])
+        assert code == 1 and err == ""
+        checks = {c["label"]: c for c in out["report"]["conclusion_checks"]}
+        assert checks["power_index_at_most_one"] == {
+            "label": "power_index_at_most_one", "value": 2, "pass": False}
+        assert checks["power_core_certified"] == {
+            "label": "power_core_certified", "value": None, "pass": False}
+        assert out["report"]["verdict"] == "fail"
+
     def test_failed_conclusion_exits_1(self, capsys):
         # an impossibly tight equality tolerance fails a conclusion check
         # while the (empty) hypothesis list still holds

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geninv.inverses as inverses
 from geninv.generators import _random_unitary, gen_with_index, instance_for
 from geninv.inverses import _CoreEP, index, pseudo_core
+from geninv.linalg import numerical_rank
 
 from oracles import mp_power_ranks
 
@@ -79,3 +81,36 @@ def test_scaling_and_unitary_similarity(drawn, c):
         return
     assert _rel(c * pseudo_core(c * A).inverse, X) <= 1e-8
     assert _rel(U.conj().T @ pseudo_core(B).inverse @ U, X) <= 1e-8
+
+
+RANK_PINNED = [pytest.param(n, k, id=f"n{n}-k{k}")
+               for n in (1, 4, 8, 16) for k in range(min(n, 3) + 1)]
+
+
+@pytest.mark.parametrize("n,k", RANK_PINNED)
+def test_rank_is_the_first_count_of_the_staircase(n, k):
+    # rank(A) is read off the staircase's first step, the SVD of A cut at
+    # the rule of numerical_rank, so it agrees with numerical_rank(A)
+    for r in [n] if k == 0 else sorted({0, n - k}):
+        A = gen_with_index(n, k, r, seed=100 * n + 10 * k + r)
+        assert _CoreEP(A).rank == numerical_rank(A)
+
+
+@pytest.mark.parametrize("A", [np.zeros((4, 4)), np.zeros((0, 0))],
+                         ids=["zero", "empty"])
+def test_rank_of_zero_and_empty_matrices(A):
+    assert _CoreEP(A).rank == numerical_rank(A) == 0
+
+
+def test_each_cached_value_is_formed_once(monkeypatch):
+    formed = []
+    for name in ("_refined_inverse", "_power", "_finite"):
+        real = getattr(inverses, name)
+        monkeypatch.setattr(inverses, name, lambda *args, real=real, name=name:
+                            formed.append(name) or real(*args))
+    record = _CoreEP(gen_with_index(6, 2, 3, seed=7))
+    for attr in ("t_inverse", "exact_power", "pcore_inverse",
+                 "drazin_inverse"):
+        first = getattr(record, attr)
+        assert getattr(record, attr) is first
+    assert formed == ["_refined_inverse", "_power", "_finite", "_finite"]

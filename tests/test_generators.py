@@ -555,25 +555,25 @@ class TestWordSystems:
 
 
 def _coupling_4_1(A, D, tol=DEFAULT_POLICY):
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
+    apc = _CoreEP(A, tol).pcore_inverse
+    dpc = _CoreEP(D, tol).pcore_inverse
     return lambda B, C: [apc, B, dpc, C]
 
 
 def _coupling_4_2(A, D, tol=DEFAULT_POLICY):
-    apc = _CoreEP(A, tol).pcore_inverse()
-    dpc = _CoreEP(D, tol).pcore_inverse()
+    apc = _CoreEP(A, tol).pcore_inverse
+    dpc = _CoreEP(D, tol).pcore_inverse
     return lambda B, C: [B, dpc, C, apc]
 
 
 def _coupling_4_3(A, D, tol=DEFAULT_POLICY):
-    return lambda B, C: [B, _CoreEP(C @ B, tol).pcore_inverse(), D, C,
-                         _CoreEP(B @ C, tol).pcore_inverse(), A]
+    return lambda B, C: [B, _CoreEP(C @ B, tol).pcore_inverse, D, C,
+                         _CoreEP(B @ C, tol).pcore_inverse, A]
 
 
 def _coupling_4_4(A, D, tol=DEFAULT_POLICY):
-    return lambda B, C: [A, _CoreEP(B @ C, tol).pcore_inverse(), B, D,
-                         _CoreEP(C @ B, tol).pcore_inverse(), C]
+    return lambda B, C: [A, _CoreEP(B @ C, tol).pcore_inverse, B, D,
+                         _CoreEP(C @ B, tol).pcore_inverse, C]
 
 
 # Reference: each coupling product's factors as hand-written closures, the
@@ -726,6 +726,6 @@ class TestCouplingWords:
         # the check's verdict is the nilpotency of A_pc B D_pc
         nilp = next(c for c in report.hypothesis_checks
                     if c.label == "coupling_nilpotent")
-        expected = test([theorems._CoreEP(A).pcore_inverse(), B,
-                         theorems._CoreEP(D).pcore_inverse()])
+        expected = test([theorems._CoreEP(A).pcore_inverse, B,
+                         theorems._CoreEP(D).pcore_inverse])
         assert nilp.passed == expected

@@ -302,13 +302,14 @@ class TestTheorem11:
         assert check_theorem_1_1(np.eye(3)).verdict == "pass"
 
     def test_each_rank_taken_once(self, monkeypatch):
-        # rank(A^k), rank(X) and rank(X_m) of core_m's inverse, each of
-        # X and X_m serving its adjoint too, plus one stacked rank per range
-        # comparison (four: two of core_m's, two here)
+        # rank(X) and rank(X_m) of the power's core inverse, each serving
+        # its adjoint too, plus one stacked rank per range comparison (four:
+        # two of the core inverse's, two here); rank(A^k) is the first count
+        # of its own staircase
         A = gen_with_index(5, 2, 2, seed=11)
         calls = counting_calls(monkeypatch, [linalg], "_svdvals")
         assert check_theorem_1_1(A).verdict == "pass"
-        assert len(calls) == 7
+        assert len(calls) == 6
 
     def test_nilpotent(self):
         assert check_theorem_1_1(SHIFT).verdict == "pass"
@@ -316,6 +317,29 @@ class TestTheorem11:
     def test_random_dim5_index2(self):
         A = gen_with_index(5, 2, 3, seed=310)
         assert check_theorem_1_1(A).verdict == "pass"
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("s", [(1, 0), (1, 1)])
+    @pytest.mark.parametrize("lam", [1e-5, 1e-6])
+    def test_power_of_index_two_is_reported(self, lam, s, rotated):
+        # a small core eigenvalue lam beside a 2x2 Jordan block: A^2 has
+        # rank 1 and (A^2)^2 = lam^2 A^2 sits at or under the rank cut, so
+        # the scaled power's own staircase can find index 2, and then it has
+        # no core inverse; the check reports that instead of raising
+        A = np.array([[lam, s[0], s[1]], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        if rotated:
+            U, _ = np.linalg.qr(crandn(np.random.default_rng(2024), 3, 3))
+            A = U @ A @ U.conj().T
+        report = check_theorem_1_1(A)
+        checks = {c.label: c for c in report.conclusion_checks}
+        power_index = checks["power_index_at_most_one"].value
+        power_core = checks["power_core_certified"]
+        assert checks["pcore_certified"].passed
+        assert power_index == 2 or rotated
+        assert (power_core.value is None) == (power_index > 1)
+        if power_index > 1:
+            assert not power_core.passed
+        assert report.verdict == "fail"
 
 
 class TestTheorem41:
@@ -610,9 +634,9 @@ class TestRecordWork:
 
     def test_record_returns_one_read_only_inverse(self):
         record = inverses._CoreEP(gen_with_index(5, 2, 2, seed=3))
-        for method in (record.pcore_inverse, record.drazin_inverse):
-            X = method()
-            assert method() is X
+        for name in ("pcore_inverse", "drazin_inverse"):
+            X = getattr(record, name)
+            assert getattr(record, name) is X
             assert not X.flags.writeable
 
 
