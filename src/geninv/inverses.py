@@ -93,14 +93,20 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return _CoreEP(A, tol).k
 
 
-def _svd_pinv(A, tol):
-    """Moore-Penrose inverse of a validated A via SVD with the policy's
-    relative rank cut; zero for an empty or all-zero spectrum."""
-    U, s, Vh = _svd(A)
+def _svd_pinv(U, s, Vh, tol):
+    """Moore-Penrose inverse of the matrix with full SVD U diag(s) Vh, cut at
+    the policy's relative rank rule; zero for an empty or all-zero
+    spectrum."""
     r = _rank_cut(s, tol.rank_rel_tol)
     if r == 0:
-        return np.zeros((A.shape[1], A.shape[0]), dtype=np.complex128)
+        return np.zeros((Vh.shape[1], U.shape[0]), dtype=np.complex128)
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
+
+
+def _one_three(A, svd, tol):
+    """:func:`one_three` of a validated square A from its SVD ``svd``."""
+    X = _svd_pinv(*svd, tol)
+    return GenInverseResult("one_three", X, 0, _residuals("one_three", A, X))
 
 
 # Each kind's defining equations (label, lhs, rhs), in report order, as
@@ -134,7 +140,7 @@ def _residuals(kind, A, X, K=None):
 def moore_penrose(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with AXA=A, XAX=X and AX, XA both Hermitian."""
     A = as_matrix(A)
-    X = _svd_pinv(A, tol)
+    X = _svd_pinv(*_svd(A), tol)
     return GenInverseResult("moore_penrose", X, 0,
                             _residuals("moore_penrose", A, X))
 
@@ -146,8 +152,7 @@ def one_three(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     that repeated calls are deterministic.
     """
     A = _require_square(A)
-    X = _svd_pinv(A, tol)
-    return GenInverseResult("one_three", X, 0, _residuals("one_three", A, X))
+    return _one_three(A, _svd(A), tol)
 
 
 def _refined_inverse(Ahat):
@@ -182,7 +187,8 @@ class _CoreEP:
     chain of its powers, its index k, the unitary Q, whose first r columns
     span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  The
     staircase's first step is the SVD of A cut at the rule of
-    :func:`numerical_rank`, so rank(A) is its first count and A takes one
+    :func:`numerical_rank`, so rank(A) is its first count, its factors
+    (U, s, Vh) are kept as ``svd`` for the (1,3)-inverse, and A takes one
     SVD.  Every inverse kind built on range(A^k), the spectral idempotent
     and the star-DMP test come from here, so a caller that needs several of
     them builds one record.  T^{-1}, the exact power A^max(k,1) that the
@@ -195,7 +201,7 @@ class _CoreEP:
     def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
         self.A = _require_square(A)
         self.tol = tol
-        self.ranks, self.Q, self.M = _staircase(self.A, tol)
+        self.ranks, self.Q, self.M, self.svd = _staircase(self.A, tol)
         self.k, self.r = len(self.ranks) - 1, self.ranks[-1]
         self.rank = self.ranks[min(self.k, 1)]
         r = self.r

@@ -352,11 +352,12 @@ def numerical_rank(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 def _staircase(A, tol):
     """Core-EP decomposition of a square A by unitary staircase deflation.
 
-    Returns (ranks, Q, M): Q unitary, M = Q* A Q = [[T, S], [0, N]] with
-    T = M[:r, :r] nonsingular and N nilpotent, and ``ranks`` the ranks of
+    Returns (ranks, Q, M, svd): Q unitary, M = Q* A Q = [[T, S], [0, N]]
+    with T = M[:r, :r] nonsingular and N nilpotent, ``ranks`` the ranks of
     A^0, ..., A^k, so k = len(ranks) - 1 and r = ranks[-1] (Kublanovskaya
-    1966; Golub and Wilkinson 1976).  Each step rotates the left singular
-    vectors of the leading block into place, and its rows whose singular
+    1966; Golub and Wilkinson 1976), and ``svd`` the first step's (U, s, Vh),
+    which is the SVD of A.  Each step rotates the left singular vectors of
+    the leading block into place, and its rows whose singular
     values fall to ``rank_rel_tol * ||A||_2`` or below are set to zero.  The
     cut is absolute, not relative to a power of A that a small core
     eigenvalue makes small.  The last, nonsingular block is rotated too:
@@ -366,15 +367,17 @@ def _staircase(A, tol):
     """
     n = A.shape[0]
     Q, M, ranks, cut = _eye(n), A, [n], None
+    svd = (Q, np.zeros(0), Q)       # of the 0 x 0 A, which takes no step
     while ranks[-1]:
         m = ranks[-1]
-        U, s, _ = _svd(M[:m, :m])
+        U, s, Vh = _svd(M[:m, :m])
         if cut is None:
             cut = tol.rank_rel_tol * s[0]
         r = int(np.count_nonzero(s > cut))
         if m == n:          # the first step, on A itself; Q = I U, not U,
             Q = Q @ U       # for the bits of its signed zeros
             M = (U.conj().T @ A) @ U
+            svd = U, s, Vh
         else:
             Q[:, :m] = Q[:, :m] @ U
             M[:m] = U.conj().T @ M[:m]
@@ -383,7 +386,7 @@ def _staircase(A, tol):
             break
         M[r:m, :m] = 0.0
         ranks.append(r)
-    return ranks, Q, M
+    return ranks, Q, M, svd
 
 
 def approx_equal(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:

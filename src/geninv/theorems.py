@@ -44,9 +44,9 @@ from .linalg import (
 )
 from .inverses import (
     _CoreEP,
+    _one_three,
     _residuals,
     index,
-    one_three,
     pseudo_core,
 )
 
@@ -473,9 +473,9 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     Ak = rA.scaled_power()
     apc = rA.pseudo_core()
     adr = rA.drazin()
-    a13 = one_three(Ak, tol)
     X = apc.inverse
     rAk = _CoreEP(Ak, tol)
+    a13 = _one_three(rAk.A, rAk.svd, tol)
     # rank(X) serves both comparisons and X*, which has X's singular values
     rank_x = numerical_rank(X, tol)
     power_range = _same_space(Ak, X, rAk.rank, rank_x, tol)
@@ -515,7 +515,8 @@ def _validate_blocks(A, B, C, D):
 
 
 # Each intertwined result's nilpotent coupling product, a word over the blocks
-# and the letters of _PCORE, read by the checks and the generators alike.
+# and the letters of _PCORE.  The block generators meet it by construction;
+# the check tests it.
 COUPLING = {tid: _tokens(word) for tid, word in (
     ("T4_1", "aBdC"), ("C4_2", "BdCa"), ("T4_3", "BqDCpA"), ("C4_4", "ApBDqC"))}
 
@@ -524,12 +525,12 @@ _PCORE = {letter: _tokens(word) for letter, word in (
     ("a", "A"), ("d", "D"), ("p", "BC"), ("q", "CB"))}
 
 
-def _derive(theorem_id, named, tol=DEFAULT_POLICY):
+def _derive(theorem_id, named, tol):
     """``named`` with the pseudo core inverse of each derived letter of the
-    id's coupling word added, once the letter's own word is drawn."""
+    id's coupling word added, in the word's order."""
     for letter in COUPLING[theorem_id]:
         word = _PCORE.get(letter)
-        if word and letter not in named and all(k[0] in named for k in word):
+        if word:
             named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse
     return named
 

@@ -63,6 +63,10 @@ class TestMatrixIO:
         with pytest.raises(ValueError):
             parse_instance({"a": A33_OBJ}, ("a", "b"))
 
+    def test_instance_must_be_an_object(self):
+        with pytest.raises(ValueError):
+            parse_instance([], ("a",))
+
 
 def _text_mode_load(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -436,6 +440,11 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "--theorem", "T7_7"])
         assert code == 2
 
+    def test_missing_input_exits_2(self, capsys):
+        code, out, err = run(capsys, ["verify", "--theorem", "L2_1"])
+        assert code == 2 and out is None
+        assert "requires --input" in err
+
     def test_fixed_instance_needs_no_input(self, capsys):
         code, out, _ = run(capsys, ["verify", "--theorem", "EX3_3"])
         assert code == 0
@@ -583,6 +592,22 @@ class TestFuzz:
                                     "--trials", "3", "--seed", "1"])
         assert code == 5
         assert out["summary"]["hypotheses_not_met"] == 3
+
+    def test_failed_conclusion_exits_1(self, capsys, monkeypatch):
+        import geninv.cli as cli_mod
+        from geninv.theorems import Check, TheoremReport
+
+        monkeypatch.setattr(
+            cli_mod, "run_check", lambda theorem_id, *args: TheoremReport(
+                theorem_id, conclusion_checks=[Check("forced", 1.0, False)]))
+        code, out, _ = run(capsys, ["fuzz", "--theorem", "L2_1", "--dim", "2",
+                                    "--trials", "2", "--seed", "1"])
+        assert code == 1
+        assert out["summary"]["fail"] == 2
+
+    def test_unknown_theorem_exits_2(self, capsys):
+        code, out, _ = run(capsys, ["fuzz", "--theorem", "NOPE"])
+        assert code == 2 and out is None
 
 
 class TestPolicyBlock:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geninv.inverses as inverses
+import geninv.linalg as linalg
 from geninv.generators import _random_unitary, gen_with_index, instance_for
-from geninv.inverses import _CoreEP, index, pseudo_core
-from geninv.linalg import numerical_rank
+from geninv.inverses import _CoreEP, index, moore_penrose, one_three, pseudo_core
+from geninv.linalg import DEFAULT_POLICY, numerical_rank
 
 from oracles import mp_power_ranks
 
@@ -114,3 +115,42 @@ def test_each_cached_value_is_formed_once(monkeypatch):
         first = getattr(record, attr)
         assert getattr(record, attr) is first
     assert formed == ["_refined_inverse", "_power", "_finite", "_finite"]
+
+
+def _spy(monkeypatch, modules, name):
+    """Log the bytes of the first argument of every call of ``name``."""
+    calls = []
+    for module in modules:
+        monkeypatch.setattr(module, name,
+                            lambda M, *args, real=getattr(module, name):
+                            calls.append(M.tobytes()) or real(M, *args))
+    return calls
+
+
+@pytest.mark.parametrize("A", [gen_with_index(5, 2, 2, seed=11),
+                               np.zeros((4, 4)), np.zeros((0, 0))],
+                         ids=["index2", "zero", "empty"])
+def test_record_keeps_the_svd_of_its_matrix(monkeypatch, A):
+    # the staircase's first step is the SVD of A; the record keeps it, and
+    # the (1,3)-inverse read from it is one_three's, bit for bit
+    svds = _spy(monkeypatch, [linalg, inverses], "_svd")
+    record = _CoreEP(A)
+    taken = len(svds)
+    assert svds[:1] == ([record.A.tobytes()] if A.size else [])
+    mine = inverses._one_three(record.A, record.svd, DEFAULT_POLICY)
+    assert len(svds) == taken
+    ref = one_three(A)
+    assert len(svds) == taken + 1
+    assert mine.inverse.tobytes() == ref.inverse.tobytes()
+    assert mine.inverse.shape == ref.inverse.shape
+    assert mine.residuals == ref.residuals
+
+
+def test_public_pseudoinverses_take_one_svd_and_no_staircase(monkeypatch):
+    svds = _spy(monkeypatch, [linalg, inverses], "_svd")
+    staircases = _spy(monkeypatch, [inverses], "_staircase")
+    A = gen_with_index(5, 2, 2, seed=11)
+    for kind in (one_three, moore_penrose):
+        svds.clear()
+        kind(A)
+        assert len(svds) == 1 and not staircases

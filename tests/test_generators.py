@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from geninv import generators, theorems
-from geninv.linalg import DEFAULT_POLICY, zero_product
+from geninv import generators, linalg, theorems
+from geninv.linalg import DEFAULT_POLICY, is_nilpotent_product, zero_product
 from geninv.inverses import _CoreEP, index, is_star_dmp, pseudo_core
 from geninv.generators import (
     fuzz_dims,
@@ -132,6 +132,10 @@ class TestStarDmp:
     def test_infeasible_params(self):
         with pytest.raises(ValueError):
             gen_star_dmp(2, 2, 1, seed=23)
+
+    def test_no_nilpotent_part_needs_full_rank(self):
+        with pytest.raises(ValueError, match="r must equal n"):
+            gen_star_dmp(3, 2, 0, seed=24)
 
 
 class TestAnnihilatingPair:
@@ -582,7 +586,11 @@ _HAND_COUPLING = {"T4_1": _coupling_4_1, "C4_2": _coupling_4_2,
                   "T4_3": _coupling_4_3, "C4_4": _coupling_4_4}
 
 
-def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
+_RETRY_CAP = 64     # the reference loop's cap on draws of C
+
+
+def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id,
+                   nilpotent=is_nilpotent_product):
     """Reference: the B-then-C rejection loop as each intertwined sampler
     once spelled it out, with the hand-written coupling closures."""
     nA, nD = A.shape[0], D.shape[0]
@@ -590,11 +598,11 @@ def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
     degenerate = np.linalg.norm(B) == 0.0
     product = _HAND_COUPLING[theorem_id](A, D)
     C = None
-    for _ in range(generators._RETRY_CAP):
+    for _ in range(_RETRY_CAP):
         Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs)
         if nullity == 0:
             break
-        if generators.is_nilpotent_product(product(B, Cc)):
+        if nilpotent(product(B, Cc)):
             C = Cc
             break
     if C is None:
@@ -603,87 +611,101 @@ def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id):
     return A, B, C, D, degenerate
 
 
+def _loop_intertwined(seed, nA, nD, theorem_id, nilpotent):
+    """Reference: the intertwined sampler on the rejection loop; returns its
+    output and its random generator."""
+    rg = generators._rng(seed)
+    A, D = generators._shared_block_pair(rg, nA, nD)
+    named = {"A": A, "D": D}
+    out = _loop_b_then_c(
+        rg, A, D, generators._word_system(theorem_id, "B", (nA, nD), named),
+        generators._word_system(theorem_id, "C", (nD, nA), named),
+        theorem_id, nilpotent)
+    return out, rg
+
+
 def _factor_bytes(factors):
     return [(F.shape, F.tobytes()) for F in factors]
 
 
 class TestRejectionSampler:
-    """The shared B-then-C sampler reproduces the reference loop bit for bit
-    inside every intertwined generator, tests the same coupling factors at
-    every draw, and forms the pseudo core inverses of A and D once."""
+    """Each intertwined generator draws C once, and its draws equal the
+    rejection loop's bit for bit: the loop's one nilpotency test per call
+    always passes on the shared-block construction."""
 
-    SAMPLERS = (gen_intertwined_4_1, gen_intertwined_4_2,
-                gen_intertwined_4_3, gen_intertwined_4_4)
-
-    def _compare(self, monkeypatch, seeds, nilpotent=None):
-        """Run every sampler under a spy that replays the reference loop;
-        ``nilpotent(factors)`` stands in for the nilpotency test when given.
-        Returns the outputs and the count of nilpotency tests per side."""
-        sample = generators._sample_b_then_c
-        test = nilpotent or generators.is_nilpotent_product
-        results, tested = [], []
-
-        def recorded(factors, tol=DEFAULT_POLICY):
-            tested.append(_factor_bytes(factors))
-            return test(factors, tol)
-
-        def spy(rg, A, D, b_eqs, c_eqs, theorem_id):
-            ref_rg = copy.deepcopy(rg)
-            tested.clear()
-            out = sample(rg, A, D, b_eqs, c_eqs, theorem_id)
-            mine = list(tested)
-            tested.clear()
-            ref = _loop_b_then_c(ref_rg, A, D, b_eqs, c_eqs, theorem_id)
-            assert mine == tested
-            for M, M_ref in zip(out[:4], ref[:4]):
-                assert M.tobytes() == M_ref.tobytes()
-            assert out[4] == ref[4]
-            assert rg.bit_generator.state == ref_rg.bit_generator.state
-            results.append((out, len(mine)))
-            return out
-
-        monkeypatch.setattr(generators, "_sample_b_then_c", spy)
-        monkeypatch.setattr(generators, "is_nilpotent_product", recorded)
-        for sampler in self.SAMPLERS:
-            for nA, nD in ((2, 2), (3, 2), (3, 3)):
-                for seed in seeds:
-                    sampler(nA, nD, seed=seed)
-        assert len(results) == len(self.SAMPLERS) * 3 * len(seeds)
-        return results
+    SAMPLERS = {"T4_1": gen_intertwined_4_1, "C4_2": gen_intertwined_4_2,
+                "T4_3": gen_intertwined_4_3, "C4_4": gen_intertwined_4_4}
+    DIMS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5),
+            (6, 6), (8, 8), (2, 8), (8, 2))
 
     def test_matches_reference_loop(self, monkeypatch):
-        self._compare(monkeypatch, range(900, 904))
+        made, real_rng = [], generators._rng
 
-    def test_retry_cap_fallback(self, monkeypatch):
-        results = self._compare(monkeypatch, (910,),
-                                nilpotent=lambda factors, tol: False)
-        for (A, B, C, D, degenerate), tested in results:
-            # the sampler draws C _RETRY_CAP times per call, as the reference
-            assert tested == generators._RETRY_CAP
-            assert degenerate
-            assert not C.any() and C.shape == (D.shape[0], A.shape[0])
+        def recording_rng(seed):
+            made.append(real_rng(seed))
+            return made[-1]
 
-    def test_analyses_a_and_d_once(self, monkeypatch):
-        # under a never-nilpotent test, every draw of C is tested, yet A and
-        # D are analysed once each per call, not once per draw
-        analysed, record = [], theorems._CoreEP
+        monkeypatch.setattr(generators, "_rng", recording_rng)
+        tests = []
+
+        def counted(factors):
+            tests.append(None)
+            return is_nilpotent_product(factors)
+
+        for theorem_id, sampler in self.SAMPLERS.items():
+            for nA, nD in self.DIMS:
+                for seed in range(960, 970):
+                    made.clear()
+                    out = sampler(nA, nD, seed=seed)
+                    tests.clear()
+                    ref, ref_rg = _loop_intertwined(seed, nA, nD, theorem_id,
+                                                    counted)
+                    case = (theorem_id, nA, nD, seed)
+                    assert len(tests) == 1, case
+                    for M, M_ref in zip(out[:4], ref[:4]):
+                        assert M.tobytes() == M_ref.tobytes(), case
+                    assert out[4] == ref[4], case
+                    assert (made[0].bit_generator.state
+                            == ref_rg.bit_generator.state), case
+
+    def test_trivial_c_system_gives_zero_and_degenerate(self, monkeypatch):
+        # a C system whose only solution is zero (nullity 0) gives C = 0
+        # with the degeneracy flag set
+        real = generators._nullspace_sample
+
+        def trivial_c(rg, shape, equations):
+            if shape == (2, 3):
+                return np.zeros(shape, dtype=np.complex128), 0
+            return real(rg, shape, equations)
+
+        monkeypatch.setattr(generators, "_nullspace_sample", trivial_c)
+        for sampler in self.SAMPLERS.values():
+            A, B, C, D, degenerate = sampler(3, 2, seed=910)
+            assert degenerate and B.any()
+            assert not C.any() and C.shape == (2, 3)
+
+    def test_builds_no_record(self, monkeypatch):
+        # the coupling word holds by construction, so no pseudo core
+        # inverse is formed while drawing
+        analysed = []
 
         def counted(M, tol=DEFAULT_POLICY):
             analysed.append(M)
-            return record(M, tol)
+            return _CoreEP(M, tol)
 
-        monkeypatch.setattr(generators, "is_nilpotent_product",
-                            lambda factors, tol=DEFAULT_POLICY: False)
         monkeypatch.setattr(theorems, "_CoreEP", counted)
-        A, _, _, D, degenerate = gen_intertwined_4_1(3, 3, seed=920)
-        assert degenerate and len(analysed) == 2
-        assert analysed[0] is A and analysed[1] is D
+        monkeypatch.setattr(generators, "_CoreEP", counted)
+        for sampler in self.SAMPLERS.values():
+            for seed in range(920, 924):
+                sampler(3, 3, seed=seed)
+        assert analysed == []
 
 
 class TestCouplingWords:
     """Each coupling product is a word of theorems.COUPLING over the blocks
     and the pseudo core letters of theorems._PCORE; its factors equal the
-    hand-written closures', and the check and the generator read one entry."""
+    hand-written closures', and the check reads the entry, the generator
+    none."""
 
     @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 4)])
     def test_check_factors_equal_the_closures(self, monkeypatch, dims):
@@ -704,25 +726,29 @@ class TestCouplingWords:
                     theorem_id, seed)
 
     def test_check_and_generator_read_one_entry(self, monkeypatch):
-        # dropping the last factor C from T4_1's word changes what both the
-        # check's coupling_nilpotent and T4_1's generator test
-        lengths, test = [], generators.is_nilpotent_product
+        # dropping the last factor C from T4_1's word changes what the
+        # check's coupling_nilpotent tests; the generator tests no word
+        lengths, test = [], is_nilpotent_product
 
         def recorded(factors, tol=DEFAULT_POLICY):
             lengths.append(len(factors))
             return test(factors, tol)
 
         monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
-        monkeypatch.setattr(generators, "is_nilpotent_product", recorded)
+        monkeypatch.setattr(linalg, "is_nilpotent_product", recorded)
         A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
+        assert lengths == []
         theorems.check_theorem_4_1(A, B, C, D)
-        assert set(lengths) == {4}
+        assert lengths == [4]
         monkeypatch.setitem(theorems.COUPLING, "T4_1",
                             theorems.COUPLING["T4_1"][:-1])
         lengths.clear()
-        A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
+        drawn = gen_intertwined_4_1(3, 3, seed=940)
+        assert lengths == []
+        assert all(M.tobytes() == M0.tobytes()
+                   for M, M0 in zip(drawn[:4], (A, B, C, D)))
         report = theorems.check_theorem_4_1(A, B, C, D)
-        assert lengths and set(lengths) == {3}
+        assert lengths == [3]
         # the check's verdict is the nilpotency of A_pc B D_pc
         nilp = next(c for c in report.hypothesis_checks
                     if c.label == "coupling_nilpotent")

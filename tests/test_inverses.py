@@ -344,6 +344,10 @@ class TestVerifyDefiningTriple:
         with pytest.raises(ValueError):
             verify_defining_triple(np.eye(2), np.eye(2), 0)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            verify_defining_triple(np.eye(2), np.eye(3), 1)
+
 
 class TestStarDmp:
     def test_fixed_example(self):

@@ -22,6 +22,7 @@ from geninv.linalg import (
     _assemble,
     _eye,
     _inv,
+    _Named,
     _power,
     _qr,
     _solve,
@@ -36,6 +37,7 @@ from geninv.linalg import (
     is_nilpotent_product,
     numerical_rank,
     power_rank_chain,
+    product_with_scale,
     same_column_space,
     scaled_power,
 )
@@ -62,6 +64,20 @@ class TestArithmetic:
             as_matrix(A)
         with pytest.raises(ValueError):
             as_matrix(A.T)
+
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(DimensionError):
+            as_matrix(np.zeros((2, 2, 2)))
+
+    def test_nonconforming_product_rejected(self):
+        with pytest.raises(DimensionError):
+            product_with_scale([np.eye(2), np.eye(3)])
+
+
+class TestNamed:
+    def test_missing_unstarred_key_raises(self):
+        with pytest.raises(KeyError):
+            _Named(A=np.eye(2))["B"]
 
 
 class TestFrobenius:
@@ -428,6 +444,13 @@ class TestSameColumnSpace:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionError):
             same_column_space(np.eye(2), np.eye(3))
+
+    def test_rank_mismatch_needs_no_stacked_rank(self, monkeypatch):
+        shapes, real = [], linalg._svdvals
+        monkeypatch.setattr(linalg, "_svdvals",
+                            lambda M: shapes.append(M.shape) or real(M))
+        assert not same_column_space(np.eye(3), np.diag([1.0, 1.0, 0.0]))
+        assert shapes == [(3, 3), (3, 3)]
 
 
 class TestIsNilpotent:

@@ -311,6 +311,18 @@ class TestTheorem11:
         assert check_theorem_1_1(A).verdict == "pass"
         assert len(calls) == 6
 
+    def test_power_takes_one_svd(self, monkeypatch):
+        # the (1,3)-inverse of A^k reads the SVD of A^k that its record's
+        # staircase took as its first step, so no matrix takes two
+        A = gen_with_index(5, 2, 2, seed=11)
+        svds = []
+        for module in (linalg, inverses):
+            monkeypatch.setattr(module, "_svd",
+                                lambda M, real=module._svd:
+                                svds.append(M.tobytes()) or real(M))
+        assert check_theorem_1_1(A).verdict == "pass"
+        assert len(svds) == len(set(svds)) == 5
+
     def test_nilpotent(self):
         assert check_theorem_1_1(SHIFT).verdict == "pass"
 
@@ -361,6 +373,11 @@ class TestTheorem41:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             check_theorem_4_1(I2, np.zeros((3, 2)), Z2, I2)
+
+    def test_non_square_diagonal_block_rejected(self):
+        with pytest.raises(ValueError, match="diagonal blocks must be square"):
+            check_theorem_4_1(np.zeros((2, 3)), np.zeros((2, 2)),
+                              np.zeros((2, 2)), I2)
 
 
 class TestCorollary42:
