@@ -5,17 +5,19 @@ sampling from the nullspace of the complex-linear constraint system, taken
 from its right singular vectors: a stack with at least floor(17n/9) rows
 for its n columns is QR-factored once and the SVD is taken of its square R,
 as LAPACK's SVD would do itself (``linalg._svd_right``).  Its equations are
-read off the words of ``theorems._EQUATIONS``/``_VANISHING``: a word gives
-the term L X R, L and R the products of the factors before and after the
-unknown X (the identity for none), and of an equation's two words the one
-that ends in X gives the first term, the other one's L negated (Sylvester
-form).  A hypothesis with X starred is read through its adjoint, words
-reversed and stars toggled, which is complex-linear with the same
-solutions: B*A = DB* as A*B = BD*, and AC* = C*D as D*C = CA*.  The one
-nonlinear hypothesis of T4_1...C4_4, that the coupling word
-``theorems.COUPLING[id]`` is nilpotent, holds by construction of the diagonal
-blocks (see :func:`_shared_block_pair`), so B and C are each drawn once.
-A drawn block has unit norm; multiply the whole instance to vary its scale.
+read off the words of ``theorems._EQUATIONS``/``_VANISHING``, then its
+coupling sum S_m = 0, like them, off the row of ``_SUMS``, one word per term
+at the exponent m that the sampler chooses: a word gives the term L X R, L
+and R the products of the factors before and after the unknown X (the
+identity for none), and of an equation's two words the one that ends in X
+gives the first term, the other one's L negated (Sylvester form).  A
+hypothesis with X starred is read through its adjoint, words reversed and
+stars toggled, which is complex-linear with the same solutions: B*A = DB*
+as A*B = BD*, and AC* = C*D as D*C = CA*.  The one nonlinear hypothesis of
+T4_1...C4_4, that the coupling word ``theorems.COUPLING[id]`` is nilpotent,
+holds by construction of the diagonal blocks (see :func:`_shared_block_pair`),
+so B and C are each drawn once.  A drawn block has unit norm; multiply the
+whole instance to vary its scale.
 
 Every generator is a pure function of its arguments: equal seeds give
 bit-identical output.
@@ -32,8 +34,6 @@ from .linalg import (
     _assemble,
     _eye,
     _inv,
-    _Named,
-    _power,
     _product,
     _qr,
     _rank_cut,
@@ -43,7 +43,14 @@ from .linalg import (
     frobenius,
 )
 from .inverses import _CoreEP
-from .theorems import THEOREM_SYMBOLS, _EQUATIONS, _VANISHING
+from .theorems import (
+    THEOREM_SYMBOLS,
+    _DERIVED,
+    _EQUATIONS,
+    _SUMS,
+    _VANISHING,
+    _Instance,
+)
 
 __all__ = [
     "MAX_DIM",
@@ -210,13 +217,22 @@ def _nullspace_sample(rg, shape, equations):
     return X, 2 * k
 
 
-def _word_system(theorem_id, unknown, shape, named):
+def _word_system(theorem_id, unknown, shape, named, m=0):
     """Term lists, in report order, of the id's word hypotheses that name
-    ``unknown`` (of the given shape) and otherwise only symbols in ``named``."""
-    drawn, named = {unknown, *named}, _Named(named)
+    ``unknown`` (of the given shape) and otherwise only symbols drawn in the
+    instance ``named``, which forms a derived letter when it is read; then,
+    under the same rule, the terms of its coupling sum S_m = 0, one per term
+    (none at m = 0)."""
+    drawn = {unknown, *named, *_DERIVED}
+    hypotheses = [(True, words) for _, *words in (
+        *_VANISHING.get(theorem_id, ()), *_EQUATIONS.get(theorem_id, ()))]
+    # the sum's terms P (prod_f f^(i-1)) M R^(m-i), i = 1..m, as words
+    prefix, lefts, mid, right, _ = _SUMS.get(theorem_id, ("",) * 5)
+    hypotheses.append((False, [
+        (*prefix, *((f, i - 1) for f in lefts), *mid,
+         *([(right, m - i)] if right else [])) for i in range(1, m + 1)]))
     system = []
-    for _, *words in (*_VANISHING.get(theorem_id, ()),
-                      *_EQUATIONS.get(theorem_id, ())):
+    for sylvester, words in hypotheses:
         symbols = {key[0] for word in words for key in word}
         if unknown not in symbols or not symbols <= drawn:
             continue
@@ -229,7 +245,7 @@ def _word_system(theorem_id, unknown, shape, named):
             L, R = word[:i], word[i + 1:]
             L = _product(L, named) if L else _eye(shape[0])
             R = _product(R, named) if R else _eye(shape[1])
-            terms.append((-L if terms else L, R))
+            terms.append((-L if terms and sylvester else L, R))
         system.append(terms)
     return system
 
@@ -250,7 +266,7 @@ def gen_commutant_pair(n: int, seed, target_index=None):
 
 def _commutant_sample(rg, a):
     # b under L2_1's commutation words, which L2_2, T3_1 and C3_2 share
-    system = _word_system("L2_1", "b", a.shape, {"a": a})
+    system = _word_system("L2_1", "b", a.shape, _Instance(a=a))
     return _nullspace_sample(rg, a.shape, system)[0]
 
 
@@ -289,14 +305,6 @@ def gen_annihilating_pair(n: int, seed):
     return a, b
 
 
-def _coupling_terms(ra, d, m):
-    """Linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling sum
-    sum_i a^(i-1) a_pi X d^(m-i) in the unknown X, with ra the record of a."""
-    products, _ = ra.nilpotent_powers(m)
-    return [(P, _power(d, m - 1 - j))
-            for j, P in enumerate(products)]
-
-
 def gen_lemma_2_5_instance(na: int, nd: int, seed):
     """(a, b, d) with the triangular coupling sum vanishing at
     m = index(a) + index(d) + 1 by construction.
@@ -310,8 +318,8 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed):
     kd, rd = _draw_index_rank(rg, nd)
     a = _with_index_rng(rg, na, ka, ra)
     d = _with_index_rng(rg, nd, kd, rd)
-    terms = _coupling_terms(_CoreEP(a), d, ka + kd + 1)
-    b, nullity = _nullspace_sample(rg, (na, nd), [terms])
+    b, nullity = _nullspace_sample(rg, (na, nd), _word_system(
+        "L2_5a", "b", (na, nd), _Instance(a=a, d=d), ka + kd + 1))
     return a, b, d, nullity == 0
 
 
@@ -363,79 +371,60 @@ def _check_block_dims(nA, nD):
         raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
 
 
-def _intertwined(seed, nA, nD, theorem_id):
+def _blocks(seed, nA, nD, theorem_id, order="BC"):
     """(A, B, C, D, degenerate): A and D from :func:`_shared_block_pair`,
-    then B and C each drawn once under the id's words.  The coupling word
-    ``COUPLING[theorem_id]`` is nilpotent by construction, and the check
-    still tests it.  Degenerate when B or C is zero."""
+    then B and C each drawn once, in the given order, under the id's words
+    on it.  T4_5 and C4_6 keep an invertible complement in A and D, and
+    their coupling sum, at m = index(A), goes on the block it names, the
+    second drawn.  Degenerate when B or C is zero."""
     _check_block_dims(nA, nD)
     rg = _rng(seed)
-    A, D = _shared_block_pair(rg, nA, nD)
-    named = {"A": A, "D": D}
-    B, _ = _nullspace_sample(
-        rg, (nA, nD), _word_system(theorem_id, "B", (nA, nD), named))
-    C, nullity = _nullspace_sample(
-        rg, (nD, nA), _word_system(theorem_id, "C", (nD, nA), named))
-    return A, B, C, D, frobenius(B) == 0.0 or nullity == 0
+    zero_product = theorem_id in _SUMS
+    A, D = _shared_block_pair(rg, nA, nD, keep_complement=zero_product)
+    named, shapes = _Instance(A=A, D=D), {"B": (nA, nD), "C": (nD, nA)}
+    m = named.record("A").k if zero_product else 0
+    for X in order:
+        named[X], _ = _nullspace_sample(
+            rg, shapes[X], _word_system(theorem_id, X, shapes[X], named, m))
+    B, C = named["B"], named["C"]
+    return A, B, C, D, frobenius(B) == 0.0 or frobenius(C) == 0.0
 
 
 def gen_intertwined_4_1(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, A*B=BD*, D*C=CA* exact and
     A_pc B D_pc C nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "T4_1")
+    return _blocks(seed, nA, nD, "T4_1")
 
 
 def gen_intertwined_4_2(nA: int, nD: int, seed):
     """Same constraints as :func:`gen_intertwined_4_1`, with B D_pc C A_pc
     nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "C4_2")
+    return _blocks(seed, nA, nD, "C4_2")
 
 
 def gen_intertwined_4_3(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, B*A=DB* exact and
     B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "T4_3")
+    return _blocks(seed, nA, nD, "T4_3")
 
 
 def gen_intertwined_4_4(nA: int, nD: int, seed):
     """(A, B, C, D) with AB=BD, DC=CA, AC*=C*D exact and
     A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate)."""
-    return _intertwined(seed, nA, nD, "C4_4")
-
-
-def _zero_product(seed, nA, nD, theorem_id, order, last_terms):
-    """(A, B, C, D, degenerate) for T4_5 and C4_6: B and C drawn in the
-    given order, each from the id's words on it, the second also under the
-    term list ``last_terms(rA, D)`` (rA the record of A) when A has index
-    >= 1.  Degenerate when either block is zero."""
-    _check_block_dims(nA, nD)
-    rg = _rng(seed)
-    A, D = _shared_block_pair(rg, nA, nD, keep_complement=True)
-    named, shapes = {"A": A, "D": D}, {"B": (nA, nD), "C": (nD, nA)}
-    rA = _CoreEP(A)
-    for X in order:
-        equations = _word_system(theorem_id, X, shapes[X], named)
-        if X == order[1] and rA.k >= 1:
-            equations.append(last_terms(rA, D))
-        named[X], _ = _nullspace_sample(rg, shapes[X], equations)
-    B, C = named["B"], named["C"]
-    return A, B, C, D, frobenius(B) == 0.0 or frobenius(C) == 0.0
+    return _blocks(seed, nA, nD, "C4_4")
 
 
 def gen_zero_product_4_5(nA: int, nD: int, seed):
     """(A, B, C, D) with BC=0, CB=0, CA=DC, AC*=C*D and a vanishing coupling
     sum: C is sampled first, then B; returns (..., degenerate)."""
-    return _zero_product(seed, nA, nD, "T4_5", "CB",
-                         lambda rA, D: _coupling_terms(rA, D, rA.k))
+    return _blocks(seed, nA, nD, "T4_5", "CB")
 
 
 def gen_zero_product_4_6(nA: int, nD: int, seed):
     """(A, B, C, D) with BC=0, CB=0, AB=BD, A*B=BD* and C annihilating the
     nilpotent-part powers of A; B sampled first, then C; returns
     (..., degenerate)."""
-    return _zero_product(
-        seed, nA, nD, "C4_6", "BC",
-        lambda rA, D: [(_eye(D.shape[0]), rA.nilpotent_power_sum()[0])])
+    return _blocks(seed, nA, nD, "C4_6")
 
 
 # ---------------------------------------------------------------------------

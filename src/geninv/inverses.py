@@ -217,13 +217,17 @@ class _CoreEP:
 
     def scaled_power(self) -> np.ndarray:
         """A^max(k,1) = Q [[T^k0, X], [0, 0]] Q* at unit Frobenius norm, read
-        off the decomposition, so its rank is exactly r; zero when r = 0."""
+        off the decomposition, so its rank is exactly r; zero when r = 0.
+        M is prescaled by 2^-e, e the binary exponent of ||M||_F, so that the
+        products stay in range at any scale of A; a power of two moves no bit."""
         r = self.r
         if r == 0:
             return np.zeros_like(self.A)
-        R = self.M[:r]                  # the top block row of M^j, j = 1..k0
+        e = math.frexp(frobenius(self.M))[1]
+        M = np.ldexp(self.M.view(np.float64), -e).view(np.complex128)
+        R = M[:r]                       # the top block row of M^j, j = 1..k0
         for _ in range(max(self.k, 1) - 1):
-            R = R @ self.M
+            R = R @ M
             R = R / frobenius(R)
         P = self.Q[:, :r] @ (R @ self.Q.conj().T)
         return P / frobenius(P)
@@ -251,26 +255,6 @@ class _CoreEP:
     def spectral_idempotent(self) -> np.ndarray:
         """I - A A^D: the projection onto the nilpotent part along the core."""
         return _eye(self.A.shape[0]) - self.A @ self.drazin_inverse
-
-    def nilpotent_powers(self, m):
-        """A^(i-1) A_pi for i = 1..m, A_pi the spectral idempotent, and their
-        scale sum_i ||A^(i-1)|| ||A_pi||; A_pi is not formed when m = 0."""
-        if m == 0:
-            return [], 0.0
-        api = self.spectral_idempotent()
-        norm_api = frobenius(api)
-        products, scale = [], 0.0
-        for j in range(m):
-            Aj = _power(self.A, j)
-            products.append(Aj @ api)
-            scale += frobenius(Aj) * norm_api
-        return products, scale
-
-    def nilpotent_power_sum(self):
-        """sum_{i=1..k} A^(i-1) A_pi, k the index, and its scale
-        sum_i ||A^(i-1)|| ||A_pi||; zero at k = 0."""
-        products, scale = self.nilpotent_powers(self.k)
-        return sum(products, np.zeros_like(self.A)), scale
 
     def pseudo_core(self) -> GenInverseResult:
         X = self.pcore_inverse

@@ -305,12 +305,15 @@ def _parsed(table):
 class _Named(dict):
     """The matrices a word's symbols name.  A starred key "S*" is formed from
     "S" through :func:`_adj` on first use and stored: the one place the
-    involution reaches a matrix."""
+    involution reaches a matrix.  A key (S, j) is S's j-th power, likewise."""
 
     def __missing__(self, key):
-        if key[1:] != "*":
+        if isinstance(key, tuple):
+            value = self[key] = _power(self[key[0]], key[1])
+        elif key[1:] == "*":
+            value = self[key] = _adj(self[key[0]])
+        else:
             raise KeyError(key)
-        value = self[key] = _adj(self[key[0]])
         return value
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import count, islice
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .linalg import (
     _factors,
     _Named,
     _parsed,
-    _power,
     _product,
     _relative,
     _require_square,
@@ -46,7 +46,6 @@ from .inverses import (
     _CoreEP,
     _one_three,
     _residuals,
-    index,
     pseudo_core,
 )
 
@@ -156,18 +155,127 @@ _VANISHING = _parsed({
     "C4_6": _BC_CB_ZERO,
 })
 
+# Each intertwined result's nilpotent coupling product, a word over the blocks
+# and the derived letters.  The block generators meet it by construction;
+# the check tests it.
+COUPLING = {tid: _tokens(word) for tid, word in (
+    ("T4_1", "aBdC"), ("C4_2", "BdCa"), ("T4_3", "BqDCpA"), ("C4_4", "ApBDqC"))}
 
-def _report(theorem_id, named, tol) -> TheoremReport:
-    """A report of the id holding its word hypotheses, judged on the matrices
-    that ``named`` maps the symbols to."""
-    report = TheoremReport(theorem_id)
-    checks, named = report.hypothesis_checks, _Named(named)
+# Each id's coupling sum S_m = P sum_{i=1..m} (prod_f f^(i-1)) M R^(m-i):
+# its prefix word P, left letters f, mid word M and right letter R ("" for
+# none), then its exponent letters.  With k their indices and n their sizes,
+# a check searches m from max(k_1, 1) on to sum k + max n; T4_5 takes m = 0,
+# the empty sum, at k_1 = 0, and C4_6 takes m = k_1 alone.
+_SUMS = {
+    **dict.fromkeys(("L2_5a", "L2_5b"), ("", "a", "eb", "d", "ad")),
+    "T3_1": ("", "wa", "vak", "s", "w"),
+    "T4_5": ("", "A", "EB", "D", "AD"),
+    "C4_6": ("C", "A", "E", "", "A"),
+}
+
+# Each derived letter, formed from an instance n that does not name it: the
+# pseudo core inverse or the spectral idempotent I - X X^D off the record of
+# a word's product X, or T3_1's w = 1 + a_pc b, commutator k = a a_pc -
+# a_pc a and sum s = a + b.  The one place a derived matrix is formed.
+_DERIVED = {
+    "a": lambda n: n.record("A").pcore_inverse,
+    "d": lambda n: n.record("D").pcore_inverse,
+    "p": lambda n: n.record("BC").pcore_inverse,
+    "q": lambda n: n.record("CB").pcore_inverse,
+    "c": lambda n: n.record("a").pcore_inverse,
+    "e": lambda n: n.record("a").spectral_idempotent(),
+    "E": lambda n: n.record("A").spectral_idempotent(),
+    "v": lambda n: n.record("w").spectral_idempotent(),
+    "w": lambda n: _eye(len(n["a"])) + n["c"] @ n["b"],
+    "k": lambda n: n["a"] @ n["c"] - n["c"] @ n["a"],
+    "s": lambda n: n["a"] + n["b"],
+}
+
+
+class _Instance(_Named):
+    """An instance's matrices by letter.  A letter of ``_DERIVED`` that the
+    instance does not name is formed on first read and kept, and
+    :meth:`record` builds the core-EP record of a word's product once, for
+    every letter and check that reads it."""
+
+    def __init__(self, tol: TolerancePolicy = DEFAULT_POLICY, **matrices):
+        super().__init__(matrices)
+        self.tol, self.records = tol, {}
+
+    def __missing__(self, key):
+        if key not in _DERIVED:
+            return super().__missing__(key)
+        value = self[key] = _DERIVED[key](self)
+        return value
+
+    def record(self, word) -> _CoreEP:
+        """The :class:`_CoreEP` of the product of the word's letters, once."""
+        if word not in self.records:
+            self.records[word] = _CoreEP(_product(word, self), self.tol)
+        return self.records[word]
+
+
+def _sums(theorem_id, named):
+    """Yield (m, S_m, scale_m) for m = 0, 1, 2, ... of the id's coupling sum
+    over the instance ``named``, S_0 = 0 the empty sum.
+
+    One pass: S_{m+1} = S_m R + (prod_f f^m) M, each power formed once,
+    when the pass reaches it.  The scale
+    sum_i prod_f ||f^(i-1)|| prod ||M's factors|| ||R^(m-i)|| is summed from
+    cached norms, each product taken left to right, ||R^j|| read as 1 when
+    there is no R.  A prefix P multiplies S_m, and ||P|| the summed scale.
+    """
+    prefix, lefts, mid, right, _ = _SUMS[theorem_id]
+    P = _product(prefix, named) if prefix else None
+    K = _product(mid, named)
+    mid_norms = [frobenius(named[key]) for key in mid]
+    left_norms, right_norms = [], []
+    total = np.zeros_like(K)
+    for m in count():
+        scale = 0.0
+        for left_norm, right_norm in zip(left_norms, reversed(right_norms)):
+            scale += left_norm * right_norm
+        if P is None:
+            yield m, total, scale
+        else:
+            yield m, P @ total, frobenius(P) * scale
+        powers = [named[f, m] for f in lefts]
+        left_norms.append(math.prod([*map(frobenius, powers), *mid_norms]))
+        right_norms.append(frobenius(named[right, m]) if right else 1.0)
+        if right:
+            total = total @ named[right]
+        total = total + reduce(np.matmul, powers) @ K
+
+
+def _least_vanishing(theorem_id, named, tol):
+    """The least m in the id's window at which its coupling sum vanishes
+    against its scale, else 0.  The letters after the first exponent letter
+    are analysed only once the sum at the first m tested has failed."""
+    letters = _SUMS[theorem_id][-1]
+    k, hi = named.record(letters[0]).k, 0
+    for m, S, scale in _sums(theorem_id, named):
+        if m < max(k, 1):
+            continue
+        if _relative(frobenius(S), scale) <= tol.residual_tol:
+            return m
+        if not hi:
+            hi = (sum(named.record(x).k for x in letters)
+                  + max(len(named[x]) for x in letters))
+        if m == hi:
+            return 0
+
+
+def _report(theorem_id, tol, **matrices):
+    """A report of the id holding its word hypotheses, judged on the
+    instance of the given matrices, and that instance."""
+    report, named = TheoremReport(theorem_id), _Instance(tol, **matrices)
+    checks = report.hypothesis_checks
     for label, word in _VANISHING.get(theorem_id, ()):
         value, ok = zero_product(_factors(word, named), tol)
         checks.append(Check(label, value, ok))
     for label, lhs, rhs in _EQUATIONS.get(theorem_id, ()):
         checks.append(_res(label, _word_residual(lhs, rhs, named), tol))
-    return report
+    return report, named
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +285,8 @@ def _report(theorem_id, named, tol) -> TheoremReport:
 def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """If ab = ba and a*b = ba*, the pseudo core inverse of a commutes with b."""
     a, b = _pair(a, b)
-    report = _report("L2_1", {"a": a, "b": b}, tol)
-    X = _CoreEP(a, tol).pcore_inverse
+    report, named = _report("L2_1", tol, a=a, b=b)
+    X = named["c"]
     report.conclusion_checks = [
         _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
     ]
@@ -189,13 +297,13 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Under the same hypotheses, (ab) has pseudo core inverse a_pc . b_pc."""
     a, b = _pair(a, b)
-    report = _report("L2_2", {"a": a, "b": b}, tol)
-    apc = _CoreEP(a, tol).pcore_inverse
+    report, named = _report("L2_2", tol, a=a, b=b)
     bpc = _CoreEP(b, tol).pcore_inverse
-    prod = pseudo_core(a @ b, tol)
+    prod = named.record("ab").pseudo_core()
     report.conclusion_checks = [
         _certified("product_certified", prod, tol),
-        _eq("factorized_form", rel_residual(prod.inverse, apc @ bpc), tol),
+        _eq("factorized_form", rel_residual(prod.inverse, named["c"] @ bpc),
+            tol),
     ]
     report.witnesses["ab_pcore"] = prod.inverse
     return report
@@ -204,16 +312,15 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """If ab = ba = 0 and a*b = 0 then a + b has a pseudo core inverse."""
     a, b = _pair(a, b)
-    report = _report("L2_3", {"a": a, "b": b}, tol)
-    rs = _CoreEP(a + b, tol)
+    report, named = _report("L2_3", tol, a=a, b=b)
+    rs = named.record("s")
     spc = rs.pseudo_core()
     report.conclusion_checks = [_certified("sum_certified", spc, tol)]
     # Informational: how close a_pc + b_pc comes to the sum's defining
     # triple, against the power A^max(k,1) that the sum's record holds;
     # None when the candidate overflows.
     with np.errstate(over="ignore"):
-        candidate = (_CoreEP(a, tol).pcore_inverse
-                     + _CoreEP(b, tol).pcore_inverse)
+        candidate = named["c"] + _CoreEP(b, tol).pcore_inverse
     report.witnesses["sum_pcore"] = spc.inverse
     report.witnesses["additive_candidate_residuals"] = (
         _residuals("pseudo_core", rs.A, candidate, rs.exact_power)
@@ -224,8 +331,8 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """(1 - a_pc a) b = 0 and (1 - a a_pc) b = 0 hold or fail together."""
     a, b = _pair(a, b)
-    report = TheoremReport("L2_4")
-    X = _CoreEP(a, tol).pcore_inverse
+    report, named = _report("L2_4", tol, a=a, b=b)
+    X = named["c"]
     eye = _eye(a.shape[0])
     _, left = zero_product([eye - X @ a, b], tol)
     _, right = zero_product([eye - a @ X, b], tol)
@@ -237,51 +344,13 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     return report
 
 
-def _first_vanishing_sum(lefts, mids, right, tol, lo, hi):
-    """First m in [lo, hi] at which the coupling sum
-    S_m = sum_{i=1..m} (prod_f f^(i-1)) (prod mids) right^(m-i)
-    vanishes against its factor scale, else 0.
-
-    One pass: S_{m+1} = S_m right + (prod_f f^m)(prod mids), each power
-    formed once, when the sweep reaches it.  The scale
-    sum_i prod_f ||f^(i-1)|| prod ||mid|| ||right^(m-i)|| is summed from
-    cached norms, each product taken left to right.
-    """
-    K = reduce(np.matmul, mids)
-    mid_norms = [frobenius(mid) for mid in mids]
-    left_norms, right_norms = [], []
-    total = np.zeros_like(K)
-    for m in range(1, hi + 1):
-        powers = [_power(f, m - 1) for f in lefts]
-        left_norms.append(math.prod([*map(frobenius, powers), *mid_norms]))
-        right_norms.append(frobenius(_power(right, m - 1)))
-        total = total @ right + reduce(np.matmul, powers) @ K
-        if m < lo:
-            continue
-        scale = 0.0
-        for left_norm, right_norm in zip(left_norms, reversed(right_norms)):
-            scale += left_norm * right_norm
-        if _relative(frobenius(total), scale) <= tol.residual_tol:
-            return m
-    return 0
-
-
-def _sum_window(ia, idd, n):
-    """Search window [lo, hi] for the coupling-sum exponent, from the
-    indices of the diagonal blocks and the larger block dimension."""
-    return max(ia, 1), ia + idd + n
-
-
-def _diagonal_blocks(a, b, d, tol):
+def _diagonal_blocks(theorem_id, named, tol):
     """The checks a_certified, d_certified and coupling_sum_vanishes of the
-    triangular x = [[a, b], [0, d]], and the least m at which its coupling
-    sum vanishes inside the search window (0 if it does nowhere)."""
-    ra = _CoreEP(a, tol)
-    apc = ra.pseudo_core()
-    dpc = pseudo_core(d, tol)
-    lo, hi = _sum_window(apc.index_used, dpc.index_used,
-                         max(a.shape[0], d.shape[0]))
-    m = _first_vanishing_sum([a], [ra.spectral_idempotent(), b], d, tol, lo, hi)
+    triangular x = [[a, b], [0, d]] over the instance ``named`` of its
+    blocks, and the least m at which its coupling sum vanishes inside the
+    search window (0 if it does nowhere)."""
+    apc, dpc = named.record("a").pseudo_core(), named.record("d").pseudo_core()
+    m = _least_vanishing(theorem_id, named, tol)
     return [
         _certified("a_certified", apc, tol),
         _certified("d_certified", dpc, tol),
@@ -312,8 +381,8 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
         raise ValueError(
             f"expected shapes (na,na), (na,nd), (nd,nd); got {a.shape}, "
             f"{b.shape}, {d.shape}")
-    report = TheoremReport("L2_5a")
-    report.hypothesis_checks, m = _diagonal_blocks(a, b, d, tol)
+    report, named = _report("L2_5a", tol, a=a, b=b, d=d)
+    report.hypothesis_checks, m = _diagonal_blocks("L2_5a", named, tol)
     x = _assemble(a, b, np.zeros((nd, na), dtype=np.complex128), d)
     report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
     report.witnesses["m"] = m
@@ -337,9 +406,9 @@ def check_lemma_2_5_converse(x, split: int,
     if _relative(frobenius(lower), frobenius(x)) > tol.residual_tol:
         raise ValueError("lower-left block of x must vanish")
     a, b, d = x[:split, :split], x[:split, split:], x[split:, split:]
-    report = TheoremReport("L2_5b")
+    report, named = _report("L2_5b", tol, a=a, b=b, d=d)
     report.hypothesis_checks, xpc = _triangular_pcore(x, split, tol)
-    report.conclusion_checks, m = _diagonal_blocks(a, b, d, tol)
+    report.conclusion_checks, m = _diagonal_blocks("L2_5b", named, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
     return report
@@ -356,23 +425,15 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     admissible exponent.  Both sides are evaluated independently and compared.
     """
     a, b = _pair(a, b)
-    report = _report("T3_1", {"a": a, "b": b}, tol)
+    report, named = _report("T3_1", tol, a=a, b=b)
 
-    eye = _eye(a.shape[0])
-    ra = _CoreEP(a, tol)
-    apc = ra.pcore_inverse
-    api = ra.spectral_idempotent()
-    s = a + b
-    spc = pseudo_core(s, tol)
-    ann_value, ann_zero = zero_product([api, spc.inverse, a, apc], tol)
+    spc = named.record("s").pseudo_core()
+    ann_value, ann_zero = zero_product(
+        [named["e"], spc.inverse, a, named["c"]], tol)
     lhs = spc.certified(tol) and ann_zero
 
-    w = eye + apc @ b
-    rw = _CoreEP(w, tol)
-    wpc = rw.pseudo_core()
-    kw = rw.k
-    mids = [rw.spectral_idempotent(), a, a @ apc - apc @ a]
-    m = _first_vanishing_sum([w, a], mids, s, tol, max(kw, 1), kw + a.shape[0])
+    wpc = named.record("w").pseudo_core()
+    m = _least_vanishing("T3_1", named, tol)
     rhs = wpc.certified(tol) and m > 0
 
     report.conclusion_checks = [
@@ -393,17 +454,14 @@ def check_corollary_3_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremR
     """Star-DMP specialization: the corner condition is automatic, so both
     existence certificates must hold outright."""
     a, b = _pair(a, b)
-    report = _report("C3_2", {"a": a, "b": b}, tol)
-    ra = _CoreEP(a, tol)
-    star, witness = ra.star_dmp()
+    report, named = _report("C3_2", tol, a=a, b=b)
+    star, witness = named.record("a").star_dmp()
     report.hypothesis_checks.insert(0, Check("a_star_dmp", star, star))
 
-    X = ra.pcore_inverse
-    bracket_value = _relative(frobenius(a @ X - X @ a),
-                              frobenius(a) * frobenius(X))
-    spc = pseudo_core(a + b, tol)
-    eye = _eye(a.shape[0])
-    wpc = pseudo_core(eye + X @ b, tol)
+    bracket_value = _relative(frobenius(named["k"]),
+                              frobenius(a) * frobenius(named["c"]))
+    spc = named.record("s").pseudo_core()
+    wpc = named.record("w").pseudo_core()
     report.conclusion_checks = [
         _res("pcore_commutes_with_a", bracket_value, tol),
         _certified("sum_certified", spc, tol),
@@ -425,19 +483,16 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """Fixed 2x2 instance showing the commutation hypotheses are necessary."""
     a = np.array([[1j, 0], [0, 0]], dtype=np.complex128)
     b = np.array([[0, 0], [1, 0]], dtype=np.complex128)
-    report = TheoremReport("EX3_3")
+    report, named = _report("EX3_3", tol, a=a, b=b)
 
-    ra = _CoreEP(a, tol)
-    apc = ra.pcore_inverse
+    apc, w = named["c"], named["w"]
     bpc = _CoreEP(b, tol).pcore_inverse
-    eye = _eye(2)
-    w = eye + apc @ b
-    wpc = pseudo_core(w, tol)
+    wpc = named.record("w").pseudo_core()
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)
 
     commutator = a @ b - b @ a
-    spc = _CoreEP(a + b, tol).pcore_inverse
-    annihilation = ra.spectral_idempotent() @ spc @ a @ apc
+    spc = named.record("s").pcore_inverse
+    annihilation = named["e"] @ spc @ a @ apc
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
     commutator_rank = numerical_rank(commutator, tol)
     annihilation_rank = numerical_rank(annihilation, tol)
@@ -445,7 +500,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     report.conclusion_checks = [
         _eq("a_pcore_value", rel_residual(apc, expected_apc), tol),
         _eq("b_pcore_zero", frobenius(bpc), tol),
-        _eq("perturbation_is_identity", rel_residual(w, eye), tol),
+        _eq("perturbation_is_identity", rel_residual(w, _eye(2)), tol),
         _certified("perturbation_certified", wpc, tol),
         Check("ab_differs_from_ba", commutator_rank, commutator_rank > 0),
         _eq("annihilation_matrix_value",
@@ -466,8 +521,8 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
 def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Cross-check of the equivalent existence routes on one instance."""
     A = _require_square(A)
-    report = TheoremReport("T1_1")
-    rA = _CoreEP(A, tol)
+    report, named = _report("T1_1", tol, A=A)
+    rA = named.record("A")
     # the power taken from the decomposition has rank exactly r, so the
     # rank-based range comparisons below are not polluted by rounding dust
     Ak = rA.scaled_power()
@@ -514,32 +569,6 @@ def _validate_blocks(A, B, C, D):
     return A, B, C, D
 
 
-# Each intertwined result's nilpotent coupling product, a word over the blocks
-# and the letters of _PCORE.  The block generators meet it by construction;
-# the check tests it.
-COUPLING = {tid: _tokens(word) for tid, word in (
-    ("T4_1", "aBdC"), ("C4_2", "BdCa"), ("T4_3", "BqDCpA"), ("C4_4", "ApBDqC"))}
-
-# Each derived letter and the word it is the pseudo core inverse of.
-_PCORE = {letter: _tokens(word) for letter, word in (
-    ("a", "A"), ("d", "D"), ("p", "BC"), ("q", "CB"))}
-
-
-def _derive(theorem_id, named, tol):
-    """``named`` with the pseudo core inverse of each derived letter of the
-    id's coupling word added, in the word's order."""
-    for letter in COUPLING[theorem_id]:
-        word = _PCORE.get(letter)
-        if word:
-            named[letter] = _CoreEP(_product(word, named), tol).pcore_inverse
-    return named
-
-
-def _m_certified_check(M, tol):
-    mpc = pseudo_core(M, tol)
-    return _certified("m_certified", mpc, tol), mpc
-
-
 def _dual_check(A, B, C, D, tol):
     """The m_certified check on the conjugate-transpose arrangement
     [[A*, C*], [B*, D*]] = M*, through which each corollary mirrors its
@@ -555,12 +584,11 @@ def _intertwined_report(theorem_id, A, B, C, D, tol):
     its equations and the nilpotency of its coupling product as hypotheses,
     the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
     report and M's pseudo core result, to which the caller adds its own."""
-    named = _derive(theorem_id, _Named(A=A, B=B, C=C, D=D), tol)
-    report = _report(theorem_id, named, tol)
+    report, named = _report(theorem_id, tol, A=A, B=B, C=C, D=D)
     nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
     report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [cert]
+    mpc = pseudo_core(_assemble(A, B, C, D), tol)
+    report.conclusion_checks = [_certified("m_certified", mpc, tol)]
     report.witnesses["m_pcore"] = mpc.inverse
     return report, mpc
 
@@ -618,23 +646,16 @@ def check_theorem_4_5(A, B, C, D,
     """Zero-product coupling: BC = CB = 0 with one-sided intertwining and a
     vanishing triangular sum give the block matrix a pseudo core inverse."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = _report("T4_5", dict(A=A, B=B, C=C, D=D), tol)
-    rA = _CoreEP(A, tol)
-    iA = m = rA.k       # at index 0 the sum is empty and vanishes
-    if iA:
-        coupling = ([A], [rA.spectral_idempotent(), B], D)
-        m = _first_vanishing_sum(*coupling, tol, iA, iA)
-        if not m:       # search on past index(A); only now is D analysed
-            _, hi = _sum_window(iA, index(D, tol), max(A.shape[0], D.shape[0]))
-            m = _first_vanishing_sum(*coupling, tol, iA + 1, hi)
+    report, named = _report("T4_5", tol, A=A, B=B, C=C, D=D)
+    iA = named.record("A").k
+    m = _least_vanishing("T4_5", named, tol) if iA else 0
     primary = m == iA
     report.hypothesis_checks.append(
         Check("coupling_sum_vanishes", m, primary or m > 0))
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [cert]
-    report.witnesses["sum_at_index_vanishes"] = primary
-    report.witnesses["m"] = m
-    report.witnesses["m_pcore"] = mpc.inverse
+    mpc = pseudo_core(_assemble(A, B, C, D), tol)
+    report.conclusion_checks = [_certified("m_certified", mpc, tol)]
+    report.witnesses.update(sum_at_index_vanishes=primary, m=m,
+                            m_pcore=mpc.inverse)
     return report
 
 
@@ -644,13 +665,14 @@ def check_corollary_4_6(A, B, C, D,
     nilpotent-part powers of A; verified through the conjugate-transpose
     arrangement as well."""
     A, B, C, D = _validate_blocks(A, B, C, D)
-    report = _report("C4_6", dict(A=A, B=B, C=C, D=D), tol)
-    pi_sum, scale = _CoreEP(A, tol).nilpotent_power_sum()
-    sum_value = _relative(frobenius(C @ pi_sum), frobenius(C) * scale)
+    report, named = _report("C4_6", tol, A=A, B=B, C=C, D=D)
+    _, S, scale = next(islice(_sums("C4_6", named), named.record("A").k, None))
+    sum_value = _relative(frobenius(S), scale)
     report.hypothesis_checks.append(
         _res("C_kills_nilpotent_powers", sum_value, tol))
-    cert, mpc = _m_certified_check(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [cert, _dual_check(A, B, C, D, tol)]
+    mpc = pseudo_core(_assemble(A, B, C, D), tol)
+    report.conclusion_checks = [_certified("m_certified", mpc, tol),
+                                _dual_check(A, B, C, D, tol)]
     report.witnesses["m_pcore"] = mpc.inverse
     return report
 

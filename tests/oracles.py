@@ -5,11 +5,20 @@ exact powers go through sympy's rational/symbolic arithmetic, the rank chain
 of a float matrix's powers through mpmath's 50-digit singular values, and
 the pseudo-core oracle solves a stacked linear system in the unknown entries
 of the inverse rather than composing factor inverses.
+
+The last section is different: it keeps, as references, functions that the
+package once held and replaced by reading its tables.  They run on the
+package's own kernel, so a test can require the same bits.
 """
+
+import math
+from functools import reduce
 
 import numpy as np
 import sympy as sp
 from mpmath import mp
+
+from geninv import linalg
 
 
 def exact_rank(rows):
@@ -186,3 +195,66 @@ def first_vanishing_sum_direct(lefts, mids, right, residual_tol, lo, hi):
         if np.linalg.norm(total) <= residual_tol * max(1.0, scale):
             return m
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Replaced functions, kept as references.  The coupling sums were assembled by
+# hand in the checks and samplers until they became rows of theorems._SUMS.
+
+
+def coupling_sweep(lefts, mids, right, lo, hi, residual_tol):
+    """The one-pass sweep the L2_5, T3_1 and T4_5 checks ran on their
+    hand-built sums S_m = sum_{i=1..m} (prod_f f^(i-1)) (prod mids)
+    right^(m-i): returns the first m in [lo, hi] at which S_m vanishes
+    against its scale, else 0, and the (S_m, scale_m) of every m it swept.
+    """
+    K = reduce(np.matmul, mids)
+    mid_norms = [linalg.frobenius(mid) for mid in mids]
+    left_norms, right_norms, swept = [], [], []
+    total = np.zeros_like(K)
+    for m in range(1, hi + 1):
+        powers = [linalg._power(f, m - 1) for f in lefts]
+        left_norms.append(math.prod([*map(linalg.frobenius, powers),
+                                     *mid_norms]))
+        right_norms.append(linalg.frobenius(linalg._power(right, m - 1)))
+        total = total @ right + reduce(np.matmul, powers) @ K
+        scale = 0.0
+        for left_norm, right_norm in zip(left_norms, reversed(right_norms)):
+            scale += left_norm * right_norm
+        swept.append((total, scale))
+        if (m >= lo and linalg._relative(linalg.frobenius(total), scale)
+                <= residual_tol):
+            return m, swept
+    return 0, swept
+
+
+def nilpotent_powers(ra, m):
+    """A^(i-1) A_pi for i = 1..m, A_pi the spectral idempotent of the record
+    ra of A, and their scale sum_i ||A^(i-1)|| ||A_pi||, as the record's
+    nilpotent_powers formed them; A_pi is not formed when m = 0."""
+    if m == 0:
+        return [], 0.0
+    api = ra.spectral_idempotent()
+    norm_api = linalg.frobenius(api)
+    products, scale = [], 0.0
+    for j in range(m):
+        Aj = linalg._power(ra.A, j)
+        products.append(Aj @ api)
+        scale += linalg.frobenius(Aj) * norm_api
+    return products, scale
+
+
+def nilpotent_power_sum(ra):
+    """sum_{i=1..k} A^(i-1) A_pi, k the index of the record ra, and its
+    scale, as C4_6's check and sampler read them; zero at k = 0."""
+    products, scale = nilpotent_powers(ra, ra.k)
+    return sum(products, np.zeros_like(ra.A)), scale
+
+
+def coupling_terms(ra, d, m):
+    """The linear terms (a^(i-1) a_pi, d^(m-i)), i = 1..m, of the coupling
+    sum sum_i a^(i-1) a_pi X d^(m-i) in the unknown X, ra the record of a,
+    as the L2_5a and T4_5 samplers built them."""
+    products, _ = nilpotent_powers(ra, m)
+    return [(P, linalg._power(d, m - 1 - j))
+            for j, P in enumerate(products)]

@@ -412,6 +412,21 @@ class TestVerify:
         assert out["report"]["verdict"] == "pass"
         assert out["report"]["witnesses"]["additive_candidate_residuals"] is None
 
+    @pytest.mark.parametrize("s", range(6))
+    def test_theorem_1_1_at_tiny_scale_passes(self, capsys, tmp_path, s):
+        # the scaled power of A at 1e-300 multiplies M after a power-of-two
+        # prescale; unscaled, its products underflowed to a NaN power and
+        # the command exited 2
+        from geninv.generators import instance_for, trial_seed
+        from geninv.theorems import run_check
+        A = instance_for("T1_1", (4,), trial_seed(s, 0)).matrices["A"] * 1e-300
+        assert run_check("T1_1", {"A": A}).verdict == "pass"
+        path = write(tmp_path, "inst.json", {"A": matrix_to_obj(A)})
+        code, out, err = run(capsys, ["verify", "--theorem", "T1_1",
+                                      "--input", path])
+        assert code == 0 and err == ""
+        assert out["report"]["verdict"] == "pass"
+
     def test_generated_block_instance(self, capsys, tmp_path):
         from geninv.generators import gen_intertwined_4_1
         A, B, C, D, _ = gen_intertwined_4_1(3, 2, seed=404)

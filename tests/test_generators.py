@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from geninv.generators import (
     trial_seed,
 )
 from geninv.theorems import THEOREM_SYMBOLS, run_check
+from oracles import coupling_terms, nilpotent_power_sum, nilpotent_powers
 
 
 def rel(X, Y):
@@ -450,13 +452,15 @@ class TestNullspaceSample:
         assert got == self.PINNED
 
 
-def _hand_systems(a, A, B, C, D):
+def _hand_systems(a, d, A, B, C, D, m):
     """Reference: each generator's word systems as hand-written term lists,
-    keyed by (id, unknown), with the symbols drawn before the unknown."""
+    keyed by (id, unknown), with the symbols drawn before the unknown; a
+    coupling sum, taken at m, goes last, with one term per i."""
     I = lambda n: np.eye(n, dtype=np.complex128)
     st = lambda M: M.conj().T
     n, nA, nD = a.shape[0], A.shape[0], D.shape[0]
     IA, ID = I(nA), I(nD)
+    rA = _CoreEP(A)
     commutes = [[(a, I(n)), (-I(n), a)], [(st(a), I(n)), (-I(n), st(a))]]
     ab_bd = [(A, ID), (-IA, D)]
     astar_b = [(st(A), ID), (-IA, st(D))]
@@ -473,9 +477,12 @@ def _hand_systems(a, A, B, C, D):
         ("C4_4", "B", "AD"): [ab_bd],
         ("C4_4", "C", "AD"): [dc_ca, dstar_c],
         ("T4_5", "C", "AD"): [dc_ca, dstar_c],
-        ("T4_5", "B", "ACD"): [[(IA, C)], [(C, ID)]],
+        ("T4_5", "B", "ACD"): [[(IA, C)], [(C, ID)],
+                               coupling_terms(rA, D, m)],
         ("C4_6", "B", "AD"): [ab_bd, astar_b],
-        ("C4_6", "C", "ABD"): [[(B, IA)], [(ID, B)]],
+        ("C4_6", "C", "ABD"): [[(B, IA)], [(ID, B)],
+                               [(ID, P) for P in nilpotent_powers(rA, m)[0]]],
+        ("L2_5a", "b", "ad"): [coupling_terms(_CoreEP(a), d, m)],
     }
 
 
@@ -508,25 +515,38 @@ class TestWordSystems:
     """The generators' constraint systems are read off the checker's word
     tables, and equal reference term lists written out by hand."""
 
-    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 4), (3, 2)])
     def test_equal_the_hand_written_lists(self, dims):
         nA, nD = dims
         word_ids = {tid for tid in THEOREM_SYMBOLS
-                    if tid in theorems._EQUATIONS or tid in theorems._VANISHING}
-        for seed in range(5):
+                    if tid in theorems._EQUATIONS or tid in theorems._VANISHING
+                    or tid in theorems._SUMS}
+        for seed, c in itertools.product(range(5), (1e-6, 1.0, 1e6)):
             rg = np.random.default_rng((770, seed))
             crandn = lambda *shape: generators._crandn(rg, *shape)
-            named = dict(a=crandn(nA, nA), b=crandn(nA, nA), A=crandn(nA, nA),
-                         B=crandn(nA, nD), C=crandn(nD, nA), D=crandn(nD, nD))
-            hand = _hand_systems(*(named[s] for s in "aABCD"))
-            # L2_3's pair is built on projections, not drawn from its words
-            assert {tid for tid, _, _ in hand} == word_ids - {"L2_3"}
+            # a, d, A and D singular, so that the sums' idempotents are not 0
+            sing = lambda n, t: gen_with_index(
+                n, 1 + t % n, n - 1 - t % n, np.random.SeedSequence((771, t)))
+            named = dict(a=sing(nA, seed), b=crandn(nA, nA), d=sing(nD, seed + 1),
+                         A=sing(nA, seed + 2), B=crandn(nA, nD),
+                         C=crandn(nD, nA), D=sing(nD, seed + 3))
+            named = {s: M * c for s, M in named.items()}
+            m = 1 + seed % 3
+            hand = _hand_systems(*(named[s] for s in "adABCD"), m)
+            # L2_3's pair is built on projections, not drawn from its words;
+            # L2_5b's instance is L2_5a's, and T3_1's b is drawn as L2_1's
+            assert ({tid for tid, _, _ in hand}
+                    == word_ids - {"L2_3", "L2_5b"})
             for (tid, unknown, drawn), systems in hand.items():
                 shape = named[unknown].shape
                 got = generators._word_system(
-                    tid, unknown, shape, {s: named[s] for s in drawn})
+                    tid, unknown, shape,
+                    theorems._Instance(**{s: named[s] for s in drawn}), m)
                 assert len(got) == len(systems), (tid, unknown)
                 for terms, ref_terms in zip(got, systems):
+                    assert ([(L.tobytes(), R.tobytes()) for L, R in terms]
+                            == [(L.tobytes(), R.tobytes())
+                                for L, R in ref_terms]), (tid, unknown)
                     rows, ref = generators._equation_rows(terms)
                     ref_rows, ref_ref = generators._equation_rows(ref_terms)
                     assert rows.tobytes() == ref_rows.tobytes(), (tid, unknown)
@@ -616,7 +636,7 @@ def _loop_intertwined(seed, nA, nD, theorem_id, nilpotent):
     output and its random generator."""
     rg = generators._rng(seed)
     A, D = generators._shared_block_pair(rg, nA, nD)
-    named = {"A": A, "D": D}
+    named = theorems._Instance(A=A, D=D)
     out = _loop_b_then_c(
         rg, A, D, generators._word_system(theorem_id, "B", (nA, nD), named),
         generators._word_system(theorem_id, "C", (nD, nA), named),
@@ -701,9 +721,58 @@ class TestRejectionSampler:
         assert analysed == []
 
 
+def _hand_zero_product(seed, nA, nD, theorem_id, order, last_terms):
+    """Reference: the T4_5 and C4_6 sampler with its coupling sum built by
+    hand: B and C drawn in the given order, each from the id's words on it,
+    the second also under the term list ``last_terms(rA, D)``, rA the record
+    of A, when A has index >= 1."""
+    rg = generators._rng(seed)
+    A, D = generators._shared_block_pair(rg, nA, nD, keep_complement=True)
+    named = theorems._Instance(A=A, D=D)
+    shapes = {"B": (nA, nD), "C": (nD, nA)}
+    rA = _CoreEP(A)
+    for X in order:
+        equations = generators._word_system(theorem_id, X, shapes[X], named)
+        if X == order[1] and rA.k >= 1:
+            equations.append(last_terms(rA, D))
+        named[X], _ = generators._nullspace_sample(rg, shapes[X], equations)
+    B, C = named["B"], named["C"]
+    return A, B, C, D, np.linalg.norm(B) == 0.0 or np.linalg.norm(C) == 0.0
+
+
+# Reference: each zero-product sampler's draw order and its hand-built sum.
+_HAND_ZERO_PRODUCT = {
+    "T4_5": (gen_zero_product_4_5, "CB",
+             lambda rA, D: coupling_terms(rA, D, rA.k)),
+    "C4_6": (gen_zero_product_4_6, "BC",
+             lambda rA, D: [(linalg._eye(D.shape[0]),
+                             nilpotent_power_sum(rA)[0])]),
+}
+
+
+class TestZeroProductSampler:
+    """The T4_5 and C4_6 samplers read their coupling sum off the table and
+    draw the bits the hand-built sums drew.  C4_6's unknown C prefixes its
+    sum, and the table gives one term (I, A^(i-1) A_pi) per i where the hand
+    had the one term (I, sum_i A^(i-1) A_pi)."""
+
+    @pytest.mark.parametrize("theorem_id", ["T4_5", "C4_6"])
+    def test_matches_hand_built_sums(self, theorem_id):
+        sampler, order, last_terms = _HAND_ZERO_PRODUCT[theorem_id]
+        for nA, nD in TestRejectionSampler.DIMS:
+            for seed in range(20):
+                out = sampler(nA, nD, seed=seed)
+                ref = _hand_zero_product(seed, nA, nD, theorem_id, order,
+                                         last_terms)
+                case = (theorem_id, nA, nD, seed)
+                for M, M_ref in zip(out[:4], ref[:4]):
+                    assert M.tobytes() == M_ref.tobytes(), case
+                assert out[4] == ref[4], case
+
+
 class TestCouplingWords:
     """Each coupling product is a word of theorems.COUPLING over the blocks
-    and the pseudo core letters of theorems._PCORE; its factors equal the
+    and the pseudo core letters of theorems._DERIVED; its factors equal the
     hand-written closures', and the check reads the entry, the generator
     none."""
 

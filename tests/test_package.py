@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -34,3 +35,34 @@ def test_runs_as_module():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2 and done.stdout == ""
     assert "invalid choice: 'bogus'" in done.stderr
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def test_every_private_definition_is_used_in_src():
+    # a private module-level function or class, or a private method, that
+    # nothing else in src/geninv names is dead code, even if tests call it
+    src = Path(geninv.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            inner = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *inner]:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                        and _private(item.name)):
+                    defined.append((name, item))
+    used = [(name, node.lineno, node.id if isinstance(node, ast.Name)
+             else node.attr)
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = [f"{name}:{item.lineno} {item.name}" for name, item in defined
+            if not any(ref == item.name and not (
+                where == name and item.lineno <= line <= item.end_lineno)
+                for where, line, ref in used)]
+    assert dead == []

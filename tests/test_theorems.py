@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,11 @@ from geninv.theorems import (
     reproduce_example_3_3,
     run_check,
 )
-from oracles import first_vanishing_sum_direct
+from oracles import (
+    coupling_sweep,
+    first_vanishing_sum_direct,
+    nilpotent_power_sum,
+)
 from geninv.generators import (
     gen_annihilating_pair,
     gen_commutant_pair,
@@ -490,8 +496,9 @@ class TestCouplingSumIdempotent:
                 assert calls == [(dims[0], dims[0])]
 
 
-# every module that forms a matrix power through the kernel's _power
-POWER_CALLERS = (inverses, theorems, generators)
+# every module that forms a matrix power through the kernel's _power; the
+# coupling sums read theirs as keys (S, j) of linalg's _Named
+POWER_CALLERS = (inverses, linalg)
 
 
 def counting_calls(monkeypatch, modules, name):
@@ -505,12 +512,34 @@ def counting_calls(monkeypatch, modules, name):
     return calls
 
 
+def _hand_sum(theorem_id, named, tol):
+    """Reference: each check's coupling sum and window as built by hand,
+    over the input symbols of the instance ``named``: (lefts, mids, right,
+    lo, hi), or None where T4_5 takes m = 0 at index(A) = 0."""
+    record = lambda M: inverses._CoreEP(M, tol)
+    if theorem_id == "T3_1":
+        a, b = named["a"], named["b"]
+        apc = record(a).pcore_inverse
+        w = np.eye(len(a)) + apc @ b
+        rw = record(w)
+        mids = [rw.spectral_idempotent(), a, a @ apc - apc @ a]
+        return [w, a], mids, a + b, max(rw.k, 1), rw.k + len(a)
+    a, b, d = (named[s] for s in ("abd" if "a" in named else "ABD"))
+    ra, kd = record(a), record(d).k
+    if theorem_id == "T4_5" and ra.k == 0:
+        return None
+    # T4_5 tests m = index(A) first, then searches on from there
+    return ([a], [ra.spectral_idempotent(), b], d, max(ra.k, 1),
+            ra.k + kd + max(len(a), len(d)))
+
+
 class TestCouplingSweep:
     """The one-pass coupling-sum sweep finds the same exponent as the direct
     double loop, with every power from _power, that it replaced."""
 
     @staticmethod
-    def _direct(lefts, mids, right, tol, lo, hi):
+    def _direct(theorem_id, named, tol):
+        lefts, mids, right, lo, hi = _hand_sum(theorem_id, named, tol)
         return first_vanishing_sum_direct(lefts, mids, right,
                                           tol.residual_tol, lo, hi)
 
@@ -528,10 +557,58 @@ class TestCouplingSweep:
                           for k, v in inst.items()}
                 swept = run_check(theorem_id, scaled)
                 with monkeypatch.context() as mp:
-                    mp.setattr(theorems, "_first_vanishing_sum", self._direct)
+                    mp.setattr(theorems, "_least_vanishing", self._direct)
                     direct = run_check(theorem_id, scaled)
                 assert swept.witnesses["m"] == direct.witnesses["m"]
                 assert swept.verdict == direct.verdict
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_equals_the_hand_built_sweep(self, dims, c):
+        # every sum and scale that the table's reader yields is the bits of
+        # the sweep the checks ran on their hand-built sums, and the check
+        # reports the m that sweep found
+        tol, swept_any = linalg.DEFAULT_POLICY, False
+        for theorem_id in ("L2_5a", "L2_5b", "T3_1", "T4_5"):
+            for s in range(4):
+                inst = instance_for(theorem_id, dims, trial_seed(s, 2))
+                scaled = {k: v * c if isinstance(v, np.ndarray) else v
+                          for k, v in inst.matrices.items()}
+                report = run_check(theorem_id, scaled)
+                if theorem_id == "L2_5b":
+                    x, k = scaled["x"], scaled["split"]
+                    scaled = {"a": x[:k, :k], "b": x[:k, k:], "d": x[k:, k:]}
+                named = theorems._Instance(**scaled)
+                hand = _hand_sum(theorem_id, named, tol)
+                m, swept = ((0, []) if hand is None else
+                            coupling_sweep(*hand, tol.residual_tol))
+                assert report.witnesses["m"] == m, (theorem_id, s)
+                got = list(islice(theorems._sums(theorem_id, named), 1,
+                                  len(swept) + 1))
+                assert ([(S.tobytes(), scale) for _, S, scale in got]
+                        == [(S.tobytes(), scale) for S, scale in swept])
+                swept_any |= bool(swept)
+        assert swept_any
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4)])
+    def test_corollary_4_6_equals_the_hand_built_sum(self, dims, c):
+        # C4_6 judged ||C S|| / (||C|| scale), S the record's sum of
+        # A^(i-1) A_pi up to index(A); the row's prefix C gives those bits
+        for s in range(4):
+            inst = instance_for("C4_6", dims, trial_seed(s, 3)).matrices
+            A, B, C, D = (inst[x] * c for x in "ABCD")
+            rA = inverses._CoreEP(A)
+            pi_sum, scale = nilpotent_power_sum(rA)
+            value = linalg._relative(linalg.frobenius(C @ pi_sum),
+                                     linalg.frobenius(C) * scale)
+            check = check_corollary_4_6(A, B, C, D).hypothesis_checks[-1]
+            assert check.value == value
+            named = theorems._Instance(A=A, B=B, C=C, D=D)
+            m, S, got = next(islice(theorems._sums("C4_6", named), rA.k, None))
+            assert m == rA.k
+            assert S.tobytes() == (C @ pi_sum).tobytes()
+            assert got == linalg.frobenius(C) * scale
 
     @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b"])
     def test_each_power_formed_once(self, monkeypatch, theorem_id):
@@ -544,6 +621,38 @@ class TestCouplingSweep:
             run_check(theorem_id, inst.matrices)
             total += len(calls)
         assert total / 20 == pytest.approx(9.4)
+
+
+class TestSumRows:
+    """The checks and the samplers read one table of coupling-sum rows."""
+
+    def test_check_and_generator_read_one_row(self, monkeypatch):
+        # a = b = d = 0: S_1 = a_pi b vanishes; with b cut from the mid word
+        # it is S_1 = a_pi = 1, and S_2 = a_pi d + a a_pi vanishes instead,
+        # while the sampler's b, no longer in the row, is drawn unconstrained
+        zero = np.zeros((1, 1), dtype=complex)
+        a, _, d, _ = gen_lemma_2_5_instance(3, 3, seed=305)
+        system = lambda: generators._word_system(
+            "L2_5a", "b", (3, 3), theorems._Instance(a=a, d=d), 3)
+        drawn = gen_lemma_2_5_instance(3, 3, seed=305)[1]
+        assert check_lemma_2_5(zero, zero, zero).witnesses["m"] == 1
+        assert [len(terms) for terms in system()] == [3]
+        monkeypatch.setitem(theorems._SUMS, "L2_5a", ("", "a", "e", "d", "ad"))
+        assert check_lemma_2_5(zero, zero, zero).witnesses["m"] == 2
+        assert system() == []
+        cut = gen_lemma_2_5_instance(3, 3, seed=305)[1]
+        assert cut.tobytes() != drawn.tobytes()
+
+    def test_theorem_4_5_sweeps_once(self, monkeypatch):
+        # A = D = J2, as in TestTheorem45: the sum at index(A) = 2 fails and
+        # the same pass goes on to m = 4, forming A^j and D^j for j < 4 once
+        # each, then M's exact power for its certificate; restarting the
+        # sweep at m = 1 past the index took 13
+        calls = counting_calls(monkeypatch, POWER_CALLERS, "_power")
+        B = np.array([[1, 2], [3, 4]], dtype=complex)
+        report = check_theorem_4_5(SHIFT, B, Z2, SHIFT)
+        assert report.witnesses["m"] == 4
+        assert len(calls) == 9
 
 
 class TestIndexReuse:
@@ -703,19 +812,24 @@ class TestWordHypotheses:
 
     def test_words_use_only_the_id_symbols(self):
         # the tables hold each word parsed into keys, a symbol and its star
-        # if any; a coupling word may also name the letters of _PCORE
-        coupling = {tid: (("coupling", word),)
-                    for tid, word in theorems.COUPLING.items()}
-        for table, extra in ((theorems._EQUATIONS, set()),
-                             (theorems._VANISHING, set()),
-                             (coupling, set(theorems._PCORE))):
+        # if any; a coupling word or sum row may also name derived letters,
+        # which an instance of the id's symbols forms when they are read
+        for table in (theorems._EQUATIONS, theorems._VANISHING):
             for theorem_id, entries in table.items():
                 for label, *words in entries:
                     symbols = {key[0] for word in words for key in word}
-                    allowed = set(THEOREM_SYMBOLS[theorem_id]) | extra
-                    assert symbols <= allowed, (theorem_id, label)
-        for letter, word in theorems._PCORE.items():
-            assert {key[0] for key in word} <= set("ABCD"), letter
+                    assert symbols <= set(THEOREM_SYMBOLS[theorem_id]), (
+                        theorem_id, label)
+        rg = np.random.default_rng(4003)
+        rows = [(tid, word) for tid, word in theorems.COUPLING.items()]
+        rows += [(tid, "".join(row[:4])) for tid, row in theorems._SUMS.items()]
+        for theorem_id, word in rows:
+            # L2_5b's sum is over the blocks a, b, d of its x
+            symbols = ("abd" if theorem_id == "L2_5b"
+                       else THEOREM_SYMBOLS[theorem_id])
+            named = theorems._Instance(**{s: crandn(rg, 3, 3) for s in symbols})
+            for key in word:
+                assert named[key].shape == (3, 3), (theorem_id, key)
 
     def test_a_star_marks_the_factor_before_it(self):
         assert theorems._tokens("A*B") == ("A*", "B")
