@@ -42,7 +42,6 @@ from .linalg import (
     _svd_right,
     frobenius,
 )
-from .inverses import _CoreEP
 from .theorems import (
     THEOREM_SYMBOLS,
     _DERIVED,
@@ -435,9 +434,8 @@ def _l2_4_pair(n, seed):
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n)
     a = _with_index_rng(rg, n, k, r)
-    if rg.integers(0, 2):
-        X = _CoreEP(a).pcore_inverse
-        b = (X @ a) @ _crandn(rg, n, n)   # inside the range condition
+    if rg.integers(0, 2):       # b inside the range condition
+        b = (_Instance(a=a)["c"] @ a) @ _crandn(rg, n, n)
     else:
         b = _crandn(rg, n, n)
     return a, b

@@ -23,7 +23,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    _adj,
     _assemble,
     _eye,
     _factors,
@@ -42,12 +41,7 @@ from .linalg import (
     rel_residual,
     zero_product,
 )
-from .inverses import (
-    _CoreEP,
-    _one_three,
-    _residuals,
-    pseudo_core,
-)
+from .inverses import _CoreEP, _one_three, _residuals
 
 __all__ = [
     "Check",
@@ -175,20 +169,31 @@ _SUMS = {
 
 # Each derived letter, formed from an instance n that does not name it: the
 # pseudo core inverse or the spectral idempotent I - X X^D off the record of
-# a word's product X, or T3_1's w = 1 + a_pc b, commutator k = a a_pc -
-# a_pc a and sum s = a + b.  The one place a derived matrix is formed.
+# a word's product X; T3_1's w = 1 + a_pc b, commutator k = a a_pc - a_pc a
+# and sum s = a + b; L2_5's x = [[a, b], [0, d]]; T1_1's scaled power K =
+# A^max(k,1); the block matrix M = [[A, B], [C, D]], its mirror
+# N = M* = [[A*, C*], [B*, D*]], assembled from the starred blocks, and
+# T4_3's antidiagonal Z = [[0, B], [C, 0]].  The one place a derived matrix
+# is formed.
 _DERIVED = {
     "a": lambda n: n.record("A").pcore_inverse,
     "d": lambda n: n.record("D").pcore_inverse,
     "p": lambda n: n.record("BC").pcore_inverse,
     "q": lambda n: n.record("CB").pcore_inverse,
     "c": lambda n: n.record("a").pcore_inverse,
+    "f": lambda n: n.record("b").pcore_inverse,
     "e": lambda n: n.record("a").spectral_idempotent(),
     "E": lambda n: n.record("A").spectral_idempotent(),
     "v": lambda n: n.record("w").spectral_idempotent(),
     "w": lambda n: _eye(len(n["a"])) + n["c"] @ n["b"],
     "k": lambda n: n["a"] @ n["c"] - n["c"] @ n["a"],
     "s": lambda n: n["a"] + n["b"],
+    "x": lambda n: _assemble(n["a"], n["b"], np.zeros_like(n["b"].T), n["d"]),
+    "K": lambda n: n.record("A").scaled_power(),
+    "M": lambda n: _assemble(n["A"], n["B"], n["C"], n["D"]),
+    "N": lambda n: _assemble(n["A*"], n["C*"], n["B*"], n["D*"]),
+    "Z": lambda n: _assemble(np.zeros_like(n["A"]), n["B"], n["C"],
+                             np.zeros_like(n["D"])),
 }
 
 
@@ -298,7 +303,7 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """Under the same hypotheses, (ab) has pseudo core inverse a_pc . b_pc."""
     a, b = _pair(a, b)
     report, named = _report("L2_2", tol, a=a, b=b)
-    bpc = _CoreEP(b, tol).pcore_inverse
+    bpc = named["f"]
     prod = named.record("ab").pseudo_core()
     report.conclusion_checks = [
         _certified("product_certified", prod, tol),
@@ -320,7 +325,7 @@ def check_lemma_2_3(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     # triple, against the power A^max(k,1) that the sum's record holds;
     # None when the candidate overflows.
     with np.errstate(over="ignore"):
-        candidate = named["c"] + _CoreEP(b, tol).pcore_inverse
+        candidate = named["c"] + named["f"]
     report.witnesses["sum_pcore"] = spc.inverse
     report.witnesses["additive_candidate_residuals"] = (
         _residuals("pseudo_core", rs.A, candidate, rs.exact_power)
@@ -358,10 +363,11 @@ def _diagonal_blocks(theorem_id, named, tol):
     ], m
 
 
-def _triangular_pcore(x, split, tol):
-    """The checks x_certified and pcore_upper_triangular of x, whose leading
-    diagonal block has size ``split``, and x's pseudo core inverse."""
-    xpc = pseudo_core(x, tol)
+def _triangular_pcore(named, split, tol):
+    """The checks x_certified and pcore_upper_triangular of the instance's
+    x, whose leading diagonal block has size ``split``, and x's pseudo core
+    inverse."""
+    xpc = named.record("x").pseudo_core()
     ll_value = _relative(frobenius(xpc.inverse[split:, :split]),
                          frobenius(xpc.inverse))
     return [
@@ -383,8 +389,7 @@ def check_lemma_2_5(a, b, d, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRe
             f"{b.shape}, {d.shape}")
     report, named = _report("L2_5a", tol, a=a, b=b, d=d)
     report.hypothesis_checks, m = _diagonal_blocks("L2_5a", named, tol)
-    x = _assemble(a, b, np.zeros((nd, na), dtype=np.complex128), d)
-    report.conclusion_checks, xpc = _triangular_pcore(x, na, tol)
+    report.conclusion_checks, xpc = _triangular_pcore(named, na, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
     return report
@@ -406,8 +411,8 @@ def check_lemma_2_5_converse(x, split: int,
     if _relative(frobenius(lower), frobenius(x)) > tol.residual_tol:
         raise ValueError("lower-left block of x must vanish")
     a, b, d = x[:split, :split], x[:split, split:], x[split:, split:]
-    report, named = _report("L2_5b", tol, a=a, b=b, d=d)
-    report.hypothesis_checks, xpc = _triangular_pcore(x, split, tol)
+    report, named = _report("L2_5b", tol, a=a, b=b, d=d, x=x)
+    report.hypothesis_checks, xpc = _triangular_pcore(named, split, tol)
     report.conclusion_checks, m = _diagonal_blocks("L2_5b", named, tol)
     report.witnesses["m"] = m
     report.witnesses["x_pcore"] = xpc
@@ -485,8 +490,7 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     b = np.array([[0, 0], [1, 0]], dtype=np.complex128)
     report, named = _report("EX3_3", tol, a=a, b=b)
 
-    apc, w = named["c"], named["w"]
-    bpc = _CoreEP(b, tol).pcore_inverse
+    apc, w, bpc = named["c"], named["w"], named["f"]
     wpc = named.record("w").pseudo_core()
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)
 
@@ -525,16 +529,16 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
     rA = named.record("A")
     # the power taken from the decomposition has rank exactly r, so the
     # rank-based range comparisons below are not polluted by rounding dust
-    Ak = rA.scaled_power()
+    Ak = named["K"]
     apc = rA.pseudo_core()
     adr = rA.drazin()
     X = apc.inverse
-    rAk = _CoreEP(Ak, tol)
+    rAk = named.record("K")
     a13 = _one_three(rAk.A, rAk.svd, tol)
     # rank(X) serves both comparisons and X*, which has X's singular values
     rank_x = numerical_rank(X, tol)
     power_range = _same_space(Ak, X, rAk.rank, rank_x, tol)
-    adjoint_range = _same_space(X, _adj(X), rank_x, rank_x, tol)
+    adjoint_range = _same_space(X, named["a*"], rank_x, rank_x, tol)
     power_index = rAk.k
     # a power of index > 1 has no core inverse; its check reads null
     power_core = (_certified("power_core_certified", rAk.core(), tol)
@@ -556,8 +560,19 @@ def check_theorem_1_1(A, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport
 # ---------------------------------------------------------------------------
 # Block-operator results
 
+# The corollaries that mirror their theorem through M*.
+_MIRRORED = ("C4_2", "C4_4", "C4_6")
 
-def _validate_blocks(A, B, C, D):
+
+def _block_report(theorem_id, A, B, C, D, tol):
+    """The unfinished report of a block result on the blocks A, B, C, D:
+    its word hypotheses, the nilpotency of its coupling product for an id
+    of ``COUPLING``, and the certificate of M = [[A, B], [C, D]] as
+    conclusion; a mirrored corollary adds that of its mirror M* =
+    [[A*, C*], [B*, D*]], which is assembled from the starred blocks, as
+    the mirrored theorem assembles its M, so the two certificates agree bit
+    for bit.  Returns the report, the instance and M's pseudo core result,
+    to which the caller adds its own checks and witnesses."""
     A, B, C, D = as_matrix(A), as_matrix(B), as_matrix(C), as_matrix(D)
     nA, nD = A.shape[0], D.shape[0]
     if A.shape != (nA, nA) or D.shape != (nD, nD):
@@ -566,40 +581,25 @@ def _validate_blocks(A, B, C, D):
         raise ValueError(
             f"off-diagonal blocks must have shapes ({nA},{nD}) and "
             f"({nD},{nA}); got {B.shape}, {C.shape}")
-    return A, B, C, D
-
-
-def _dual_check(A, B, C, D, tol):
-    """The m_certified check on the conjugate-transpose arrangement
-    [[A*, C*], [B*, D*]] = M*, through which each corollary mirrors its
-    theorem.  Assembled from the starred blocks, as the mirrored theorem
-    does, so the certificate equals that theorem's bit for bit."""
-    Mstar = _assemble(_adj(A), _adj(C), _adj(B), _adj(D))
-    return _certified("dual_arrangement_certified", pseudo_core(Mstar, tol),
-                      tol)
-
-
-def _intertwined_report(theorem_id, A, B, C, D, tol):
-    """The unfinished report of an intertwined result on validated blocks:
-    its equations and the nilpotency of its coupling product as hypotheses,
-    the certificate of M = [[A, B], [C, D]] as conclusion.  Returns the
-    report and M's pseudo core result, to which the caller adds its own."""
     report, named = _report(theorem_id, tol, A=A, B=B, C=C, D=D)
-    nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
-    report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
-    mpc = pseudo_core(_assemble(A, B, C, D), tol)
+    if theorem_id in COUPLING:
+        nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
+        report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
+    mpc = named.record("M").pseudo_core()
     report.conclusion_checks = [_certified("m_certified", mpc, tol)]
-    report.witnesses["m_pcore"] = mpc.inverse
-    return report, mpc
+    if theorem_id in _MIRRORED:
+        report.conclusion_checks.append(_certified(
+            "dual_arrangement_certified", named.record("N").pseudo_core(), tol))
+    return report, named, mpc
 
 
 def check_theorem_4_1(A, B, C, D,
                       tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Intertwined blocks with nilpotent coupling A_pc B D_pc C give the
     block matrix a pseudo core inverse."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, mpc = _intertwined_report("T4_1", A, B, C, D, tol)
-    report.witnesses["m_pcore_residuals"] = mpc.residuals
+    report, _, mpc = _block_report("T4_1", A, B, C, D, tol)
+    report.witnesses.update(m_pcore=mpc.inverse,
+                            m_pcore_residuals=mpc.residuals)
     return report
 
 
@@ -608,9 +608,8 @@ def check_corollary_4_2(A, B, C, D,
     """Mirror of T4_1 with the coupling product taken the other way round,
     B D_pc C A_pc; verified through the conjugate-transpose block
     arrangement."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, _ = _intertwined_report("C4_2", A, B, C, D, tol)
-    report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
+    report, _, mpc = _block_report("C4_2", A, B, C, D, tol)
+    report.witnesses["m_pcore"] = mpc.inverse
     return report
 
 
@@ -618,16 +617,14 @@ def check_theorem_4_3(A, B, C, D,
                       tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Anti-diagonal splitting: three intertwinings plus a nilpotent coupling
     B (CB)_pc D C (BC)_pc A give the block matrix a pseudo core inverse; the
-    anti-diagonal part Q additionally satisfies Q_pc = Q (Q^2)_pc."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, _ = _intertwined_report("T4_3", A, B, C, D, tol)
-    nA, nD = A.shape[0], D.shape[0]
-    Q = _assemble(np.zeros((nA, nA), dtype=np.complex128), B,
-                  C, np.zeros((nD, nD), dtype=np.complex128))
-    qpc = _CoreEP(Q, tol).pcore_inverse
-    q2pc = _CoreEP(Q @ Q, tol).pcore_inverse
-    report.conclusion_checks.append(
-        _eq("antidiagonal_square_identity", rel_residual(qpc, Q @ q2pc), tol))
+    anti-diagonal part Z additionally satisfies Z_pc = Z (Z^2)_pc."""
+    report, named, mpc = _block_report("T4_3", A, B, C, D, tol)
+    report.witnesses["m_pcore"] = mpc.inverse
+    zpc = named.record("Z").pcore_inverse
+    z2pc = named.record("ZZ").pcore_inverse
+    report.conclusion_checks.append(_eq(
+        "antidiagonal_square_identity", rel_residual(zpc, named["Z"] @ z2pc),
+        tol))
     return report
 
 
@@ -635,9 +632,8 @@ def check_corollary_4_4(A, B, C, D,
                         tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Mirror of T4_3 with the starred intertwining moved onto C; the
     coupling product is A (BC)_pc B D (CB)_pc C."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, _ = _intertwined_report("C4_4", A, B, C, D, tol)
-    report.conclusion_checks.append(_dual_check(A, B, C, D, tol))
+    report, _, mpc = _block_report("C4_4", A, B, C, D, tol)
+    report.witnesses["m_pcore"] = mpc.inverse
     return report
 
 
@@ -645,15 +641,12 @@ def check_theorem_4_5(A, B, C, D,
                       tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """Zero-product coupling: BC = CB = 0 with one-sided intertwining and a
     vanishing triangular sum give the block matrix a pseudo core inverse."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, named = _report("T4_5", tol, A=A, B=B, C=C, D=D)
+    report, named, mpc = _block_report("T4_5", A, B, C, D, tol)
     iA = named.record("A").k
     m = _least_vanishing("T4_5", named, tol) if iA else 0
     primary = m == iA
     report.hypothesis_checks.append(
         Check("coupling_sum_vanishes", m, primary or m > 0))
-    mpc = pseudo_core(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [_certified("m_certified", mpc, tol)]
     report.witnesses.update(sum_at_index_vanishes=primary, m=m,
                             m_pcore=mpc.inverse)
     return report
@@ -664,15 +657,10 @@ def check_corollary_4_6(A, B, C, D,
     """Mirror of T4_5: the sum condition collapses to C annihilating the
     nilpotent-part powers of A; verified through the conjugate-transpose
     arrangement as well."""
-    A, B, C, D = _validate_blocks(A, B, C, D)
-    report, named = _report("C4_6", tol, A=A, B=B, C=C, D=D)
+    report, named, mpc = _block_report("C4_6", A, B, C, D, tol)
     _, S, scale = next(islice(_sums("C4_6", named), named.record("A").k, None))
-    sum_value = _relative(frobenius(S), scale)
-    report.hypothesis_checks.append(
-        _res("C_kills_nilpotent_powers", sum_value, tol))
-    mpc = pseudo_core(_assemble(A, B, C, D), tol)
-    report.conclusion_checks = [_certified("m_certified", mpc, tol),
-                                _dual_check(A, B, C, D, tol)]
+    report.hypothesis_checks.append(_res(
+        "C_kills_nilpotent_powers", _relative(frobenius(S), scale), tol))
     report.witnesses["m_pcore"] = mpc.inverse
     return report
 

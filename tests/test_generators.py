@@ -714,7 +714,6 @@ class TestRejectionSampler:
             return _CoreEP(M, tol)
 
         monkeypatch.setattr(theorems, "_CoreEP", counted)
-        monkeypatch.setattr(generators, "_CoreEP", counted)
         for sampler in self.SAMPLERS.values():
             for seed in range(920, 924):
                 sampler(3, 3, seed=seed)

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import geninv
+from geninv import inverses
+from geninv.generators import fuzz_dims, instance_for, trial_seed
+from geninv.theorems import THEOREM_SYMBOLS, run_check
 
 MODULES = ("geninv", "geninv.linalg", "geninv.inverses", "geninv.theorems",
            "geninv.generators", "geninv.matrixio")
@@ -66,3 +69,40 @@ def test_every_private_definition_is_used_in_src():
                 where == name and item.lineno <= line <= item.end_lineno)
                 for where, line, ref in used)]
     assert dead == []
+
+
+def _calls(node, where=""):
+    """(enclosing definition, call) of each call under the node, the
+    definition named by its dotted path, "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield where, child
+        inner = (f"{where}.{child.name}".lstrip(".") if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else where)
+        yield from _calls(child, inner)
+
+
+def test_every_analysed_matrix_is_a_letter_of_its_instance(monkeypatch):
+    # a check's or generator's core-EP record is formed only by
+    # _Instance.record, and no check applies the involution itself: every
+    # starred matrix is a key of the instance
+    src = Path(geninv.__file__).resolve().parent
+    stray = []
+    for name in ("theorems.py", "generators.py"):
+        for where, call in _calls(ast.parse((src / name).read_text())):
+            func = call.func
+            called = getattr(func, "id", getattr(func, "attr", None))
+            if ((called == "_CoreEP" and where != "_Instance.record")
+                    or (name == "theorems.py" and called in ("_adj", "conj"))):
+                stray.append(f"{name}:{call.lineno} {where} {called}")
+    assert stray == []
+
+    # and no check calls a public inverse function, each of which builds
+    # its own record
+    def refused(*args, **kwargs):
+        raise AssertionError("a public inverse function was called")
+
+    monkeypatch.setattr(inverses, "_CoreEP", refused)
+    for theorem_id in THEOREM_SYMBOLS:
+        inst = instance_for(theorem_id, fuzz_dims(theorem_id), trial_seed(1, 0))
+        run_check(theorem_id, inst.matrices)

@@ -668,6 +668,14 @@ class TestIndexReuse:
         ("C3_2", (4,), 3),       # a (also the star-DMP test), a + b, w
         ("C4_6", (3, 3), 3),     # A, M, M*
         ("T4_5", (3, 3), 2),     # A, M: D only when the sum at index(A) fails
+        ("L2_1", (4,), 1),       # a
+        ("L2_2", (4,), 3),       # a, b, ab
+        ("L2_4", (4,), 1),       # a
+        ("EX3_3", (4,), 4),      # a, w, b, a + b
+        ("T4_1", (3, 3), 3),     # A, D, M
+        ("C4_2", (3, 3), 4),     # A, D, M, M*
+        ("T4_3", (3, 3), 5),     # BC, CB, M, Z, Z^2
+        ("C4_4", (3, 3), 4),     # BC, CB, M, M*
     ])
     def test_analyses_per_check(self, monkeypatch, theorem_id, dims, analyses):
         real, calls = inverses._staircase, []
