@@ -480,6 +480,8 @@ def product_with_scale(factors):
     from exact cancellation, not a genuinely tiny matrix.
     """
     factors = [as_matrix(F) for F in factors]
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     P = factors[0]
     scale_acc = frobenius(P)
     for F in factors[1:]:

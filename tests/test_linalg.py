@@ -40,6 +40,7 @@ from geninv.linalg import (
     product_with_scale,
     same_column_space,
     scaled_power,
+    zero_product,
 )
 from geninv.theorems import THEOREM_SYMBOLS, run_check
 
@@ -72,6 +73,15 @@ class TestArithmetic:
     def test_nonconforming_product_rejected(self):
         with pytest.raises(DimensionError):
             product_with_scale([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("fn", [product_with_scale, zero_product,
+                                    is_nilpotent_product])
+    def test_empty_product_rejected(self, fn):
+        # not the bare IndexError of reading the first factor
+        with pytest.raises(ValueError, match="at least one factor"):
+            fn([])
+        with pytest.raises(ValueError, match="at least one factor"):
+            fn(iter([]))
 
 
 class TestNamed:
