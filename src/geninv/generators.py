@@ -442,8 +442,13 @@ def _l2_4_pair(n, seed):
 
 
 def _c3_2_pair(n, seed):
-    # (k, r) and b come from rg, a from gen_star_dmp's own stream of the seed
-    rg = _rng(seed)
+    # a comes from gen_star_dmp's stream of the seed, (k, r) and b from a
+    # child stream, the seed's spawn key extended by 1, so b reuses none of
+    # a's normals; spawn() would mutate a passed SeedSequence
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    rg = _rng(np.random.SeedSequence(seed.entropy,
+                                     spawn_key=(*seed.spawn_key, 1)))
     k, r = _draw_index_rank(rg, n, kmax=2)
     a = gen_star_dmp(n, r, k, seed)
     b = _commutant_sample(rg, a)

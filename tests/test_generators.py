@@ -139,6 +139,25 @@ class TestStarDmp:
         with pytest.raises(ValueError, match="r must equal n"):
             gen_star_dmp(3, 2, 0, seed=24)
 
+    @pytest.mark.parametrize("seed", [trial_seed(3, 0), trial_seed(8, 2), 7])
+    def test_corollary_3_2_draws_b_from_another_stream(self, monkeypatch,
+                                                       seed):
+        # C3_2's a comes from the seed's stream and its (k, r) and b from a
+        # second stream: no 64-bit word of one is a word of the other, where
+        # the one stream shifted against itself shares nearly every word
+        seeds, real = [], generators._rng
+        monkeypatch.setattr(generators, "_rng",
+                            lambda s: seeds.append(s) or real(s))
+        before = copy.deepcopy(seed)
+        instance_for("C3_2", (4,), seed)
+        words = [set(real(s).bit_generator.random_raw(256).tolist())
+                 for s in seeds]
+        assert len(words) == 2 and not words[0] & words[1]
+        # and a passed SeedSequence is left as it was: nothing spawned
+        if isinstance(seed, np.random.SeedSequence):
+            assert seed.n_children_spawned == 0
+            assert seed.state == before.state
+
 
 class TestAnnihilatingPair:
     def test_zero_products_exact(self):

@@ -20,7 +20,7 @@ from geninv.theorems import THEOREM_SYMBOLS
 SCALES = (1e-6, 1.0, 1e6)
 
 VERIFY_PINS = {
-    "C3_2": "010c5a9ac94e4762",
+    "C3_2": "1ff65586fc0fbf7c",
     "C4_2": "6cf4b15cf0e53898",
     "C4_4": "6520c27813588562",
     "C4_6": "c2f3486148f8b9bf",
@@ -38,7 +38,7 @@ VERIFY_PINS = {
 }
 
 FUZZ_PINS = {
-    "C3_2": "b3d3c2d528dfb7d0",
+    "C3_2": "efbbfc0c5250e304",
     "C4_2": "18a4613ffd35f54c",
     "C4_4": "66a9582b375f428a",
     "C4_6": "85ae21bb758cdcc8",
