@@ -584,12 +584,14 @@ def _block_report(theorem_id, A, B, C, D, tol):
     report, named = _report(theorem_id, tol, A=A, B=B, C=C, D=D)
     if theorem_id in COUPLING:
         nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
-        report.hypothesis_checks.append(Check("coupling_nilpotent", nilp, nilp))
+        report.hypothesis_checks.append(
+            Check("coupling_nilpotent", nilp, nilp))
     mpc = named.record("M").pseudo_core()
     report.conclusion_checks = [_certified("m_certified", mpc, tol)]
     if theorem_id in _MIRRORED:
-        report.conclusion_checks.append(_certified(
-            "dual_arrangement_certified", named.record("N").pseudo_core(), tol))
+        npc = named.record("N").pseudo_core()
+        report.conclusion_checks.append(
+            _certified("dual_arrangement_certified", npc, tol))
     return report, named, mpc
 
 

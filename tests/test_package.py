@@ -104,5 +104,6 @@ def test_every_analysed_matrix_is_a_letter_of_its_instance(monkeypatch):
 
     monkeypatch.setattr(inverses, "_CoreEP", refused)
     for theorem_id in THEOREM_SYMBOLS:
-        inst = instance_for(theorem_id, fuzz_dims(theorem_id), trial_seed(1, 0))
-        run_check(theorem_id, inst.matrices)
+        dims = fuzz_dims(theorem_id)
+        run_check(theorem_id, instance_for(theorem_id, dims,
+                                           trial_seed(1, 0)).matrices)
