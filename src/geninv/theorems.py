@@ -118,8 +118,8 @@ def _pair(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Word hypotheses over an instance's symbols.  Equations are (label, lhs,
-# rhs); vanishing products are (label, word), judged by :func:`zero_product`.
+# Words over an instance's letters.  Equations are (label, lhs, rhs);
+# vanishing products are (label, word), judged by :func:`zero_product`.
 
 _AB_BD = ("AB_equals_BD", "AB", "BD")
 _ASTAR_B = ("Astar_B_equals_B_Dstar", "A*B", "BD*")
@@ -149,6 +149,19 @@ _VANISHING = _parsed({
     "C4_6": _BC_CB_ZERO,
 })
 
+# Each id's conclusion equalities, judged against eq_rel_tol.  Kept apart
+# from _EQUATIONS, every row of which the generators impose on a draw.
+_EQUALITIES = _parsed({
+    "L2_1": (("pcore_commutes_with_b", "cb", "bc"),),
+    "L2_2": (("factorized_form", "h", "cf"),),
+    "T4_3": (("antidiagonal_square_identity", "z", "Zy"),),
+})
+
+# L2_4's products (1 - a_pc a) b and (1 - a a_pc) b; T3_1's and EX3_3's
+# corner a_pi (a+b)_pc a a_pc.
+_ANNIHILATIONS = (_tokens("lb"), _tokens("rb"))
+_CORNER = _tokens("egac")
+
 # Each intertwined result's nilpotent coupling product, a word over the blocks
 # and the derived letters.  The block generators meet it by construction;
 # the check tests it.
@@ -170,11 +183,11 @@ _SUMS = {
 # Each derived letter, formed from an instance n that does not name it: the
 # pseudo core inverse or the spectral idempotent I - X X^D off the record of
 # a word's product X; T3_1's w = 1 + a_pc b, commutator k = a a_pc - a_pc a
-# and sum s = a + b; L2_5's x = [[a, b], [0, d]]; T1_1's scaled power K =
-# A^max(k,1); the block matrix M = [[A, B], [C, D]], its mirror
-# N = M* = [[A*, C*], [B*, D*]], assembled from the starred blocks, and
-# T4_3's antidiagonal Z = [[0, B], [C, 0]].  The one place a derived matrix
-# is formed.
+# and sum s = a + b; L2_4's l = 1 - a_pc a and r = 1 - a a_pc; L2_5's x =
+# [[a, b], [0, d]]; T1_1's scaled power K = A^max(k,1); the block matrix
+# M = [[A, B], [C, D]], its mirror N = M* = [[A*, C*], [B*, D*]], assembled
+# from the starred blocks, and T4_3's antidiagonal Z = [[0, B], [C, 0]].
+# The one place a derived matrix is formed.
 _DERIVED = {
     "a": lambda n: n.record("A").pcore_inverse,
     "d": lambda n: n.record("D").pcore_inverse,
@@ -182,12 +195,18 @@ _DERIVED = {
     "q": lambda n: n.record("CB").pcore_inverse,
     "c": lambda n: n.record("a").pcore_inverse,
     "f": lambda n: n.record("b").pcore_inverse,
+    "g": lambda n: n.record("s").pcore_inverse,
+    "h": lambda n: n.record("ab").pcore_inverse,
+    "z": lambda n: n.record("Z").pcore_inverse,
+    "y": lambda n: n.record("ZZ").pcore_inverse,
     "e": lambda n: n.record("a").spectral_idempotent(),
     "E": lambda n: n.record("A").spectral_idempotent(),
     "v": lambda n: n.record("w").spectral_idempotent(),
     "w": lambda n: _eye(len(n["a"])) + n["c"] @ n["b"],
     "k": lambda n: n["a"] @ n["c"] - n["c"] @ n["a"],
     "s": lambda n: n["a"] + n["b"],
+    "l": lambda n: _eye(len(n["a"])) - n["c"] @ n["a"],
+    "r": lambda n: _eye(len(n["a"])) - n["a"] @ n["c"],
     "x": lambda n: _assemble(n["a"], n["b"], np.zeros_like(n["b"].T), n["d"]),
     "K": lambda n: n.record("A").scaled_power(),
     "M": lambda n: _assemble(n["A"], n["B"], n["C"], n["D"]),
@@ -271,8 +290,9 @@ def _least_vanishing(theorem_id, named, tol):
 
 
 def _report(theorem_id, tol, **matrices):
-    """A report of the id holding its word hypotheses, judged on the
-    instance of the given matrices, and that instance."""
+    """The id's report on the instance of the given matrices, and that
+    instance.  Hypotheses: the id's vanishing products, equations, then
+    ``COUPLING`` nilpotency; the conclusions open with its equalities."""
     report, named = TheoremReport(theorem_id), _Instance(tol, **matrices)
     checks = report.hypothesis_checks
     for label, word in _VANISHING.get(theorem_id, ()):
@@ -280,6 +300,12 @@ def _report(theorem_id, tol, **matrices):
         checks.append(Check(label, value, ok))
     for label, lhs, rhs in _EQUATIONS.get(theorem_id, ()):
         checks.append(_res(label, _word_residual(lhs, rhs, named), tol))
+    if theorem_id in COUPLING:
+        nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
+        checks.append(Check("coupling_nilpotent", nilp, nilp))
+    report.conclusion_checks = [
+        _eq(label, _word_residual(lhs, rhs, named), tol)
+        for label, lhs, rhs in _EQUALITIES.get(theorem_id, ())]
     return report, named
 
 
@@ -291,11 +317,7 @@ def check_lemma_2_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """If ab = ba and a*b = ba*, the pseudo core inverse of a commutes with b."""
     a, b = _pair(a, b)
     report, named = _report("L2_1", tol, a=a, b=b)
-    X = named["c"]
-    report.conclusion_checks = [
-        _eq("pcore_commutes_with_b", rel_residual(X @ b, b @ X), tol),
-    ]
-    report.witnesses["a_pcore"] = X
+    report.witnesses["a_pcore"] = named["c"]
     return report
 
 
@@ -303,13 +325,9 @@ def check_lemma_2_2(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """Under the same hypotheses, (ab) has pseudo core inverse a_pc . b_pc."""
     a, b = _pair(a, b)
     report, named = _report("L2_2", tol, a=a, b=b)
-    bpc = named["f"]
     prod = named.record("ab").pseudo_core()
-    report.conclusion_checks = [
-        _certified("product_certified", prod, tol),
-        _eq("factorized_form", rel_residual(prod.inverse, named["c"] @ bpc),
-            tol),
-    ]
+    report.conclusion_checks.insert(
+        0, _certified("product_certified", prod, tol))
     report.witnesses["ab_pcore"] = prod.inverse
     return report
 
@@ -337,10 +355,8 @@ def check_lemma_2_4(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     """(1 - a_pc a) b = 0 and (1 - a a_pc) b = 0 hold or fail together."""
     a, b = _pair(a, b)
     report, named = _report("L2_4", tol, a=a, b=b)
-    X = named["c"]
-    eye = _eye(a.shape[0])
-    _, left = zero_product([eye - X @ a, b], tol)
-    _, right = zero_product([eye - a @ X, b], tol)
+    left, right = (zero_product(_factors(word, named), tol)[1]
+                   for word in _ANNIHILATIONS)
     report.conclusion_checks = [
         Check("annihilation_equivalence", left == right, left == right),
     ]
@@ -433,8 +449,7 @@ def check_theorem_3_1(a, b, tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRep
     report, named = _report("T3_1", tol, a=a, b=b)
 
     spc = named.record("s").pseudo_core()
-    ann_value, ann_zero = zero_product(
-        [named["e"], spc.inverse, a, named["c"]], tol)
+    ann_value, ann_zero = zero_product(_factors(_CORNER, named), tol)
     lhs = spc.certified(tol) and ann_zero
 
     wpc = named.record("w").pseudo_core()
@@ -494,9 +509,9 @@ def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremRepor
     wpc = named.record("w").pseudo_core()
     expected_apc = np.array([[-1j, 0], [0, 0]], dtype=np.complex128)
 
-    commutator = a @ b - b @ a
-    spc = named.record("s").pcore_inverse
-    annihilation = named["e"] @ spc @ a @ apc
+    commutator = _product("ab", named) - _product("ba", named)
+    spc = named["g"]
+    annihilation = _product(_CORNER, named)
     expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=np.complex128)
     commutator_rank = numerical_rank(commutator, tol)
     annihilation_rank = numerical_rank(annihilation, tol)
@@ -565,14 +580,13 @@ _MIRRORED = ("C4_2", "C4_4", "C4_6")
 
 
 def _block_report(theorem_id, A, B, C, D, tol):
-    """The unfinished report of a block result on the blocks A, B, C, D:
-    its word hypotheses, the nilpotency of its coupling product for an id
-    of ``COUPLING``, and the certificate of M = [[A, B], [C, D]] as
-    conclusion; a mirrored corollary adds that of its mirror M* =
-    [[A*, C*], [B*, D*]], which is assembled from the starred blocks, as
-    the mirrored theorem assembles its M, so the two certificates agree bit
-    for bit.  Returns the report, the instance and M's pseudo core result,
-    to which the caller adds its own checks and witnesses."""
+    """The unfinished :func:`_report` of a block result on the blocks A, B,
+    C, D, its conclusions led by the certificate of M = [[A, B], [C, D]];
+    a mirrored corollary's by that of its mirror M* = [[A*, C*], [B*, D*]]
+    too, which is assembled from the starred blocks, as the mirrored
+    theorem assembles its M, so the two certificates agree bit for bit.
+    Returns the report, the instance and M's pseudo core result, to which
+    the caller adds its own checks and witnesses."""
     A, B, C, D = as_matrix(A), as_matrix(B), as_matrix(C), as_matrix(D)
     nA, nD = A.shape[0], D.shape[0]
     if A.shape != (nA, nA) or D.shape != (nD, nD):
@@ -582,16 +596,12 @@ def _block_report(theorem_id, A, B, C, D, tol):
             f"off-diagonal blocks must have shapes ({nA},{nD}) and "
             f"({nD},{nA}); got {B.shape}, {C.shape}")
     report, named = _report(theorem_id, tol, A=A, B=B, C=C, D=D)
-    if theorem_id in COUPLING:
-        nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
-        report.hypothesis_checks.append(
-            Check("coupling_nilpotent", nilp, nilp))
     mpc = named.record("M").pseudo_core()
-    report.conclusion_checks = [_certified("m_certified", mpc, tol)]
+    certificates = [_certified("m_certified", mpc, tol)]
     if theorem_id in _MIRRORED:
         npc = named.record("N").pseudo_core()
-        report.conclusion_checks.append(
-            _certified("dual_arrangement_certified", npc, tol))
+        certificates.append(_certified("dual_arrangement_certified", npc, tol))
+    report.conclusion_checks[:0] = certificates
     return report, named, mpc
 
 
@@ -620,13 +630,8 @@ def check_theorem_4_3(A, B, C, D,
     """Anti-diagonal splitting: three intertwinings plus a nilpotent coupling
     B (CB)_pc D C (BC)_pc A give the block matrix a pseudo core inverse; the
     anti-diagonal part Z additionally satisfies Z_pc = Z (Z^2)_pc."""
-    report, named, mpc = _block_report("T4_3", A, B, C, D, tol)
+    report, _, mpc = _block_report("T4_3", A, B, C, D, tol)
     report.witnesses["m_pcore"] = mpc.inverse
-    zpc = named.record("Z").pcore_inverse
-    z2pc = named.record("ZZ").pcore_inverse
-    report.conclusion_checks.append(_eq(
-        "antidiagonal_square_identity", rel_residual(zpc, named["Z"] @ z2pc),
-        tol))
     return report
 
 

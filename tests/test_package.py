@@ -107,3 +107,37 @@ def test_every_analysed_matrix_is_a_letter_of_its_instance(monkeypatch):
         dims = fuzz_dims(theorem_id)
         run_check(theorem_id, instance_for(theorem_id, dims,
                                            trial_seed(1, 0)).matrices)
+
+
+def _judged_outside_the_words(tree):
+    """Each site of a module where a product is formed or judged other than
+    through the word readers: an @ or matmul outside ``_DERIVED`` and
+    ``_sums``, a zero_product or is_nilpotent_product call on factors that
+    are not ``_factors(...)``, and rel_residual outside EX3_3's comparisons
+    with its constants."""
+    for stmt in tree.body:
+        where = getattr(stmt, "name", None) or ast.unparse(
+            getattr(stmt, "targets", [stmt])[0])
+        for node in ast.walk(stmt):
+            if ((isinstance(node, ast.BinOp)
+                 and isinstance(node.op, ast.MatMult))
+                    or getattr(node, "attr", None) == "matmul"):
+                if where not in ("_DERIVED", "_sums"):
+                    yield f"{node.lineno} {where} @"
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in ("zero_product", "is_nilpotent_product")):
+                factors = node.args[0]
+                if getattr(getattr(factors, "func", None), "id",
+                           None) != "_factors":
+                    yield f"{node.lineno} {where} {node.func.id}"
+            elif (isinstance(node, ast.Name) and node.id == "rel_residual"
+                  and where != "reproduce_example_3_3"):
+                yield f"{node.lineno} {where} rel_residual"
+
+
+def test_every_judged_product_is_a_word():
+    # a check judges an equation or a vanishing product only as words of
+    # its instance, read by the readers its hypotheses use
+    src = Path(geninv.__file__).resolve().parent
+    tree = ast.parse((src / "theorems.py").read_text())
+    assert list(_judged_outside_the_words(tree)) == []

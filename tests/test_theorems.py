@@ -831,13 +831,20 @@ class TestWordHypotheses:
         rg = np.random.default_rng(4003)
         rows = [(tid, word) for tid, word in theorems.COUPLING.items()]
         rows += [(tid, "".join(row[:4])) for tid, row in theorems._SUMS.items()]
+        rows += [(tid, lhs + rhs)
+                 for tid, entries in theorems._EQUALITIES.items()
+                 for _, lhs, rhs in entries]
+        rows += [("L2_4", word) for word in theorems._ANNIHILATIONS]
+        rows += [("T3_1", theorems._CORNER)]
         for theorem_id, word in rows:
             # L2_5b's sum is over the blocks a, b, d of its x
             symbols = ("abd" if theorem_id == "L2_5b"
                        else THEOREM_SYMBOLS[theorem_id])
             named = theorems._Instance(**{s: crandn(rg, 3, 3) for s in symbols})
+            # T4_3's equality is over Z = [[0, B], [C, 0]] of 3x3 blocks
+            shape = (6, 6) if "Z" in word else (3, 3)
             for key in word:
-                assert named[key].shape == (3, 3), (theorem_id, key)
+                assert named[key].shape == shape, (theorem_id, key)
 
     def test_a_star_marks_the_factor_before_it(self):
         assert theorems._tokens("A*B") == ("A*", "B")
@@ -854,6 +861,17 @@ class TestWordHypotheses:
             words = [e[0] for e in theorems._VANISHING.get(theorem_id, ())]
             words += [e[0] for e in theorems._EQUATIONS.get(theorem_id, ())]
             assert labels[:len(words)] == words, theorem_id
+
+    def test_conclusions_hold_the_rows_of_the_table(self, monkeypatch):
+        for theorem_id, rows in list(theorems._EQUALITIES.items()):
+            inst = instance_for(theorem_id, (3, 3), seed=4004).matrices
+            full = [c.label for c in
+                    run_check(theorem_id, inst).conclusion_checks]
+            monkeypatch.setitem(theorems._EQUALITIES, theorem_id, rows[1:])
+            cut = [c.label for c in
+                   run_check(theorem_id, inst).conclusion_checks]
+            assert rows[0][0] in full, theorem_id
+            assert cut == [label for label in full if label != rows[0][0]]
 
     def test_star_is_the_adjoint_of_the_factor_before_it(self):
         rg = np.random.default_rng(4002)
