@@ -31,7 +31,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
-    _assemble,
     _eye,
     _inv,
     _product,
@@ -256,6 +255,8 @@ def _word_system(theorem_id, unknown, shape, named, m=0):
 def gen_commutant_pair(n: int, seed, target_index=None):
     """(a, b) with ab = ba and a*b = ba* exactly, b sampled from the joint
     nullspace of the two stacked intertwining systems."""
+    if not (1 <= n <= MAX_DIM):
+        raise ValueError(f"n must lie in [1, {MAX_DIM}], got {n}")
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n, target_index)
     a = _with_index_rng(rg, n, k, r)
@@ -463,7 +464,7 @@ def _theorem_1_1(n, seed):
 
 def _lemma_2_5b(na, nd, seed):
     a, b, d, degenerate = gen_lemma_2_5_instance(na, nd, seed)
-    return _assemble(a, b, np.zeros_like(b.T), d), na, degenerate
+    return _Instance(a=a, b=b, d=d)["x"], na, degenerate
 
 
 # id: (default fuzz dims, smallest and largest dim, sampler).  An id takes at
@@ -514,9 +515,11 @@ def instance_for(theorem_id: str, dims, seed) -> Instance:
     """Instance satisfying the named result's hypotheses, for fuzzing.
 
     Single-matrix ids read ``dims[0]``; block ids read ``dims[0]`` and
-    ``dims[1]``, or square blocks when ``dims`` has one entry."""
+    ``dims[1]``, or square blocks when ``dims`` has one entry, each checked
+    as :func:`fuzz_dims` checks it; extra dims are ignored."""
     default, _, _, sample = _row(theorem_id)
-    sizes = (dims[0], dims[1] if len(dims) > 1 else dims[0])[:len(default)]
+    dims = fuzz_dims(theorem_id, tuple(dims)[:len(default)])
+    sizes = (dims[0], dims[-1])[:len(default)]
     out = sample(*sizes, seed)
     symbols = THEOREM_SYMBOLS[theorem_id]
     return Instance(dict(zip(symbols, out)), *out[len(symbols):])

@@ -113,6 +113,11 @@ class TestCommutantPair:
         _, b = gen_commutant_pair(4, seed=13)
         assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_dimension_cap(self, n):
+        with pytest.raises(ValueError, match=r"n must lie in \[1, 16\]"):
+            gen_commutant_pair(n, seed=1)
+
 
 class TestStarDmp:
     def test_scalar(self):
@@ -260,6 +265,17 @@ class TestSpecAndDispatch:
                                  ("L2_3", (1,)), ("L2_5b", ())):
             with pytest.raises(ValueError, match=theorem_id):
                 fuzz_dims(theorem_id, dims)
+
+    @pytest.mark.parametrize("theorem_id,dims", [
+        ("L2_1", ()), ("L2_1", (0,)), ("L2_1", (17,)), ("T1_1", (40,)),
+        ("L2_3", (1,)), ("T4_1", (3, 9)), ("L2_5b", (0,))])
+    def test_instance_for_checks_the_dims_it_reads(self, theorem_id, dims):
+        # with the message fuzz_dims gives, which the CLI prints
+        with pytest.raises(ValueError) as expected:
+            fuzz_dims(theorem_id, dims)
+        with pytest.raises(ValueError) as raised:
+            instance_for(theorem_id, dims, seed=1)
+        assert str(raised.value) == str(expected.value)
 
     def test_every_theorem_instance_meets_hypotheses(self):
         for theorem_id in THEOREM_SYMBOLS:
