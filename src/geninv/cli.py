@@ -17,8 +17,8 @@ import sys
 import time
 
 from . import __version__
-from .linalg import (DEFAULT_POLICY, DimensionError, TolerancePolicy,
-                     _relative, frobenius, rel_residual)
+from .linalg import (DEFAULT_POLICY, TolerancePolicy, _relative, frobenius,
+                     rel_residual)
 from .inverses import (
     InverseNotDefinedError,
     core_inverse,
@@ -162,7 +162,7 @@ def cmd_compute(args, tol: TolerancePolicy) -> int:
         report["error"] = str(exc)
         _emit(report)
         return 3
-    except (DimensionError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     report["result"] = result.inverse
     report["residuals"] = result.residuals
@@ -197,7 +197,7 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
             return _fail(str(exc))
     try:
         report = run_check(theorem, instance, tol)
-    except (DimensionError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         return _fail(str(exc))
     out = {
         "command": "verify",

@@ -125,6 +125,18 @@ def _with_index_rng(rg, n, k, r):
     return S @ core @ _inv(S)
 
 
+def _check_planted(n, k, r):
+    """ValueError unless integers n in [1, MAX_DIM] and k, r >= 0, r + k <= n
+    (r = n at k = 0) plant an n x n matrix of index k and core rank r."""
+    if n not in range(1, MAX_DIM + 1):
+        raise ValueError(f"n must lie in [1, {MAX_DIM}], got {n}")
+    if k == 0 and r != n:
+        raise ValueError("index 0 means invertible: r must equal n")
+    if k not in range(n + 1) or r not in range(n + 1) or r + k > n:
+        raise ValueError(f"infeasible (n={n}, k={k}, r={r}): need integers "
+                         f"k, r >= 0 with r + k <= n")
+
+
 def gen_with_index(n: int, k: int, r: int, seed) -> np.ndarray:
     """Matrix of dimension n with index exactly k and core rank r.
 
@@ -132,13 +144,7 @@ def gen_with_index(n: int, k: int, r: int, seed) -> np.ndarray:
     singular values clamped into [0.1, 10], N a nilpotent chain of order
     exactly max(k, 1), S well conditioned.  k = 0 requires r = n.
     """
-    if not (1 <= n <= MAX_DIM):
-        raise ValueError(f"n must lie in [1, {MAX_DIM}], got {n}")
-    if k == 0:
-        if r != n:
-            raise ValueError("index 0 means invertible: r must equal n")
-    elif not (1 <= k <= n and 0 <= r and r + k <= n):
-        raise ValueError(f"infeasible (n={n}, k={k}, r={r}): need r + k <= n")
+    _check_planted(n, k, r)
     return _with_index_rng(_rng(seed), n, k, r)
 
 
@@ -253,10 +259,10 @@ def _word_system(theorem_id, unknown, shape, named, m=0):
 
 
 def gen_commutant_pair(n: int, seed, target_index=None):
-    """(a, b) with ab = ba and a*b = ba* exactly, b sampled from the joint
-    nullspace of the two stacked intertwining systems."""
-    if not (1 <= n <= MAX_DIM):
-        raise ValueError(f"n must lie in [1, {MAX_DIM}], got {n}")
+    """(a, b) with ab = ba and a*b = ba* exactly, b drawn from the nullspace
+    of both intertwining systems; a target index is an integer in [0, n]."""
+    k = 0 if target_index is None else target_index
+    _check_planted(n, k, n - k)
     rg = _rng(seed)
     k, r = _draw_index_rank(rg, n, target_index)
     a = _with_index_rng(rg, n, k, r)
@@ -275,10 +281,7 @@ def gen_star_dmp(n: int, r: int, k: int, seed):
 
     Some power of the result has coinciding Moore-Penrose and group inverses.
     """
-    if r + k > n or r < 0 or k < 0 or n < 1:
-        raise ValueError(f"infeasible (n={n}, r={r}, k={k}): need r + k <= n")
-    if k == 0 and r != n:
-        raise ValueError("k = 0 leaves no nilpotent part: r must equal n")
+    _check_planted(n, k, r)
     rg = _rng(seed)
     core = np.zeros((n, n), dtype=np.complex128)
     if r:
@@ -292,9 +295,9 @@ def gen_star_dmp(n: int, r: int, k: int, seed):
 
 def gen_annihilating_pair(n: int, seed):
     """(a, b) supported on complementary orthogonal projections, so that
-    ab = ba = a*b = 0 exactly."""
-    if n < 2:
-        raise ValueError("need n >= 2 to split the space")
+    ab = ba = a*b = 0 exactly.  Splitting the space needs n >= 2."""
+    if not (2 <= n <= MAX_DIM):
+        raise ValueError(f"n must lie in [2, {MAX_DIM}], got {n}")
     rg = _rng(seed)
     W = _random_unitary(rg, n)
     s = int(rg.integers(1, n))

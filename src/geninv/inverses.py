@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    _adj,
     _eye,
     _Named,
     _parsed,
@@ -98,8 +97,6 @@ def _svd_pinv(U, s, Vh, tol):
     the policy's relative rank rule; zero for an empty or all-zero
     spectrum."""
     r = _rank_cut(s, tol.rank_rel_tol)
-    if r == 0:
-        return np.zeros((Vh.shape[1], U.shape[0]), dtype=np.complex128)
     return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
 
 
@@ -279,8 +276,9 @@ class _CoreEP:
         X = self.pcore_inverse
         residuals = _residuals("core", A, X)
         rank_x = numerical_rank(X, tol)     # X* has X's singular values
-        for label, Y in (("column_space", X), ("row_space", _adj(X))):
-            same = _same_space(Y, A, rank_x, self.rank, tol)
+        named = _Named(X=X)
+        for label, key in (("column_space", "X"), ("row_space", "X*")):
+            same = _same_space(named[key], A, rank_x, self.rank, tol)
             residuals[label] = 0.0 if same else 1.0
         return GenInverseResult("core", X, 1, residuals)
 

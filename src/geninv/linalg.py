@@ -339,7 +339,7 @@ def _word_residual(lhs, rhs, named):
 def _rank_cut(s, rtol: float) -> int:
     """Count of the descending singular values ``s`` above ``rtol * s[0]``;
     0 for an empty or all-zero spectrum.  The one rank decision."""
-    if s.size == 0 or s[0] == 0.0:
+    if s.size == 0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
 
@@ -475,9 +475,9 @@ def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
 def product_with_scale(factors):
     """Product of the factors plus the product of their Frobenius norms.
 
-    The scale is the natural magnitude against which the product's norm must
-    be judged: a result far below ``eps * scale`` is rounding dust left over
-    from exact cancellation, not a genuinely tiny matrix.
+    The scale is the magnitude against which the product's norm is judged:
+    a result far below ``eps * scale`` is rounding dust left over from exact
+    cancellation.  A product that overflows raises as :func:`as_matrix`.
     """
     factors = [as_matrix(F) for F in factors]
     if not factors:
@@ -490,19 +490,18 @@ def product_with_scale(factors):
                 f"cannot multiply shapes {P.shape} and {F.shape}")
         P = P @ F
         scale_acc *= frobenius(F)
-    return P, scale_acc
+    return as_matrix(P), scale_acc
 
 
 def zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY):
     """Does the product of the factors vanish, at the factors' own scale?
 
-    Returns ``(value, vanishes)`` with value ``||P||_F`` relative to the
-    scale; a product above the residual threshold still vanishes at rank
-    zero.
+    Returns ``(value, vanishes)``: ``||P||_F`` relative to the scale, and
+    whether that is at most the residual threshold.
     """
     P, scale_acc = product_with_scale(factors)
     value = _relative(frobenius(P), scale_acc)
-    return value, value <= tol.residual_tol or numerical_rank(P, tol) == 0
+    return value, value <= tol.residual_tol
 
 
 def is_nilpotent_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:

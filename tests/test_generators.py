@@ -10,6 +10,7 @@ from geninv import generators, linalg, theorems
 from geninv.linalg import DEFAULT_POLICY, is_nilpotent_product, zero_product
 from geninv.inverses import _CoreEP, index, is_star_dmp, pseudo_core
 from geninv.generators import (
+    MAX_DIM,
     fuzz_dims,
     gen_annihilating_pair,
     gen_commutant_pair,
@@ -118,6 +119,19 @@ class TestCommutantPair:
         with pytest.raises(ValueError, match=r"n must lie in \[1, 16\]"):
             gen_commutant_pair(n, seed=1)
 
+    @pytest.mark.parametrize("target", [-1, 5, 2.5])
+    def test_target_index_is_an_integer_in_range(self, target):
+        # was a numpy broadcast error, a pair of another index, a numpy
+        # "high <= 0" error, or a silent truncation of 2.5 to 2
+        for seed in range(6):
+            with pytest.raises(ValueError, match="infeasible"):
+                gen_commutant_pair(4, seed, target_index=target)
+
+    @pytest.mark.parametrize("target", [0, 1, 4])
+    def test_target_index_is_planted(self, target):
+        a, _ = gen_commutant_pair(4, seed=14, target_index=target)
+        assert index(a) == target
+
 
 class TestStarDmp:
     def test_scalar(self):
@@ -162,6 +176,21 @@ class TestStarDmp:
         if isinstance(seed, np.random.SeedSequence):
             assert seed.n_children_spawned == 0
             assert seed.state == before.state
+
+
+class TestPlantedDimensionCaps:
+    @pytest.mark.parametrize("sample,lo", [
+        (lambda n: gen_annihilating_pair(n, seed=1), 2),
+        (lambda n: (gen_star_dmp(n, 1, 1, seed=1),), 1),
+    ], ids=["annihilating_pair", "star_dmp"])
+    @pytest.mark.parametrize("outside", [False, True], ids=["below", "above"])
+    def test_n_lies_in_the_range_of_its_id(self, sample, lo, outside):
+        # both samplers took n = 17 and returned 17 x 17 matrices
+        n = MAX_DIM + 1 if outside else lo - 1
+        with pytest.raises(ValueError,
+                           match=rf"n must lie in \[{lo}, {MAX_DIM}\]"):
+            sample(n)
+        assert all(M.shape == (MAX_DIM, MAX_DIM) for M in sample(MAX_DIM))
 
 
 class TestAnnihilatingPair:

@@ -459,17 +459,20 @@ class TestDefiningWords:
 
     def test_hermitian_words_take_the_adjoint_through_the_reader(
             self, monkeypatch):
-        # pc3, p3 and p4 reach linalg._adj through the word reader, so an
-        # involution other than * would change one function
+        # pc3, p3 and p4, and the core inverse's row-space test of X*, reach
+        # linalg._adj through the word reader, so an involution other than *
+        # would change one function
         seen, real = [], linalg._adj
         monkeypatch.setattr(linalg, "_adj",
                             lambda M: seen.append(M.copy()) or real(M))
-        A = gen_with_index(4, 2, 1, seed=7)
-        for fn, starred in ((pseudo_core, "P"), (one_three, "P"),
-                            (moore_penrose, "PQ")):
+        A2 = gen_with_index(4, 2, 1, seed=7)
+        A1 = gen_with_index(4, 1, 2, seed=7)    # index 1, for the core inverse
+        for fn, A, starred in ((pseudo_core, A2, "P"), (one_three, A2, "P"),
+                               (moore_penrose, A2, "PQ"),
+                               (core_inverse, A1, "X")):
             seen.clear()
             X = fn(A).inverse
-            named = {"P": A @ X, "Q": X @ A}
+            named = {"P": A @ X, "Q": X @ A, "X": X}
             assert len(seen) == len(starred), fn.__name__
             for M, symbol in zip(seen, starred):
                 assert np.array_equal(M, named[symbol]), fn.__name__
@@ -554,6 +557,21 @@ class TestExtremeScale:
         residuals = pseudo_core(A).residuals
         assert 0.0 < residuals["pc2"] < 1e-13
         assert 0.0 < residuals["pc3"] < 1e-13
+
+    @pytest.mark.parametrize("kind,shape", [
+        *((moore_penrose, shape)
+          for shape in ((3, 3), (3, 2), (2, 3), (1, 1), (0, 0))),
+        *((one_three, shape) for shape in ((3, 3), (1, 1), (0, 0)))])
+    def test_zero_matrix_has_the_zero_inverse(self, kind, shape):
+        # rank zero takes the general expression of the pseudo-inverse, which
+        # is the exact (positive) zero matrix, and every residual is 0
+        result = kind(np.zeros(shape))
+        zero = np.zeros(shape[::-1], dtype=np.complex128)
+        assert result.inverse.shape == zero.shape
+        assert result.inverse.tobytes() == zero.tobytes()
+        assert result.residuals
+        assert all(math.copysign(1.0, v) == 1.0 and v == 0.0
+                   for v in result.residuals.values())
 
     @pytest.mark.parametrize("kind", [moore_penrose, one_three])
     def test_tiny_invertible_matrix_keeps_its_inverse(self, kind):

@@ -76,6 +76,15 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("fn", [product_with_scale, zero_product,
                                     is_nilpotent_product])
+    def test_overflowed_product_rejected(self, fn):
+        # the finiteness error of as_matrix, from the product itself
+        big = 1e200 * np.eye(3)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="matrix entries must all be finite"):
+            fn([big, big])
+
+    @pytest.mark.parametrize("fn", [product_with_scale, zero_product,
+                                    is_nilpotent_product])
     def test_empty_product_rejected(self, fn):
         # not the bare IndexError of reading the first factor
         with pytest.raises(ValueError, match="at least one factor"):

@@ -109,6 +109,34 @@ def test_every_analysed_matrix_is_a_letter_of_its_instance(monkeypatch):
                                            trial_seed(1, 0)).matrices)
 
 
+def _names(node, where=""):
+    """(enclosing definition, name) of each name the node's subtree reads,
+    imports or defines, the definition named by its dotted path; a
+    definition's own name is given with its path."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{where}.{child.name}".lstrip(".")
+            yield inner, child.name
+        elif isinstance(child, ast.alias):
+            yield where, child.name
+        elif isinstance(child, (ast.Name, ast.Attribute)):
+            yield where, getattr(child, "id", getattr(child, "attr", None))
+        yield from _names(child, inner)
+
+
+def test_the_involution_is_named_only_by_the_word_map():
+    # linalg._adj reaches a matrix only through _Named, the one place a star
+    # is applied: src/geninv names it only in linalg, where it is defined
+    # and in _Named.__missing__
+    src = Path(geninv.__file__).resolve().parent
+    sites = {f"{path.name}:{where}"
+             for path in sorted(src.glob("*.py"))
+             for where, name in _names(ast.parse(path.read_text()))
+             if name == "_adj"}
+    assert sites == {"linalg.py:_adj", "linalg.py:_Named.__missing__"}
+
+
 def _judged_outside_the_words(tree):
     """Each site of a module where a product is formed or judged other than
     through the word readers: an @ or matmul outside ``_DERIVED`` and
