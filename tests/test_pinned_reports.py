@@ -4,7 +4,9 @@ The printed reports change only with an announced report change.  For each
 catalog id, the ``verify`` reports of generated positives and random
 negatives at two seeds and at the scales 1e-6, 1 and 1e6 are hashed
 together with their exit codes, and one ``fuzz`` report per id is hashed
-on its own.
+on its own.  Each ``compute`` kind spelling, and one unknown kind, is
+hashed over its exit codes, stdout and stderr on planted-index matrices,
+a nilpotent block and a subnormal diagonal.
 """
 
 import hashlib
@@ -12,8 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from geninv import cli
 from geninv.cli import main
-from geninv.generators import fuzz_dims, instance_for, trial_seed
+from geninv.generators import (fuzz_dims, gen_with_index, instance_for,
+                               trial_seed)
 from geninv.matrixio import dumps_report
 from geninv.theorems import THEOREM_SYMBOLS
 
@@ -54,6 +58,23 @@ FUZZ_PINS = {
     "T4_1": "621c660570714de9",
     "T4_3": "c1513cca91cbf301",
     "T4_5": "f3929cfd562772f5",
+}
+
+COMPUTE_PINS = {
+    "banana": "9951d6bee3a1bee1",
+    "core": "1731010928576956",
+    "drazin": "f0d109f06ea70441",
+    "group": "c7b88d50f00af62c",
+    "index": "8426189cf8c03d64",
+    "moore_penrose": "4a9342958213057d",
+    "mp": "4a9342958213057d",
+    "one3": "8a73a3de182d5902",
+    "one_three": "8a73a3de182d5902",
+    "pcore": "f4935f5e7b481957",
+    "pinv": "4a9342958213057d",
+    "pseudo_core": "f4935f5e7b481957",
+    "spectral_idempotent": "83b298a98c26d161",
+    "star_dmp": "cf49a3daa0d5dae5",
 }
 
 
@@ -108,3 +129,33 @@ def test_verify_reports(theorem, capsys, tmp_path, monkeypatch):
 def test_fuzz_report(theorem, capsys):
     code = main(["fuzz", "--theorem", theorem, "--trials", "3", "--seed", "5"])
     assert _digest([str(code), capsys.readouterr().out]) == FUZZ_PINS[theorem]
+
+
+def _compute_inputs():
+    """gen_with_index at index 0-3, a nilpotent Jordan block (no group or
+    core inverse) and a subnormal diagonal (its core block overflows)."""
+    for k, r in ((0, 4), (1, 2), (2, 2), (3, 1)):
+        yield gen_with_index(4, k, r, 40 + k)
+    yield np.array([[0.0, 1.0], [0.0, 0.0]])
+    yield np.diag([1e-320, 0.0, 1e-320])
+
+
+def test_compute_pins_cover_every_spelling():
+    spellings = {*cli._COMPUTE_KINDS, *cli._KIND_ALIASES, "banana"}
+    assert set(COMPUTE_PINS) == spellings
+
+
+@pytest.mark.parametrize("kind", sorted(COMPUTE_PINS))
+def test_compute_reports(kind, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parts = []
+    for A in _compute_inputs():
+        with open("a.json", "w") as fh:
+            fh.write(dumps_report(A))
+        # the Moore-Penrose inverse of the subnormal diagonal overflows,
+        # and numpy would warn on the way to its non-finite report
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["compute", "--kind", kind, "--input", "a.json"])
+        captured = capsys.readouterr()
+        parts += [str(code), captured.out, captured.err]
+    assert _digest(parts) == COMPUTE_PINS[kind]
