@@ -1,6 +1,9 @@
 """Command-line front end: compute inverses, verify catalog identities on
 supplied instances, run seeded fuzz campaigns, reproduce the fixed worked
 instance.  JSON in, JSON report out (stdout); diagnostics go to stderr.
+Every report opens with ``_head`` (command, version, the command's own keys,
+policy); ``compute`` reads each kind's further fields from ``_COMPUTE_KINDS``
+and exits 1 exactly when they say ``"certified": false``.
 
 Exit codes partition outcomes:
   0 pass, 1 conclusion failed / not certified, 2 input or parameter error,
@@ -15,6 +18,8 @@ import dataclasses
 import functools
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .linalg import (DEFAULT_POLICY, TolerancePolicy, _relative, frobenius,
@@ -35,23 +40,12 @@ from .theorems import THEOREM_SYMBOLS, reproduce_example_3_3, run_check
 from .generators import fuzz_dims, instance_for, trial_seed
 from .matrixio import dumps_report, load_json, parse_instance, parse_matrix
 
-_INVERSE_FNS = {
-    "moore_penrose": moore_penrose,
-    "one_three": one_three,
-    "group": group_inverse,
-    "drazin": drazin,
-    "core": core_inverse,
-    "pseudo_core": pseudo_core,
-}
-
 _KIND_ALIASES = {
     "mp": "moore_penrose",
     "pinv": "moore_penrose",
     "one3": "one_three",
     "pcore": "pseudo_core",
 }
-
-_COMPUTE_KINDS = tuple(_INVERSE_FNS) + ("index", "spectral_idempotent", "star_dmp")
 
 
 def _policy_args(parser):
@@ -77,6 +71,13 @@ _POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(TolerancePolicy))
 def _policy_obj(tol) -> dict:
     """The policy's fields in declaration order, as reports print them."""
     return {name: getattr(tol, name) for name in _POLICY_FIELDS}
+
+
+def _head(command: str, tol, **fields) -> dict:
+    """A report's opening keys: the command, the version, the command's own
+    keys in the order given, then the policy."""
+    return {"command": command, "version": __version__, **fields,
+            "policy": _policy_obj(tol)}
 
 
 def _checks_obj(report) -> dict:
@@ -116,60 +117,63 @@ def _parse_dims(args):
 # compute
 
 
+def _inverse_fields(fn, A, tol):
+    """The report fields of the inverse kind that ``fn`` computes."""
+    result = fn(A, tol)
+    return {"result": result.inverse, "residuals": result.residuals,
+            "index_used": result.index_used,
+            "certified": result.certified(tol)}
+
+
+def _spectral_idempotent_fields(A, tol):
+    P = spectral_idempotent(A, tol)
+    residuals = {
+        "idempotent": rel_residual(P @ P, P),
+        "commutes": _relative(frobenius(P @ A - A @ P),
+                              frobenius(P) * frobenius(A)),
+    }
+    return {"result": P, "residuals": residuals,
+            "certified": max(residuals.values()) <= tol.residual_tol}
+
+
+def _star_dmp_fields(A, tol):
+    flag, witness = is_star_dmp(A, tol)
+    return {"result": {"is_star_dmp": flag, "witness_exponent": witness}}
+
+
+# kind: the report fields that follow the head, from the matrix and policy
+_COMPUTE_KINDS = {
+    "moore_penrose": functools.partial(_inverse_fields, moore_penrose),
+    "one_three": functools.partial(_inverse_fields, one_three),
+    "group": functools.partial(_inverse_fields, group_inverse),
+    "drazin": functools.partial(_inverse_fields, drazin),
+    "core": functools.partial(_inverse_fields, core_inverse),
+    "pseudo_core": functools.partial(_inverse_fields, pseudo_core),
+    "index": lambda A, tol: {"result": index(A, tol)},
+    "spectral_idempotent": _spectral_idempotent_fields,
+    "star_dmp": _star_dmp_fields,
+}
+
+
 def cmd_compute(args, tol: TolerancePolicy) -> int:
     kind = _KIND_ALIASES.get(args.kind, args.kind)
     if kind not in _COMPUTE_KINDS:
         return _fail(f"unknown kind {args.kind!r}; choose from "
-                     f"{sorted(_COMPUTE_KINDS + tuple(_KIND_ALIASES))}")
+                     f"{sorted([*_COMPUTE_KINDS, *_KIND_ALIASES])}")
     try:
         A = parse_matrix(load_json(args.input))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-
-    report = {
-        "command": "compute",
-        "version": __version__,
-        "kind": kind,
-        "policy": _policy_obj(tol),
-        "input": args.input,
-    }
     try:
-        if kind == "index":
-            report["result"] = index(A, tol)
-            _emit(report)
-            return 0
-        if kind == "star_dmp":
-            flag, witness = is_star_dmp(A, tol)
-            report["result"] = {"is_star_dmp": flag, "witness_exponent": witness}
-            _emit(report)
-            return 0
-        if kind == "spectral_idempotent":
-            P = spectral_idempotent(A, tol)
-            residuals = {
-                "idempotent": rel_residual(P @ P, P),
-                "commutes": _relative(frobenius(P @ A - A @ P),
-                                      frobenius(P) * frobenius(A)),
-            }
-            report["result"] = P
-            report["residuals"] = residuals
-            certified = max(residuals.values()) <= tol.residual_tol
-            report["certified"] = certified
-            _emit(report)
-            return 0 if certified else 1
-        result = _INVERSE_FNS[kind](A, tol)
+        fields = _COMPUTE_KINDS[kind](A, tol)
+        code = 0 if fields.get("certified", True) else 1
     except InverseNotDefinedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        report["error"] = str(exc)
-        _emit(report)
-        return 3
+        fields, code = {"error": str(exc)}, _fail(str(exc), 3)
     except ValueError as exc:
         return _fail(str(exc))
-    report["result"] = result.inverse
-    report["residuals"] = result.residuals
-    report["index_used"] = result.index_used
-    report["certified"] = result.certified(tol)
-    _emit(report)
-    return 0 if result.certified(tol) else 1
+    _emit({**_head("compute", tol, kind=kind), "input": args.input,
+           **fields})
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +185,6 @@ _VERDICT_EXIT = {"pass": 0, "fail": 1, "hypotheses_not_met": 4}
 
 def cmd_verify(args, tol: TolerancePolicy) -> int:
     theorem = args.theorem
-    if theorem not in THEOREM_SYMBOLS:
-        return _fail(f"unknown theorem id {theorem!r}; known: "
-                     f"{sorted(THEOREM_SYMBOLS)}")
     symbols = THEOREM_SYMBOLS[theorem]
     instance = {}
     if not symbols and args.input is not None:
@@ -199,15 +200,8 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
         report = run_check(theorem, instance, tol)
     except (ValueError, KeyError) as exc:
         return _fail(str(exc))
-    out = {
-        "command": "verify",
-        "version": __version__,
-        "theorem": theorem,
-        "policy": _policy_obj(tol),
-        "input": args.input,
-        "report": _report_obj(report),
-    }
-    _emit(out)
+    _emit({**_head("verify", tol, theorem=theorem), "input": args.input,
+           "report": _report_obj(report)})
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -217,9 +211,6 @@ def cmd_verify(args, tol: TolerancePolicy) -> int:
 
 def cmd_fuzz(args, tol: TolerancePolicy) -> int:
     theorem = args.theorem
-    if theorem not in THEOREM_SYMBOLS:
-        return _fail(f"unknown theorem id {theorem!r}; known: "
-                     f"{sorted(THEOREM_SYMBOLS)}")
     if args.trials < 1:
         return _fail(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
@@ -253,18 +244,9 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
         })
     elapsed = time.perf_counter() - started
 
-    out = {
-        "command": "fuzz",
-        "version": __version__,
-        "theorem": theorem,
-        "policy": _policy_obj(tol),
-        "dims": list(dims),
-        "trials": args.trials,
-        "seed": args.seed,
-        "results": results,
-        "summary": summary,
-    }
-    _emit(out)
+    _emit({**_head("fuzz", tol, theorem=theorem), "dims": list(dims),
+           "trials": args.trials, "seed": args.seed, "results": results,
+           "summary": summary})
     sys.stderr.write(f"fuzz {theorem}: {summary} in {elapsed:.2f}s\n")
     if summary["hypotheses_not_met"]:
         return 5
@@ -279,13 +261,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
 
 def cmd_example33(args, tol: TolerancePolicy) -> int:
     report = reproduce_example_3_3(tol)
-    out = {
-        "command": "example33",
-        "version": __version__,
-        "policy": _policy_obj(tol),
-        "report": _report_obj(report),
-    }
-    _emit(out)
+    _emit({**_head("example33", tol), "report": _report_obj(report)})
     for check in report.conclusion_checks:
         marker = "ok" if check.passed else "FAIL"
         sys.stderr.write(f"  [{marker}] {check.label}: {check.value}\n")
@@ -363,8 +339,13 @@ def main(argv=None) -> int:
         tol = _policy_from(args)
     except ValueError as exc:
         return _fail(str(exc))
+    if getattr(args, "theorem", None) not in (None, *THEOREM_SYMBOLS):
+        return _fail(f"unknown theorem id {args.theorem!r}; known: "
+                     f"{sorted(THEOREM_SYMBOLS)}")
+    # finite input can overflow; results are judged by value, not by warning
     try:
-        return args.fn(args, tol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args, tol)
     except BrokenPipeError:
         return 2
 

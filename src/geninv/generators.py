@@ -125,14 +125,20 @@ def _with_index_rng(rg, n, k, r):
     return S @ core @ _inv(S)
 
 
+def _int_in(x, lo, hi) -> bool:
+    """Whether x is a Python or numpy integer, not a bool, in [lo, hi]."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and lo <= x <= hi)
+
+
 def _check_planted(n, k, r):
     """ValueError unless integers n in [1, MAX_DIM] and k, r >= 0, r + k <= n
     (r = n at k = 0) plant an n x n matrix of index k and core rank r."""
-    if n not in range(1, MAX_DIM + 1):
+    if not _int_in(n, 1, MAX_DIM):
         raise ValueError(f"n must lie in [1, {MAX_DIM}], got {n}")
     if k == 0 and r != n:
         raise ValueError("index 0 means invertible: r must equal n")
-    if k not in range(n + 1) or r not in range(n + 1) or r + k > n:
+    if not (_int_in(k, 0, n) and _int_in(r, 0, n - k)):
         raise ValueError(f"infeasible (n={n}, k={k}, r={r}): need integers "
                          f"k, r >= 0 with r + k <= n")
 
@@ -296,7 +302,7 @@ def gen_star_dmp(n: int, r: int, k: int, seed):
 def gen_annihilating_pair(n: int, seed):
     """(a, b) supported on complementary orthogonal projections, so that
     ab = ba = a*b = 0 exactly.  Splitting the space needs n >= 2."""
-    if not (2 <= n <= MAX_DIM):
+    if not _int_in(n, 2, MAX_DIM):
         raise ValueError(f"n must lie in [2, {MAX_DIM}], got {n}")
     rg = _rng(seed)
     W = _random_unitary(rg, n)
@@ -370,7 +376,7 @@ def _shared_block_pair(rg, nA, nD, keep_complement=False):
 
 
 def _check_block_dims(nA, nD):
-    if not (1 <= nA <= MAX_BLOCK_DIM and 1 <= nD <= MAX_BLOCK_DIM):
+    if not (_int_in(nA, 1, MAX_BLOCK_DIM) and _int_in(nD, 1, MAX_BLOCK_DIM)):
         raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
 
 
@@ -507,7 +513,7 @@ def fuzz_dims(theorem_id: str, dims=None) -> tuple:
     if dims is None:
         return default
     count, dims = len(default), tuple(dims)
-    if not (1 <= len(dims) <= count and all(lo <= d <= hi for d in dims)):
+    if not (1 <= len(dims) <= count and all(_int_in(d, lo, hi) for d in dims)):
         takes = "one dim" if count == 1 else "one or two dims, each"
         raise ValueError(f"{theorem_id} takes {takes} in [{lo}, {hi}], "
                          f"got {list(dims)}")

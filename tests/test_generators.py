@@ -119,10 +119,10 @@ class TestCommutantPair:
         with pytest.raises(ValueError, match=r"n must lie in \[1, 16\]"):
             gen_commutant_pair(n, seed=1)
 
-    @pytest.mark.parametrize("target", [-1, 5, 2.5])
+    @pytest.mark.parametrize("target", [-1, 5, 2.5, 2.0])
     def test_target_index_is_an_integer_in_range(self, target):
         # was a numpy broadcast error, a pair of another index, a numpy
-        # "high <= 0" error, or a silent truncation of 2.5 to 2
+        # "high <= 0" error, or a silent truncation of 2.5 to 2; 2.0 drew as 2
         for seed in range(6):
             with pytest.raises(ValueError, match="infeasible"):
                 gen_commutant_pair(4, seed, target_index=target)
@@ -191,6 +191,31 @@ class TestPlantedDimensionCaps:
                            match=rf"n must lie in \[{lo}, {MAX_DIM}\]"):
             sample(n)
         assert all(M.shape == (MAX_DIM, MAX_DIM) for M in sample(MAX_DIM))
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda s: gen_with_index(4, 2.0, 2, s), "infeasible"),
+        (lambda s: gen_star_dmp(4, 2.0, 2, s), "infeasible"),
+        (lambda s: gen_with_index(True, 1, 0, s), r"n must lie in \[1, 16\]"),
+        (lambda s: gen_commutant_pair(4.0, s), r"n must lie in \[1, 16\]"),
+        (lambda s: gen_annihilating_pair(4.0, s), r"n must lie in \[2, 16\]"),
+        (lambda s: gen_lemma_2_5_instance(3.0, 3, s), r"block dims must lie"),
+        (lambda s: gen_intertwined_4_1(2.5, 3, s), r"block dims must lie"),
+        (lambda s: instance_for("L2_1", (4.0,), s), r"L2_1 takes one dim"),
+    ], ids=["with_index_k", "star_dmp_r", "with_index_bool_n",
+            "commutant_pair_n", "annihilating_pair_n", "lemma_2_5_na",
+            "intertwined_4_1_nA", "instance_for_dims"])
+    def test_sizes_are_integers(self, call, match):
+        # each raised a numpy or Python TypeError, or drew past the check
+        with pytest.raises(ValueError, match=match):
+            call(7)
+
+    def test_numpy_integers_draw_as_python_integers(self):
+        n, k = np.int64(4), np.int64(2)
+        assert np.array_equal(gen_with_index(n, k, 2, 7),
+                              gen_with_index(4, 2, 2, 7))
+        assert all(np.array_equal(X, Y) for X, Y in zip(
+            gen_lemma_2_5_instance(np.int64(3), 2, 7)[:3],
+            gen_lemma_2_5_instance(3, 2, 7)[:3]))
 
 
 class TestAnnihilatingPair:

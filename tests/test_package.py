@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 import geninv
 from geninv import inverses
-from geninv.generators import fuzz_dims, instance_for, trial_seed
+from geninv.generators import (fuzz_dims, gen_with_index, instance_for,
+                               trial_seed)
+from geninv.matrixio import dumps_report
 from geninv.theorems import THEOREM_SYMBOLS, run_check
 
 MODULES = ("geninv", "geninv.linalg", "geninv.inverses", "geninv.theorems",
@@ -26,18 +29,53 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def test_runs_as_module():
+def _geninv(*argv, flags=()):
+    """``python [flags] -m geninv argv`` in a child process."""
     src = str(Path(geninv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "geninv", "example33"],
+    return subprocess.run([sys.executable, *flags, "-m", "geninv", *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_runs_as_module(tmp_path):
+    # pytest's filterwarnings does not reach a child process, so each
+    # command runs under the same filter here: a stray warning fails it
+    strict = ("-W", "error::RuntimeWarning")
+    done = _geninv("example33", flags=strict)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["report"]["verdict"] == "pass"
-    done = subprocess.run([sys.executable, "-m", "geninv", "bogus"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert all(line.startswith("  [ok] ") for line in lines[:-1])
+    assert lines[-1].startswith("note: ")
+    matrix, instance = tmp_path / "a.json", tmp_path / "inst.json"
+    matrix.write_text(dumps_report(gen_with_index(4, 2, 2, 1)))
+    instance.write_text(dumps_report(
+        instance_for("L2_1", (4,), trial_seed(0, 0)).matrices))
+    for argv in (["compute", "--kind", "pcore", "--input", str(matrix)],
+                 ["verify", "--theorem", "L2_1", "--input", str(instance)]):
+        done = _geninv(*argv, flags=strict)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["command"] == argv[0]
+    done = _geninv("fuzz", "--theorem", "T4_3", "--trials", "2", flags=strict)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["summary"]["pass"] == 2
+    assert re.fullmatch(r"fuzz T4_3: \{.*\} in \d+\.\d\ds\n", done.stderr)
+    done = _geninv("bogus")
     assert done.returncode == 2 and done.stdout == ""
     assert "invalid choice: 'bogus'" in done.stderr
+
+
+def test_overflow_leaves_only_the_error_line(tmp_path):
+    # finite entries whose products overflow: numpy's warnings, each with
+    # its source line, once came before the error line
+    matrices = instance_for("L2_3", (4,), trial_seed(0, 0)).matrices
+    path = tmp_path / "inst.json"
+    path.write_text(dumps_report({name: 1e300 * M
+                                  for name, M in matrices.items()}))
+    done = _geninv("verify", "--theorem", "L2_3", "--input", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: matrix entries must all be finite\n")
 
 
 def _private(name):
