@@ -141,7 +141,7 @@ def _star_dmp_fields(A, tol):
     return {"result": {"is_star_dmp": flag, "witness_exponent": witness}}
 
 
-# kind: the report fields that follow the head, from the matrix and policy
+# kind: the report fields after "input", from the matrix and the policy
 _COMPUTE_KINDS = {
     "moore_penrose": functools.partial(_inverse_fields, moore_penrose),
     "one_three": functools.partial(_inverse_fields, one_three),
