@@ -16,7 +16,6 @@ from .linalg import (
     as_matrix,
     is_nilpotent,
     numerical_rank,
-    same_column_space,
 )
 from .inverses import (
     GenInverseResult,
@@ -30,7 +29,6 @@ from .inverses import (
     one_three,
     pseudo_core,
     spectral_idempotent,
-    verify_defining_triple,
 )
 from .theorems import (
     Check,
@@ -50,7 +48,6 @@ __all__ = [
     "as_matrix",
     "is_nilpotent",
     "numerical_rank",
-    "same_column_space",
     "GenInverseResult",
     "InverseNotDefinedError",
     "core_inverse",
@@ -62,7 +59,6 @@ __all__ = [
     "one_three",
     "pseudo_core",
     "spectral_idempotent",
-    "verify_defining_triple",
     "Check",
     "TheoremReport",
     "THEOREM_SYMBOLS",

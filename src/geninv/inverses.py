@@ -47,7 +47,6 @@ __all__ = [
     "spectral_idempotent",
     "core_inverse",
     "pseudo_core",
-    "verify_defining_triple",
     "is_star_dmp",
 ]
 
@@ -95,9 +94,11 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 def _svd_pinv(U, s, Vh, tol):
     """Moore-Penrose inverse of the matrix with full SVD U diag(s) Vh, cut at
     the policy's relative rank rule; zero for an empty or all-zero
-    spectrum."""
+    spectrum.  Raises ValueError when an entry is not finite, as when a kept
+    singular value is subnormal."""
     r = _rank_cut(s, tol.rank_rel_tol)
-    return (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T
+    return _finite((Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T,
+                   "Moore-Penrose")
 
 
 def _one_three(A, svd, tol):
@@ -169,10 +170,13 @@ def _refined_inverse(Ahat):
 
 def _finite(X, kind):
     """X made read-only; ValueError naming the inverse kind when an entry is
-    not finite, as when the inverse of the core block T overflows."""
+    not finite: for the Moore-Penrose inverse a reciprocal singular value
+    overflowed, for the others the inverse of the core block T."""
     if not np.isfinite(X).all():
-        raise ValueError(f"the {kind} inverse is not finite: the inverse of "
-                         f"the core block T overflowed")
+        cause = ("a reciprocal singular value" if kind == "Moore-Penrose"
+                 else "the inverse of the core block T")
+        raise ValueError(f"the {kind} inverse is not finite: {cause} "
+                         f"overflowed")
     X.flags.writeable = False
     return X
 
@@ -305,19 +309,6 @@ def group_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
 def spectral_idempotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """I - A A^D: the projection onto the nilpotent part along the core."""
     return _CoreEP(A, tol).spectral_idempotent()
-
-
-def verify_defining_triple(A, X, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
-    """Relative residuals of X A^(k+1) = A^k, A X^2 = X, (AX)* = AX.
-
-    Raises ValueError for k < 1.  No pass/fail judgment is made.
-    """
-    if k < 1:
-        raise ValueError(f"defining-triple exponent must be >= 1, got {k}")
-    A, X = _require_square(A), _require_square(X)
-    if A.shape != X.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {X.shape}")
-    return _residuals("pseudo_core", A, X, _power(A, k))
 
 
 def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:

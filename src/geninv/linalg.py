@@ -33,7 +33,6 @@ __all__ = [
     "rel_residual",
     "numerical_rank",
     "approx_equal",
-    "same_column_space",
     "is_nilpotent",
     "scaled_power",
     "power_rank_chain",
@@ -400,19 +399,10 @@ def approx_equal(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
                      max(frobenius(A), frobenius(B))) <= tol.eq_rel_tol
 
 
-def same_column_space(A, B, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Column spaces coincide: rank(A) = rank(B) = rank([A | B])."""
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape[0] != B.shape[0]:
-        raise DimensionError(
-            f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return _same_space(A, B, numerical_rank(A, tol), numerical_rank(B, tol),
-                       tol)
-
-
 def _same_space(A, B, rank_a: int, rank_b: int, tol: TolerancePolicy) -> bool:
-    """:func:`same_column_space` of two matrices with equal row counts, given
-    their numerical ranks, so a caller that holds a rank takes it once."""
+    """Do two matrices with equal row counts have one column space, that
+    is, rank(A) = rank(B) = rank([A | B])?  Their numerical ranks are given,
+    so a caller that holds a rank takes it once."""
     if rank_a != rank_b:
         return False
     return numerical_rank(np.hstack([A, B]), tol) == rank_a

@@ -19,6 +19,7 @@ import sympy as sp
 from mpmath import mp
 
 from geninv import linalg
+from geninv.theorems import THEOREM_SYMBOLS, run_check
 
 
 def exact_rank(rows):
@@ -258,3 +259,24 @@ def coupling_terms(ra, d, m):
     products, _ = nilpotent_powers(ra, m)
     return [(P, linalg._power(d, m - 1 - j))
             for j, P in enumerate(products)]
+
+
+# ---------------------------------------------------------------------------
+# Public entry points that the package replaced, kept as references: a check
+# is reached only through theorems.run_check, and a column-space test only
+# through linalg._same_space with ranks the caller holds.
+
+
+def check(theorem_id, *values, tol=linalg.DEFAULT_POLICY):
+    """``run_check`` of the id on its symbols' values given positionally,
+    in ``THEOREM_SYMBOLS`` order, as the per-id checker functions took
+    them."""
+    symbols = THEOREM_SYMBOLS[theorem_id]
+    return run_check(theorem_id, dict(zip(symbols, values, strict=True)), tol)
+
+
+def same_column_space(A, B):
+    """rank(A) = rank(B) = rank([A | B]) at the default rank rule."""
+    A, B = linalg.as_matrix(A), linalg.as_matrix(B)
+    return linalg._same_space(A, B, linalg.numerical_rank(A),
+                              linalg.numerical_rank(B), linalg.DEFAULT_POLICY)

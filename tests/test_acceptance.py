@@ -30,19 +30,12 @@ from geninv.generators import (
     trial_seed,
 )
 from geninv.theorems import (
-    check_corollary_3_2,
-    check_lemma_2_1,
-    check_lemma_2_2,
-    check_lemma_2_3,
-    check_lemma_2_4,
-    check_lemma_2_5,
-    check_lemma_2_5_converse,
-    check_theorem_3_1,
     reproduce_example_3_3,
     run_check,
 )
 
-from oracles import defining_triple_max_residual, pseudo_core_linear_oracle
+from oracles import (check, defining_triple_max_residual,
+                     pseudo_core_linear_oracle)
 
 EQ_TOL = 1e-8
 RES_TOL = 1e-8
@@ -139,15 +132,15 @@ def test_lemma_fuzz():
         rg = np.random.default_rng(trial_seed(271828, trial))
         n = int(rg.integers(3, 9))
         a, b = gen_commutant_pair(n, trial_seed(271828, trial))
-        r1 = check_lemma_2_1(a, b)
-        r2 = check_lemma_2_2(a, b)
+        r1 = check("L2_1", a, b)
+        r2 = check("L2_2", a, b)
         assert r1.verdict == "pass", f"trial {trial}: L2_1 {r1.verdict}"
         assert r2.verdict == "pass", f"trial {trial}: L2_2 {r2.verdict}"
     for trial in range(500):
         rg = np.random.default_rng(trial_seed(161803, trial))
         n = int(rg.integers(3, 9))
         a, b = gen_annihilating_pair(n, trial_seed(161803, trial))
-        r3 = check_lemma_2_3(a, b)
+        r3 = check("L2_3", a, b)
         assert r3.verdict == "pass", f"trial {trial}: L2_3 {r3.verdict}"
     for trial in range(500):
         rg = np.random.default_rng(trial_seed(141421, trial))
@@ -155,7 +148,7 @@ def test_lemma_fuzz():
         a = _draw_structured(rg, n)
         b = crandn(rg, n, n) if rg.integers(0, 2) else (
             pseudo_core(a).inverse @ a @ crandn(rg, n, n))
-        r4 = check_lemma_2_4(a, b)
+        r4 = check("L2_4", a, b)
         assert r4.verdict == "pass", f"trial {trial}: L2_4 equivalence broken"
     elapsed = time.perf_counter() - started
     assert elapsed < 180.0
@@ -171,15 +164,14 @@ def test_lemma_2_5_both_directions():
         na, nd = int(rg.integers(2, 6)), int(rg.integers(2, 6))
         inst = instance_for("L2_5a", (na, nd), seed)
         degenerate += inst.degenerate
-        report = check_lemma_2_5(**inst.matrices)
+        report = run_check("L2_5a", inst.matrices)
         assert report.verdict == "pass", f"forward trial {trial}"
     for trial in range(300):
         seed = trial_seed(69314, trial)
         rg = np.random.default_rng(seed)
         na, nd = int(rg.integers(2, 6)), int(rg.integers(2, 6))
         inst = instance_for("L2_5b", (na, nd), seed)
-        report = check_lemma_2_5_converse(inst.matrices["x"],
-                                          inst.matrices["split"])
+        report = check("L2_5b", inst.matrices["x"], inst.matrices["split"])
         assert report.verdict == "pass", f"converse trial {trial}"
         m_check = next(c for c in report.conclusion_checks
                        if c.label == "coupling_sum_vanishes")
@@ -204,7 +196,7 @@ def test_theorem_3_1_equivalence_and_corollary_3_2():
         bracket = frobenius(a @ X - X @ a)
         if bracket > 1e-6 * max(1.0, frobenius(a) * frobenius(X)):
             non_ep += 1
-        report = check_theorem_3_1(a, b)
+        report = check("T3_1", a, b)
         assert report.verdict == "pass", (
             f"trial {trial}: equivalence broken, witnesses "
             f"lhs={report.witnesses['lhs']} rhs={report.witnesses['rhs']}")
@@ -213,7 +205,7 @@ def test_theorem_3_1_equivalence_and_corollary_3_2():
     for trial in range(200):
         seed = trial_seed(60221, trial)
         inst = instance_for("C3_2", (6,), seed)
-        report = check_corollary_3_2(**inst.matrices)
+        report = run_check("C3_2", inst.matrices)
         assert report.verdict == "pass", f"C3_2 trial {trial}"
         bracket_check = next(c for c in report.conclusion_checks
                              if c.label == "pcore_commutes_with_a")

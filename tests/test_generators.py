@@ -27,7 +27,8 @@ from geninv.generators import (
     trial_seed,
 )
 from geninv.theorems import THEOREM_SYMBOLS, run_check
-from oracles import coupling_terms, nilpotent_power_sum, nilpotent_powers
+from oracles import (check, coupling_terms, nilpotent_power_sum,
+                     nilpotent_powers)
 
 
 def rel(X, Y):
@@ -255,9 +256,8 @@ class TestLemma25Generator:
         pytest.skip("no doubly-singular 1x1 draw in the seed range")
 
     def test_replay_through_check(self):
-        from geninv.theorems import check_lemma_2_5
         a, b, d, _ = gen_lemma_2_5_instance(3, 3, seed=41)
-        assert check_lemma_2_5(a, b, d).verdict == "pass"
+        assert check("L2_5a", a, b, d).verdict == "pass"
 
     def test_dim_cap(self):
         with pytest.raises(ValueError):
@@ -895,7 +895,7 @@ class TestCouplingWords:
         monkeypatch.setattr(linalg, "is_nilpotent_product", recorded)
         A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
         assert lengths == []
-        theorems.check_theorem_4_1(A, B, C, D)
+        check("T4_1", A, B, C, D)
         assert lengths == [4]
         monkeypatch.setitem(theorems.COUPLING, "T4_1",
                             theorems.COUPLING["T4_1"][:-1])
@@ -904,7 +904,7 @@ class TestCouplingWords:
         assert lengths == []
         assert all(M.tobytes() == M0.tobytes()
                    for M, M0 in zip(drawn[:4], (A, B, C, D)))
-        report = theorems.check_theorem_4_1(A, B, C, D)
+        report = check("T4_1", A, B, C, D)
         assert lengths == [3]
         # the check's verdict is the nilpotency of A_pc B D_pc
         nilp = next(c for c in report.hypothesis_checks

@@ -10,7 +10,6 @@ from geninv.linalg import (
     DimensionError,
     approx_equal,
     rel_residual,
-    same_column_space,
 )
 from geninv.inverses import (
     GenInverseResult,
@@ -24,7 +23,6 @@ from geninv.inverses import (
     one_three,
     pseudo_core,
     spectral_idempotent,
-    verify_defining_triple,
 )
 from geninv.generators import gen_star_dmp, gen_with_index
 
@@ -33,6 +31,7 @@ from oracles import (
     group_inverse_factorization_oracle,
     mp_power_ranks,
     pseudo_core_linear_oracle,
+    same_column_space,
 )
 
 A33 = np.array([[1j, 0], [0, 0]], dtype=complex)
@@ -238,7 +237,6 @@ class TestCoreInverse:
             core_inverse(SHIFT)
 
     def test_characterizing_conditions(self):
-        from geninv.linalg import same_column_space
         for trial in range(15):
             A = gen_with_index(5, 1, 3, 1500 + trial)
             res = core_inverse(A)
@@ -323,30 +321,32 @@ class TestPseudoCore:
             assert pseudo_core(A.conj().T).certified()
 
 
+def _defining_triple(A, X, k):
+    """The residuals of X A^(k+1) = A^k, A X^2 = X, (AX)* = AX, k >= 1."""
+    A = np.asarray(A, dtype=complex)
+    return inverses._residuals("pseudo_core", A, np.asarray(X, dtype=complex),
+                               linalg._power(A, k))
+
+
 class TestVerifyDefiningTriple:
+    """The pseudo core defining triple, replayed on a given X through the
+    rows of ``inverses._DEFINING``."""
+
     def test_identity_all_zero(self):
-        res = verify_defining_triple(np.eye(2), np.eye(2), 1)
+        res = _defining_triple(np.eye(2), np.eye(2), 1)
         assert all(v == 0.0 for v in res.values())
 
     def test_certificate_replay(self):
         for trial in range(10):
             A = gen_with_index(5, 2, 2, 2000 + trial)
             result = pseudo_core(A)
-            res = verify_defining_triple(A, result.inverse,
-                                         max(result.index_used, 1))
+            res = _defining_triple(A, result.inverse,
+                                   max(result.index_used, 1))
             assert max(res.values()) <= DEFAULT_POLICY.residual_tol
 
     def test_wrong_inverse_detected(self):
-        res = verify_defining_triple(np.eye(2), np.zeros((2, 2)), 1)
+        res = _defining_triple(np.eye(2), np.zeros((2, 2)), 1)
         assert res["pc1"] == pytest.approx(1.0)
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            verify_defining_triple(np.eye(2), np.eye(2), 0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            verify_defining_triple(np.eye(2), np.eye(3), 1)
 
 
 class TestStarDmp:
@@ -434,12 +434,6 @@ class TestDefiningWords:
                         ref = hand_residuals(kind, A, result.inverse, Ak)
                         assert _bits(result.residuals) == _bits(ref), (
                             n, k, r, c, kind)
-                    X = pseudo_core(A).inverse + 1e-3
-                    for j in (1, 2, 3):
-                        ref = hand_residuals(
-                            "pseudo_core", A, X, np.linalg.matrix_power(A, j))
-                        assert (_bits(verify_defining_triple(A, X, j))
-                                == _bits(ref)), (n, k, r, c, j)
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (1, 4), (16, 7)])
     def test_rectangular_moore_penrose(self, shape):
@@ -543,7 +537,7 @@ class TestNanNeverCertifies:
         assert result.certified()
         X = result.inverse
         wrong = GenInverseResult("pseudo_core", 2 * X, 1,
-                                 verify_defining_triple(A, 2 * X, 1))
+                                 _defining_triple(A, 2 * X, 1))
         assert not wrong.certified()
 
 
@@ -572,6 +566,14 @@ class TestExtremeScale:
         assert result.residuals
         assert all(math.copysign(1.0, v) == 1.0 and v == 0.0
                    for v in result.residuals.values())
+
+    @pytest.mark.parametrize("kind", [moore_penrose, one_three])
+    def test_overflowed_inverse_is_refused(self, kind):
+        # 1/1e-320 overflows: the inverse was returned with NaN entries
+        with pytest.raises(ValueError, match="^the Moore-Penrose inverse is "
+                           "not finite: a reciprocal singular value"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            kind(np.diag([1e-320, 0.0, 1e-320]))
 
     @pytest.mark.parametrize("kind", [moore_penrose, one_three])
     def test_tiny_invertible_matrix_keeps_its_inverse(self, kind):

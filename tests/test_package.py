@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import geninv
-from geninv import inverses
+from geninv import inverses, theorems
 from geninv.generators import (fuzz_dims, gen_with_index, instance_for,
                                trial_seed)
 from geninv.matrixio import dumps_report
@@ -197,7 +197,7 @@ def _judged_outside_the_words(tree):
                            None) != "_factors":
                     yield f"{node.lineno} {where} {node.func.id}"
             elif (isinstance(node, ast.Name) and node.id == "rel_residual"
-                  and where != "reproduce_example_3_3"):
+                  and where != "_example_3_3"):
                 yield f"{node.lineno} {where} rel_residual"
 
 
@@ -207,3 +207,52 @@ def test_every_judged_product_is_a_word():
     src = Path(geninv.__file__).resolve().parent
     tree = ast.parse((src / "theorems.py").read_text())
     assert list(_judged_outside_the_words(tree)) == []
+
+
+def _catalog_hooks(tree):
+    """The id -> hook name of each ``_CATALOG`` entry that names a hook."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and getattr(stmt.targets[0], "id", None) == "_CATALOG"):
+            return {key.value: value.elts[1].id
+                    for key, value in zip(stmt.value.keys, stmt.value.values)
+                    if len(value.elts) > 1}
+
+
+def test_checks_are_rows_and_hooks():
+    # run_check is the one way into a check: theorems defines no public
+    # check_* function; a certificate is judged only by _report and by the
+    # hooks; and an id without a hook is rows of the tables alone
+    src = Path(geninv.__file__).resolve().parent
+    tree = ast.parse((src / "theorems.py").read_text())
+    assert [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("check")] == []
+    assert not [name for name in theorems.__all__ if name.startswith("check")]
+    hooks = _catalog_hooks(tree)
+    assert set(hooks.values()) <= {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    stray = [f"{call.lineno} {where}" for where, call in _calls(tree)
+             if getattr(call.func, "id", None) == "_certified"
+             and where.split(".")[0] not in ("_report", *hooks.values())]
+    assert stray == []
+    for theorem_id, symbols in THEOREM_SYMBOLS.items():
+        if theorem_id in hooks:
+            continue
+        assert theorems._CATALOG[theorem_id] == (symbols,), theorem_id
+        assert all(source is not None
+                   for _, source in theorems._WITNESSES.get(theorem_id, ()))
+        rows = [label for label, *_ in (
+            *theorems._VANISHING.get(theorem_id, ()),
+            *theorems._EQUATIONS.get(theorem_id, ()),
+            *theorems._EQUALITIES.get(theorem_id, ()),
+            *theorems._CERTIFICATES.get(theorem_id, ()))]
+        rows += ["coupling_nilpotent"] * (theorem_id in theorems.COUPLING)
+        instance = instance_for(theorem_id, fuzz_dims(theorem_id),
+                                trial_seed(1, 0)).matrices
+        report = run_check(theorem_id, instance)
+        labels = [c.label for c in
+                  report.hypothesis_checks + report.conclusion_checks]
+        assert sorted(labels) == sorted(rows), theorem_id
+        assert list(report.witnesses) == [
+            key for key, _ in theorems._WITNESSES[theorem_id]]

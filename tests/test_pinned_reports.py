@@ -66,12 +66,12 @@ COMPUTE_PINS = {
     "drazin": "f0d109f06ea70441",
     "group": "c7b88d50f00af62c",
     "index": "8426189cf8c03d64",
-    "moore_penrose": "4a9342958213057d",
-    "mp": "4a9342958213057d",
-    "one3": "8a73a3de182d5902",
-    "one_three": "8a73a3de182d5902",
+    "moore_penrose": "1596d3cbfa217061",
+    "mp": "1596d3cbfa217061",
+    "one3": "5bc26169994debc7",
+    "one_three": "5bc26169994debc7",
     "pcore": "f4935f5e7b481957",
-    "pinv": "4a9342958213057d",
+    "pinv": "1596d3cbfa217061",
     "pseudo_core": "f4935f5e7b481957",
     "spectral_idempotent": "83b298a98c26d161",
     "star_dmp": "cf49a3daa0d5dae5",

@@ -13,25 +13,11 @@ from geninv.theorems import (
     THEOREM_SYMBOLS,
     Check,
     TheoremReport,
-    check_corollary_3_2,
-    check_corollary_4_2,
-    check_corollary_4_4,
-    check_corollary_4_6,
-    check_lemma_2_1,
-    check_lemma_2_2,
-    check_lemma_2_3,
-    check_lemma_2_4,
-    check_lemma_2_5,
-    check_lemma_2_5_converse,
-    check_theorem_1_1,
-    check_theorem_3_1,
-    check_theorem_4_1,
-    check_theorem_4_3,
-    check_theorem_4_5,
     reproduce_example_3_3,
     run_check,
 )
 from oracles import (
+    check,
     coupling_sweep,
     first_vanishing_sum_direct,
     nilpotent_power_sum,
@@ -48,6 +34,7 @@ from geninv.generators import (
     gen_with_index,
     gen_zero_product_4_5,
     gen_zero_product_4_6,
+    fuzz_dims,
     instance_for,
     trial_seed,
 )
@@ -65,55 +52,55 @@ def crandn(rg, *shape):
 
 class TestLemma21:
     def test_identity_pair(self):
-        assert check_lemma_2_1(I2, I2).verdict == "pass"
+        assert check("L2_1", I2, I2).verdict == "pass"
 
     def test_fixed_noncommuting_pair(self):
-        report = check_lemma_2_1(A33, B33)
+        report = check("L2_1", A33, B33)
         assert report.verdict == "hypotheses_not_met"
 
     def test_commutant_sample(self):
         a, b = gen_commutant_pair(4, seed=301, target_index=2)
-        assert check_lemma_2_1(a, b).verdict == "pass"
+        assert check("L2_1", a, b).verdict == "pass"
 
 
 class TestLemma22:
     def test_identity_partner(self):
         a, _ = gen_commutant_pair(3, seed=302)
-        report = check_lemma_2_2(a, np.eye(3))
+        report = check("L2_2", a, np.eye(3))
         assert report.verdict == "pass"
         assert approx_equal(report.witnesses["ab_pcore"],
                             pseudo_core(a).inverse)
 
     def test_diagonal_pair(self):
         a = np.diag([2.0, 0.0]).astype(complex)
-        report = check_lemma_2_2(a, a)
+        report = check("L2_2", a, a)
         assert report.verdict == "pass"
         assert approx_equal(report.witnesses["ab_pcore"], np.diag([0.25, 0.0]))
 
     def test_commutant_sample_dim6(self):
         a, b = gen_commutant_pair(6, seed=303)
-        assert check_lemma_2_2(a, b).verdict == "pass"
+        assert check("L2_2", a, b).verdict == "pass"
 
 
 class TestLemma23:
     def test_zero_partner(self):
         rg = np.random.default_rng(33)
         a = crandn(rg, 3, 3)
-        assert check_lemma_2_3(a, np.zeros((3, 3))).verdict == "pass"
+        assert check("L2_3", a, np.zeros((3, 3))).verdict == "pass"
 
     def test_diagonal_disjoint(self):
-        assert check_lemma_2_3(np.diag([1.0, 0.0]), Z2).verdict == "pass"
+        assert check("L2_3", np.diag([1.0, 0.0]), Z2).verdict == "pass"
 
     def test_orthogonal_support_pair(self):
         a, b = gen_annihilating_pair(6, seed=304)
-        assert check_lemma_2_3(a, b).verdict == "pass"
+        assert check("L2_3", a, b).verdict == "pass"
 
     def test_overflowing_additive_candidate_is_none(self):
         # a_pc = 1/a and b_pc = 1/b are finite, but their sum overflows; the
         # informational candidate is dropped and the verdict stands
         a = np.array([[6e-309]], dtype=complex)
         with np.errstate(over="ignore"):
-            report = check_lemma_2_3(a, a)
+            report = check("L2_3", a, a)
         assert report.verdict == "pass"
         assert report.witnesses["additive_candidate_residuals"] is None
         assert np.isfinite(report.witnesses["sum_pcore"]).all()
@@ -122,12 +109,12 @@ class TestLemma23:
 class TestLemma24:
     def test_zero_b(self):
         rg = np.random.default_rng(34)
-        report = check_lemma_2_4(crandn(rg, 3, 3), np.zeros((3, 3)))
+        report = check("L2_4", crandn(rg, 3, 3), np.zeros((3, 3)))
         assert report.verdict == "pass"
 
     def test_invertible_a(self):
         rg = np.random.default_rng(35)
-        report = check_lemma_2_4(np.diag([1.0, 2.0]), crandn(rg, 2, 2))
+        report = check("L2_4", np.diag([1.0, 2.0]), crandn(rg, 2, 2))
         assert report.verdict == "pass"
         assert report.witnesses["left_annihilates"]
         assert report.witnesses["right_annihilates"]
@@ -136,10 +123,10 @@ class TestLemma24:
         rg = np.random.default_rng(36)
         X = pseudo_core(A33).inverse
         inside = (X @ A33) @ crandn(rg, 2, 2)
-        rep_in = check_lemma_2_4(A33, inside)
+        rep_in = check("L2_4", A33, inside)
         assert rep_in.verdict == "pass"
         assert rep_in.witnesses["left_annihilates"]
-        rep_out = check_lemma_2_4(A33, B33)
+        rep_out = check("L2_4", A33, B33)
         assert rep_out.verdict == "pass"
         assert not rep_out.witnesses["left_annihilates"]
         assert not rep_out.witnesses["right_annihilates"]
@@ -151,25 +138,25 @@ class TestLemma25:
         a = np.diag([1.0, 2.0]).astype(complex)
         d = SHIFT.copy()
         b = crandn(rg, 2, 2)
-        report = check_lemma_2_5(a, b, d)
+        report = check("L2_5a", a, b, d)
         assert report.verdict == "pass"
 
     def test_scalar_hand_case(self):
         a = np.array([[0.0]], dtype=complex)
         d = np.array([[0.0]], dtype=complex)
         b = np.array([[1.0]], dtype=complex)
-        report = check_lemma_2_5(a, b, d)
+        report = check("L2_5a", a, b, d)
         assert report.verdict == "pass"
         assert report.witnesses["m"] == 2
 
     def test_generated_instance(self):
         a, b, d, degenerate = gen_lemma_2_5_instance(3, 3, seed=305)
-        report = check_lemma_2_5(a, b, d)
+        report = check("L2_5a", a, b, d)
         assert report.verdict == "pass"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            check_lemma_2_5(np.eye(2), np.eye(3), np.eye(2))
+            check("L2_5a", np.eye(2), np.eye(3), np.eye(2))
 
     @pytest.mark.parametrize("theorem_id", ["L2_5a", "L2_5b"])
     def test_ill_separated_index(self, theorem_id):
@@ -183,46 +170,46 @@ class TestLemma25:
 
 class TestLemma25Converse:
     def test_diagonal(self):
-        report = check_lemma_2_5_converse(np.diag([1.0, 0.0]).astype(complex), 1)
+        report = check("L2_5b", np.diag([1.0, 0.0]).astype(complex), 1)
         assert report.verdict == "pass"
 
     def test_rank_one_idempotent_like(self):
         x = np.array([[1, 1], [0, 0]], dtype=complex)
-        report = check_lemma_2_5_converse(x, 1)
+        report = check("L2_5b", x, 1)
         assert report.verdict == "pass"
         assert approx_equal(report.witnesses["x_pcore"], [[1, 0], [0, 0]])
 
     def test_nilpotent(self):
-        report = check_lemma_2_5_converse(SHIFT, 1)
+        report = check("L2_5b", SHIFT, 1)
         assert report.verdict == "pass"
         assert report.witnesses["m"] == 2
 
     def test_nonzero_lower_left_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma_2_5_converse(np.array([[1, 0], [1, 1]], dtype=complex), 1)
+            check("L2_5b", np.array([[1, 0], [1, 1]], dtype=complex), 1)
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma_2_5_converse(np.eye(2), 2)
+            check("L2_5b", np.eye(2), 2)
 
     @pytest.mark.parametrize("split", [np.eye(1), 2.0, True],
                              ids=["matrix", "float", "bool"])
     def test_non_integer_split_rejected(self, split):
         with pytest.raises(ValueError, match="split"):
-            check_lemma_2_5_converse(np.eye(4), split)
+            check("L2_5b", np.eye(4), split)
         with pytest.raises(ValueError, match="split"):
             run_check("L2_5b", {"x": np.eye(4), "split": split})
 
     def test_numpy_integer_split_accepted(self):
         x = np.diag([1.0, 0.0]).astype(complex)
-        report = check_lemma_2_5_converse(x, np.int64(1))
+        report = check("L2_5b", x, np.int64(1))
         assert report.verdict == "pass"
 
 
 class TestTheorem31:
     def test_zero_perturbation(self):
         a = gen_with_index(4, 2, 2, seed=306)
-        report = check_theorem_3_1(a, np.zeros((4, 4)))
+        report = check("T3_1", a, np.zeros((4, 4)))
         assert report.verdict == "pass"
         assert report.witnesses["lhs"] and report.witnesses["rhs"]
 
@@ -231,41 +218,41 @@ class TestTheorem31:
         h = crandn(rg, 4, 4)
         a = h + h.conj().T
         b = a @ a + 0.5 * a   # polynomial in a: commutes with a and a*
-        report = check_theorem_3_1(a, b)
+        report = check("T3_1", a, b)
         assert report.verdict == "pass"
         assert report.witnesses["rhs"]
 
     def test_fixed_noncommuting_pair(self):
-        report = check_theorem_3_1(A33, B33)
+        report = check("T3_1", A33, B33)
         assert report.verdict == "hypotheses_not_met"
 
     def test_fuzz_small(self):
         for trial in range(25):
             a, b = gen_commutant_pair(5, seed=3100 + trial)
-            report = check_theorem_3_1(a, b)
+            report = check("T3_1", a, b)
             assert report.verdict == "pass", (trial, report.witnesses)
 
 
 class TestCorollary32:
     def test_fixed_star_dmp_with_zero(self):
-        report = check_corollary_3_2(A33, Z2)
+        report = check("C3_2", A33, Z2)
         assert report.verdict == "pass"
 
     def test_hermitian_projection_pair(self):
         p = np.diag([1.0, 0.0]).astype(complex)
-        report = check_corollary_3_2(p, 2 * p)
+        report = check("C3_2", p, 2 * p)
         assert report.verdict == "pass"
 
     def test_generated_star_dmp(self):
         a = gen_star_dmp(6, 3, 2, seed=308)
         from geninv.generators import _commutant_sample, _rng
         b = _commutant_sample(_rng(309), a)
-        report = check_corollary_3_2(a, b)
+        report = check("C3_2", a, b)
         assert report.verdict == "pass"
 
     def test_non_star_dmp_flagged(self):
         a = np.array([[1, 1], [0, 0]], dtype=complex)
-        report = check_corollary_3_2(a, Z2)
+        report = check("C3_2", a, Z2)
         assert report.verdict == "hypotheses_not_met"
 
 
@@ -305,7 +292,7 @@ class TestVerdict:
 
 class TestTheorem11:
     def test_identity(self):
-        assert check_theorem_1_1(np.eye(3)).verdict == "pass"
+        assert check("T1_1", np.eye(3)).verdict == "pass"
 
     def test_each_rank_taken_once(self, monkeypatch):
         # rank(X) and rank(X_m) of the power's core inverse, each serving
@@ -314,7 +301,7 @@ class TestTheorem11:
         # of its own staircase
         A = gen_with_index(5, 2, 2, seed=11)
         calls = counting_calls(monkeypatch, [linalg], "_svdvals")
-        assert check_theorem_1_1(A).verdict == "pass"
+        assert check("T1_1", A).verdict == "pass"
         assert len(calls) == 6
 
     def test_power_takes_one_svd(self, monkeypatch):
@@ -326,15 +313,15 @@ class TestTheorem11:
             monkeypatch.setattr(module, "_svd",
                                 lambda M, real=module._svd:
                                 svds.append(M.tobytes()) or real(M))
-        assert check_theorem_1_1(A).verdict == "pass"
+        assert check("T1_1", A).verdict == "pass"
         assert len(svds) == len(set(svds)) == 5
 
     def test_nilpotent(self):
-        assert check_theorem_1_1(SHIFT).verdict == "pass"
+        assert check("T1_1", SHIFT).verdict == "pass"
 
     def test_random_dim5_index2(self):
         A = gen_with_index(5, 2, 3, seed=310)
-        assert check_theorem_1_1(A).verdict == "pass"
+        assert check("T1_1", A).verdict == "pass"
 
     @pytest.mark.parametrize("rotated", [False, True])
     @pytest.mark.parametrize("s", [(1, 0), (1, 1)])
@@ -348,7 +335,7 @@ class TestTheorem11:
         if rotated:
             U, _ = np.linalg.qr(crandn(np.random.default_rng(2024), 3, 3))
             A = U @ A @ U.conj().T
-        report = check_theorem_1_1(A)
+        report = check("T1_1", A)
         checks = {c.label: c for c in report.conclusion_checks}
         power_index = checks["power_index_at_most_one"].value
         power_core = checks["power_core_certified"]
@@ -364,71 +351,71 @@ class TestTheorem41:
     def test_block_diagonal(self):
         A = gen_with_index(3, 1, 2, seed=311)
         D = gen_with_index(2, 0, 2, seed=312)
-        report = check_theorem_4_1(A, np.zeros((3, 2)), np.zeros((2, 3)), D)
+        report = check("T4_1", A, np.zeros((3, 2)), np.zeros((2, 3)), D)
         assert report.verdict == "pass"
 
     def test_identity_blocks_with_one_coupling(self):
-        report = check_theorem_4_1(I2, I2, Z2, I2)
+        report = check("T4_1", I2, I2, Z2, I2)
         assert report.verdict == "pass"
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_intertwined_4_1(3, 2, seed=313)
-        report = check_theorem_4_1(A, B, C, D)
+        report = check("T4_1", A, B, C, D)
         assert report.verdict == "pass"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            check_theorem_4_1(I2, np.zeros((3, 2)), Z2, I2)
+            check("T4_1", I2, np.zeros((3, 2)), Z2, I2)
 
     def test_non_square_diagonal_block_rejected(self):
         with pytest.raises(ValueError, match="diagonal blocks must be square"):
-            check_theorem_4_1(np.zeros((2, 3)), np.zeros((2, 2)),
+            check("T4_1", np.zeros((2, 3)), np.zeros((2, 2)),
                               np.zeros((2, 2)), I2)
 
 
 class TestCorollary42:
     def test_trivial_coupling(self):
-        report = check_corollary_4_2(I2, Z2, Z2, 2 * I2)
+        report = check("C4_2", I2, Z2, Z2, 2 * I2)
         assert report.verdict == "pass"
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_intertwined_4_2(3, 3, seed=314)
-        report = check_corollary_4_2(A, B, C, D)
+        report = check("C4_2", A, B, C, D)
         assert report.verdict == "pass"
 
 
 class TestTheorem43:
     def test_zero_couplings(self):
         A = gen_with_index(2, 1, 1, seed=315)
-        report = check_theorem_4_3(A, Z2, Z2, I2)
+        report = check("T4_3", A, Z2, Z2, I2)
         assert report.verdict == "pass"
 
     def test_antidiagonal_permutation(self):
-        report = check_theorem_4_3(Z2, I2, I2, Z2)
+        report = check("T4_3", Z2, I2, I2, Z2)
         assert report.verdict == "pass"
         # Q is a symmetric permutation here, its own pseudo core inverse
-        check = next(c for c in report.conclusion_checks
-                     if c.label == "antidiagonal_square_identity")
-        assert check.passed
+        identity = next(c for c in report.conclusion_checks
+                        if c.label == "antidiagonal_square_identity")
+        assert identity.passed
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_intertwined_4_3(2, 2, seed=316)
-        report = check_theorem_4_3(A, B, C, D)
+        report = check("T4_3", A, B, C, D)
         assert report.verdict == "pass"
 
 
 class TestCorollary44:
     def test_zero_couplings(self):
-        report = check_corollary_4_4(I2, Z2, Z2, I2)
+        report = check("C4_4", I2, Z2, Z2, I2)
         assert report.verdict == "pass"
 
     def test_dualized_permutation(self):
-        report = check_corollary_4_4(Z2, I2, I2, Z2)
+        report = check("C4_4", Z2, I2, I2, Z2)
         assert report.verdict == "pass"
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_intertwined_4_4(3, 2, seed=317)
-        report = check_corollary_4_4(A, B, C, D)
+        report = check("C4_4", A, B, C, D)
         assert report.verdict == "pass"
 
 
@@ -436,19 +423,19 @@ class TestTheorem45:
     def test_all_zero_couplings(self):
         A = gen_with_index(3, 2, 1, seed=318)
         D = gen_with_index(2, 1, 1, seed=319)
-        report = check_theorem_4_5(A, np.zeros((3, 2)), np.zeros((2, 3)), D)
+        report = check("T4_5", A, np.zeros((3, 2)), np.zeros((2, 3)), D)
         assert report.verdict == "pass"
 
     def test_invertible_top_free_b(self):
         rg = np.random.default_rng(39)
         A = np.diag([1.0, 2.0]).astype(complex)
         D = gen_with_index(2, 1, 1, seed=320)
-        report = check_theorem_4_5(A, crandn(rg, 2, 2), Z2, D)
+        report = check("T4_5", A, crandn(rg, 2, 2), Z2, D)
         assert report.verdict == "pass"
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_zero_product_4_5(3, 3, seed=321)
-        report = check_theorem_4_5(A, B, C, D)
+        report = check("T4_5", A, B, C, D)
         assert report.verdict == "pass"
 
     def test_sum_vanishes_past_the_index(self):
@@ -456,7 +443,7 @@ class TestTheorem45:
         # window [2, 6] first vanishes at m = 4, where every term has a
         # power of J2 of order 2 or more
         B = np.array([[1, 2], [3, 4]], dtype=complex)
-        report = check_theorem_4_5(SHIFT, B, Z2, SHIFT)
+        report = check("T4_5", SHIFT, B, Z2, SHIFT)
         assert report.verdict == "pass"
         assert report.witnesses["m"] == 4
         assert report.witnesses["sum_at_index_vanishes"] is False
@@ -465,7 +452,7 @@ class TestTheorem45:
         # A_pi = diag(0, 1) and D = [[1]]: S_m = A_pi B for every m
         A = np.diag([1.0, 0.0]).astype(complex)
         B = np.array([[1.0], [1.0]], dtype=complex)
-        report = check_theorem_4_5(A, B, np.zeros((1, 2)), np.eye(1))
+        report = check("T4_5", A, B, np.zeros((1, 2)), np.eye(1))
         assert report.verdict == "hypotheses_not_met"
         assert report.witnesses["m"] == 0
 
@@ -602,8 +589,8 @@ class TestCouplingSweep:
             pi_sum, scale = nilpotent_power_sum(rA)
             value = linalg._relative(linalg.frobenius(C @ pi_sum),
                                      linalg.frobenius(C) * scale)
-            check = check_corollary_4_6(A, B, C, D).hypothesis_checks[-1]
-            assert check.value == value
+            last = check("C4_6", A, B, C, D).hypothesis_checks[-1]
+            assert last.value == value
             named = theorems._Instance(A=A, B=B, C=C, D=D)
             m, S, got = next(islice(theorems._sums("C4_6", named), rA.k, None))
             assert m == rA.k
@@ -635,10 +622,10 @@ class TestSumRows:
         system = lambda: generators._word_system(
             "L2_5a", "b", (3, 3), theorems._Instance(a=a, d=d), 3)
         drawn = gen_lemma_2_5_instance(3, 3, seed=305)[1]
-        assert check_lemma_2_5(zero, zero, zero).witnesses["m"] == 1
+        assert check("L2_5a", zero, zero, zero).witnesses["m"] == 1
         assert [len(terms) for terms in system()] == [3]
         monkeypatch.setitem(theorems._SUMS, "L2_5a", ("", "a", "e", "d", "ad"))
-        assert check_lemma_2_5(zero, zero, zero).witnesses["m"] == 2
+        assert check("L2_5a", zero, zero, zero).witnesses["m"] == 2
         assert system() == []
         cut = gen_lemma_2_5_instance(3, 3, seed=305)[1]
         assert cut.tobytes() != drawn.tobytes()
@@ -650,7 +637,7 @@ class TestSumRows:
         # sweep at m = 1 past the index took 13
         calls = counting_calls(monkeypatch, POWER_CALLERS, "_power")
         B = np.array([[1, 2], [3, 4]], dtype=complex)
-        report = check_theorem_4_5(SHIFT, B, Z2, SHIFT)
+        report = check("T4_5", SHIFT, B, Z2, SHIFT)
         assert report.witnesses["m"] == 4
         assert len(calls) == 9
 
@@ -706,7 +693,7 @@ class TestIndexReuse:
             A = gen_with_index(3, 1, 2, 500 + t)
             B, C, D = crandn(rg, 3, 3), crandn(rg, 3, 3), crandn(rg, 3, 3)
             seen.clear()
-            report = check_theorem_4_5(A, B, C, D)
+            report = check("T4_5", A, B, C, D)
             assert report.witnesses["sum_at_index_vanishes"] is False
             assert seen.count(A.tobytes()) == seen.count(D.tobytes()) == 1
             assert len(seen) == len(set(seen)) == 3     # A, D and M
@@ -766,6 +753,25 @@ class TestRecordWork:
             drazin_checks += built.count("Drazin")
         assert drazin_checks > 0
 
+    # each id's results, one per certificate row, hook result and additive
+    # candidate: a witness or hook that reads a certificate's result shares
+    # its residuals, so no result is formed twice
+    RESIDUALS = {"L2_1": 0, "L2_2": 1, "L2_3": 2, "L2_4": 0, "L2_5a": 3,
+                 "L2_5b": 3, "T1_1": 4, "T3_1": 2, "C3_2": 2, "EX3_3": 1,
+                 "T4_1": 1, "C4_2": 2, "T4_3": 1, "C4_4": 2, "T4_5": 1,
+                 "C4_6": 2}
+
+    def test_residuals_per_check(self, monkeypatch):
+        assert set(self.RESIDUALS) == set(THEOREM_SYMBOLS)
+        calls = counting_calls(monkeypatch, [inverses, theorems],
+                               "_residuals")
+        for theorem_id, count in self.RESIDUALS.items():
+            inst = instance_for(theorem_id, fuzz_dims(theorem_id),
+                                trial_seed(1, 0))
+            calls.clear()
+            run_check(theorem_id, inst.matrices)
+            assert len(calls) == count, theorem_id
+
     def test_record_returns_one_read_only_inverse(self):
         record = inverses._CoreEP(gen_with_index(5, 2, 2, seed=3))
         for name in ("pcore_inverse", "drazin_inverse"):
@@ -778,17 +784,17 @@ class TestCorollary46:
     def test_zero_c(self):
         rg = np.random.default_rng(40)
         A = np.diag([1.0, 2.0]).astype(complex)
-        report = check_corollary_4_6(A, crandn(rg, 2, 2) * 0, Z2, I2)
+        report = check("C4_6", A, crandn(rg, 2, 2) * 0, Z2, I2)
         assert report.verdict == "pass"
 
     def test_invertible_top(self):
         A = np.diag([1.0, 3.0]).astype(complex)
-        report = check_corollary_4_6(A, Z2, Z2, 2 * I2)
+        report = check("C4_6", A, Z2, Z2, 2 * I2)
         assert report.verdict == "pass"
 
     def test_generated(self):
         A, B, C, D, degenerate = gen_zero_product_4_6(3, 3, seed=322)
-        report = check_corollary_4_6(A, B, C, D)
+        report = check("C4_6", A, B, C, D)
         assert report.verdict == "pass"
 
 
@@ -809,9 +815,28 @@ class TestDispatch:
             assert report.verdict in ("pass", "fail", "hypotheses_not_met")
 
     def test_verdict_logic(self):
-        report = check_lemma_2_1(A33, B33)
+        report = check("L2_1", A33, B33)
         assert any(not c.passed for c in report.hypothesis_checks)
         assert report.verdict == "hypotheses_not_met"
+
+
+class TestFirstError:
+    """A certificate is formed when it takes its place, before its id's hook
+    or after the hook's checks, so on an instance where two inverses
+    overflow the report raises the error of the one it reaches first."""
+
+    @pytest.mark.parametrize("theorem_id,kind", [
+        ("C3_2", "Drazin"),         # a's star-DMP test, then the certificates
+        ("T4_5", "pseudo core"),    # m_certified, then the sum search
+        ("C4_6", "pseudo core"),    # both certificates, then the sum
+    ])
+    def test_subnormal_instance(self, theorem_id, kind):
+        inst = instance_for(theorem_id, fuzz_dims(theorem_id),
+                            trial_seed(0, 0)).matrices
+        tiny = {name: 1e-310 * M for name, M in inst.items()}
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=f"^the {kind} inverse is not finite"):
+            run_check(theorem_id, tiny)
 
 
 class TestWordHypotheses:
@@ -876,7 +901,7 @@ class TestWordHypotheses:
     def test_star_is_the_adjoint_of_the_factor_before_it(self):
         rg = np.random.default_rng(4002)
         a, b = crandn(rg, 3, 3), crandn(rg, 3, 3)
-        report = check_lemma_2_1(a, b)
+        report = check("L2_1", a, b)
         value = next(c.value for c in report.hypothesis_checks
                      if c.label == "astar_b_equals_b_astar")
         astar = a.conj().T
@@ -889,9 +914,7 @@ class TestDualArrangement:
     """Each corollary's dual_arrangement_certified check equals the
     m_certified check of its theorem run on [[A*, C*], [B*, D*]]."""
 
-    MIRRORS = (("C4_2", check_corollary_4_2, check_theorem_4_1),
-               ("C4_4", check_corollary_4_4, check_theorem_4_3),
-               ("C4_6", check_corollary_4_6, check_theorem_4_5))
+    MIRRORS = (("C4_2", "T4_1"), ("C4_4", "T4_3"), ("C4_6", "T4_5"))
 
     @staticmethod
     def _instances(theorem_id):
@@ -908,14 +931,15 @@ class TestDualArrangement:
             D[:, 0] = 0.0
             yield [A, B * 1e-9, C, D]
 
-    @pytest.mark.parametrize("theorem_id,corollary,theorem", MIRRORS)
-    def test_equals_mirrored_theorem(self, theorem_id, corollary, theorem):
+    @pytest.mark.parametrize("corollary,theorem", MIRRORS)
+    def test_equals_mirrored_theorem(self, corollary, theorem):
         st = lambda M: M.conj().T
         flags = set()
-        for A, B, C, D in self._instances(theorem_id):
-            dual = next(c for c in corollary(A, B, C, D).conclusion_checks
+        for A, B, C, D in self._instances(corollary):
+            dual = next(c for c in check(corollary, A, B, C, D)
+                        .conclusion_checks
                         if c.label == "dual_arrangement_certified")
-            full = next(c for c in theorem(st(A), st(C), st(B), st(D))
+            full = next(c for c in check(theorem, st(A), st(C), st(B), st(D))
                         .conclusion_checks if c.label == "m_certified")
             assert (dual.value, dual.passed) == (full.value, full.passed)
             flags.add(dual.passed)
