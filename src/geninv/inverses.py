@@ -19,9 +19,11 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _eye,
+    _lapack,
     _Named,
     _parsed,
     _power,
+    _QUIET_STATE,
     _rank_cut,
     _require_square,
     _same_space,
@@ -94,11 +96,12 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 def _svd_pinv(U, s, Vh, tol):
     """Moore-Penrose inverse of the matrix with full SVD U diag(s) Vh, cut at
     the policy's relative rank rule; zero for an empty or all-zero
-    spectrum.  Raises ValueError when an entry is not finite, as when a kept
-    singular value is subnormal."""
+    spectrum.  Raises ValueError, and no floating-point warning, when an
+    entry is not finite, as when a kept singular value is subnormal."""
     r = _rank_cut(s, tol.rank_rel_tol)
-    return _finite((Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T,
-                   "Moore-Penrose")
+    X = _lapack(_QUIET_STATE,
+                lambda: (Vh[:r].conj().T / s[:r]) @ U[:, :r].conj().T)
+    return _finite(X, "Moore-Penrose")
 
 
 def _one_three(A, svd, tol):
@@ -210,7 +213,12 @@ class _CoreEP:
 
     @cached_property
     def t_inverse(self) -> np.ndarray:
-        return _refined_inverse(self.T)
+        """T^{-1}; NaN where the LU of T fails, its pivots underflowed, so
+        that each inverse built on it raises its kind's not-finite error."""
+        try:
+            return _refined_inverse(self.T)
+        except np.linalg.LinAlgError:
+            return np.full_like(self.T, np.nan)
 
     @cached_property
     def exact_power(self) -> np.ndarray:

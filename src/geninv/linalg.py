@@ -84,20 +84,23 @@ DEFAULT_POLICY = TolerancePolicy()
 # ``np.errstate``, which cost about as much as the arithmetic at n <= 16.
 
 # numpy's error state for a gufunc that signals failure with ``invalid``,
-# which the handler turns into numpy's LinAlgError; each built once, here.
+# which the handler turns into numpy's LinAlgError, and one with every
+# warning off, for arithmetic whose finiteness the caller tests itself;
+# each built once, here.
 _SVD_STATE, _SINGULAR_STATE, _QR_STATE = (
     _make_extobj(call=raise_error, invalid="call", over="ignore",
                  divide="ignore", under="ignore")
     for raise_error in (_raise_linalgerror_svd_nonconvergence,
                         _raise_linalgerror_singular, _raise_linalgerror_qr))
+_QUIET_STATE = _make_extobj(all="ignore")
 
 
-def _lapack(state, gufunc, *args, signature):
-    """``gufunc(*args, signature=signature)`` with numpy's error state set to
-    the prebuilt ``state``; the caller's state is back on return or raise."""
+def _lapack(state, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with numpy's error state set to the prebuilt
+    ``state``; the caller's state is back on return or raise."""
     token = _extobj_contextvar.set(state)
     try:
-        return gufunc(*args, signature=signature)
+        return fn(*args, **kwargs)
     finally:
         _extobj_contextvar.reset(token)
 
@@ -315,10 +318,12 @@ class _Named(dict):
             raise KeyError(key)
         return value
 
-
-def _factors(word, named):
-    """The factors of a parsed word, each key's matrix from ``named``."""
-    return list(map(named.__getitem__, word))
+    def norm(self, key) -> float:
+        """The Frobenius norm of the key's matrix, formed once per map."""
+        norms = vars(self).setdefault("norms", {})
+        if key not in norms:
+            norms[key] = frobenius(self[key])
+        return norms[key]
 
 
 def _product(word, named):
@@ -462,41 +467,30 @@ def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return _staircase(A, tol)[0][-1] == 0
 
 
-def product_with_scale(factors):
-    """Product of the factors plus the product of their Frobenius norms.
-
-    The scale is the magnitude against which the product's norm is judged:
-    a result far below ``eps * scale`` is rounding dust left over from exact
-    cancellation.  A product that overflows raises as :func:`as_matrix`.
-    """
-    factors = [as_matrix(F) for F in factors]
-    if not factors:
-        raise ValueError("a product needs at least one factor")
-    P = factors[0]
-    scale_acc = frobenius(P)
-    for F in factors[1:]:
-        if P.shape[1] != F.shape[0]:
-            raise DimensionError(
-                f"cannot multiply shapes {P.shape} and {F.shape}")
-        P = P @ F
-        scale_acc *= frobenius(F)
-    return as_matrix(P), scale_acc
+def product_with_scale(word, named):
+    """A parsed word's product, its factors read from ``named``, and the
+    product of their Frobenius norms, each taken left to right: the scale
+    against which the product's norm is judged, as a result far below
+    ``eps * scale`` is rounding dust left over from exact cancellation.  A
+    product that overflows raises as :func:`as_matrix`."""
+    return as_matrix(_product(word, named)), math.prod(map(named.norm, word))
 
 
-def zero_product(factors, tol: TolerancePolicy = DEFAULT_POLICY):
-    """Does the product of the factors vanish, at the factors' own scale?
+def zero_product(word, named, tol: TolerancePolicy = DEFAULT_POLICY):
+    """Does a parsed word's product vanish at its factors' own scale?
 
     Returns ``(value, vanishes)``: ``||P||_F`` relative to the scale, and
     whether that is at most the residual threshold.
     """
-    P, scale_acc = product_with_scale(factors)
-    value = _relative(frobenius(P), scale_acc)
+    P, scale = product_with_scale(word, named)
+    value = _relative(frobenius(P), scale)
     return value, value <= tol.residual_tol
 
 
-def is_nilpotent_product(factors, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """Is the product of the factors nilpotent?  A product that cancelled to
-    rounding dust at the factors' own scale counts as the zero matrix."""
-    P, scale_acc = product_with_scale(factors)
-    return (_relative(frobenius(P), scale_acc) <= tol.residual_tol
+def is_nilpotent_product(word, named,
+                         tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """Is a parsed word's product nilpotent?  A product that cancelled to
+    rounding dust at its factors' own scale counts as the zero matrix."""
+    P, scale = product_with_scale(word, named)
+    return (_relative(frobenius(P), scale) <= tol.residual_tol
             or is_nilpotent(P, tol))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import count, islice
 
 import numpy as np
@@ -31,7 +30,6 @@ from .linalg import (
     TolerancePolicy,
     _assemble,
     _eye,
-    _factors,
     _Named,
     _parsed,
     _product,
@@ -153,7 +151,7 @@ COUPLING = {tid: _tokens(word) for tid, word in (
     ("T4_1", "aBdC"), ("C4_2", "BdCa"), ("T4_3", "BqDCpA"), ("C4_4", "ApBDqC"))}
 
 # Each id's coupling sum S_m = P sum_{i=1..m} (prod_f f^(i-1)) M R^(m-i):
-# its prefix word P, left letters f, mid word M and right letter R ("" for
+# its prefix letter P, left letters f, mid word M and right letter R ("" for
 # none), then its exponent letters.  With k their indices and n their sizes,
 # a check searches m from max(k_1, 1) on to sum k + max n; T4_5 takes m = 0,
 # the empty sum, at k_1 = 0, and C4_6 takes m = k_1 alone.
@@ -236,15 +234,14 @@ def _sums(theorem_id, named):
     over the instance ``named``, S_0 = 0 the empty sum.
 
     One pass: S_{m+1} = S_m R + (prod_f f^m) M, each power formed once,
-    when the pass reaches it.  The scale
-    sum_i prod_f ||f^(i-1)|| prod ||M's factors|| ||R^(m-i)|| is summed from
-    cached norms, each product taken left to right, ||R^j|| read as 1 when
-    there is no R.  A prefix P multiplies S_m, and ||P|| the summed scale.
+    when the pass reaches it.  The scale sum_i prod_f ||f^(i-1)||
+    prod ||M's factors|| ||R^(m-i)|| is summed from the norms ``named``
+    keeps, each product taken left to right, ||R^j|| read as 1 when there
+    is no R.  A prefix P multiplies S_m, and ||P|| the summed scale.
     """
     prefix, lefts, mid, right, _ = _SUMS[theorem_id]
-    P = _product(prefix, named) if prefix else None
+    P = named[prefix] if prefix else None
     K = _product(mid, named)
-    mid_norms = [frobenius(named[key]) for key in mid]
     left_norms, right_norms = [], []
     total = np.zeros_like(K)
     for m in count():
@@ -254,13 +251,13 @@ def _sums(theorem_id, named):
         if P is None:
             yield m, total, scale
         else:
-            yield m, P @ total, frobenius(P) * scale
-        powers = [named[f, m] for f in lefts]
-        left_norms.append(math.prod([*map(frobenius, powers), *mid_norms]))
-        right_norms.append(frobenius(named[right, m]) if right else 1.0)
+            yield m, P @ total, named.norm(prefix) * scale
+        powers = [(f, m) for f in lefts]
+        left_norms.append(math.prod(map(named.norm, [*powers, *mid])))
+        right_norms.append(named.norm((right, m)) if right else 1.0)
         if right:
             total = total @ named[right]
-        total = total + reduce(np.matmul, powers) @ K
+        total = total + _product(powers, named) @ K
 
 
 def _least_vanishing(theorem_id, named, tol):
@@ -293,12 +290,12 @@ def _report(theorem_id, named, hook=None):
     tol, report = named.tol, TheoremReport(theorem_id)
     checks = report.hypothesis_checks
     for label, word in _VANISHING.get(theorem_id, ()):
-        value, ok = zero_product(_factors(word, named), tol)
+        value, ok = zero_product(word, named, tol)
         checks.append(Check(label, value, ok))
     for label, lhs, rhs in _EQUATIONS.get(theorem_id, ()):
         checks.append(_res(label, _word_residual(lhs, rhs, named), tol))
     if theorem_id in COUPLING:
-        nilp = is_nilpotent_product(_factors(COUPLING[theorem_id], named), tol)
+        nilp = is_nilpotent_product(COUPLING[theorem_id], named, tol)
         checks.append(Check("coupling_nilpotent", nilp, nilp))
     report.conclusion_checks = [
         _eq(label, _word_residual(lhs, rhs, named), tol)
@@ -409,7 +406,7 @@ def _annihilation_equivalence(report, named, tol):
     """L2_4: (1 - a_pc a) b = 0 and (1 - a a_pc) b = 0 hold or fail
     together.  Not a row: the conclusion compares the verdicts of two
     vanishing products, not two words."""
-    left, right = (zero_product(_factors(word, named), tol)[1]
+    left, right = (zero_product(word, named, tol)[1]
                    for word in _ANNIHILATIONS)
     report.conclusion_checks.append(
         Check("annihilation_equivalence", left == right, left == right))
@@ -471,7 +468,7 @@ def _perturbation_equivalence(report, named, tol):
     coupling sum vanishes for some admissible exponent.  Not a row: both
     sides are evaluated independently and their truth values compared."""
     spc = named.result("s", "pseudo_core")
-    ann_value, ann_zero = zero_product(_factors(_CORNER, named), tol)
+    ann_value, ann_zero = zero_product(_CORNER, named, tol)
     lhs = spc.certified(tol) and ann_zero
     wpc = named.result("w", "pseudo_core")
     m = _least_vanishing("T3_1", named, tol)
@@ -488,7 +485,7 @@ def _star_dmp_bracket(report, named, tol):
     star, witness = named.record("a").star_dmp()
     report.hypothesis_checks.insert(0, Check("a_star_dmp", star, star))
     bracket_value = _relative(frobenius(named["k"]),
-                              frobenius(named["a"]) * frobenius(named["c"]))
+                              named.norm("a") * named.norm("c"))
     report.conclusion_checks.append(
         _res("pcore_commutes_with_a", bracket_value, tol))
     return {"star_dmp_exponent": witness}

@@ -7,7 +7,8 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from geninv import generators, linalg, theorems
-from geninv.linalg import DEFAULT_POLICY, is_nilpotent_product, zero_product
+from geninv.linalg import (DEFAULT_POLICY, _Named, is_nilpotent_product,
+                           zero_product)
 from geninv.inverses import _CoreEP, index, is_star_dmp, pseudo_core
 from geninv.generators import (
     MAX_DIM,
@@ -222,9 +223,10 @@ class TestPlantedDimensionCaps:
 class TestAnnihilatingPair:
     def test_zero_products_exact(self):
         a, b = gen_annihilating_pair(6, seed=30)
-        assert zero_product([a, b])[1]
-        assert zero_product([b, a])[1]
-        assert zero_product([a.conj().T, b])[1]
+        named = _Named(a=a, b=b)
+        assert zero_product(("a", "b"), named)[1]
+        assert zero_product(("b", "a"), named)[1]
+        assert zero_product(("a*", "b"), named)[1]
 
     def test_small_split(self):
         a, b = gen_annihilating_pair(2, seed=31)
@@ -283,8 +285,9 @@ class TestBlockSamplers:
 
     def test_45_zero_products_and_sum(self):
         A, B, C, D, degenerate = gen_zero_product_4_5(3, 3, seed=52)
-        assert zero_product([B, C])[1]
-        assert zero_product([C, B])[1]
+        named = _Named(B=B, C=C)
+        assert zero_product(("B", "C"), named)[1]
+        assert zero_product(("C", "B"), named)[1]
 
     def test_degenerate_fraction_bounded(self):
         for sampler in (gen_intertwined_4_1, gen_intertwined_4_3,
@@ -698,6 +701,13 @@ _HAND_COUPLING = {"T4_1": _coupling_4_1, "C4_2": _coupling_4_2,
 _RETRY_CAP = 64     # the reference loop's cap on draws of C
 
 
+def _as_word(factors):
+    """A list of matrices as a parsed word over a map of its own, one key
+    per factor: the form zero_product and is_nilpotent_product take."""
+    named = _Named({str(i): F for i, F in enumerate(factors)})
+    return tuple(named), named
+
+
 def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id,
                    nilpotent=is_nilpotent_product):
     """Reference: the B-then-C rejection loop as each intertwined sampler
@@ -711,7 +721,7 @@ def _loop_b_then_c(rg, A, D, b_eqs, c_eqs, theorem_id,
         Cc, nullity = generators._nullspace_sample(rg, (nD, nA), c_eqs)
         if nullity == 0:
             break
-        if nilpotent(product(B, Cc)):
+        if nilpotent(*_as_word(product(B, Cc))):
             C = Cc
             break
     if C is None:
@@ -757,9 +767,9 @@ class TestRejectionSampler:
         monkeypatch.setattr(generators, "_rng", recording_rng)
         tests = []
 
-        def counted(factors):
+        def counted(word, named):
             tests.append(None)
-            return is_nilpotent_product(factors)
+            return is_nilpotent_product(word, named)
 
         for theorem_id, sampler in self.SAMPLERS.items():
             for nA, nD in self.DIMS:
@@ -868,9 +878,9 @@ class TestCouplingWords:
     def test_check_factors_equal_the_closures(self, monkeypatch, dims):
         tested, test = [], theorems.is_nilpotent_product
 
-        def recorded(factors, tol=DEFAULT_POLICY):
-            tested.append(_factor_bytes(factors))
-            return test(factors, tol)
+        def recorded(word, named, tol=DEFAULT_POLICY):
+            tested.append(_factor_bytes([named[key] for key in word]))
+            return test(word, named, tol)
 
         monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
         for theorem_id, closure in _HAND_COUPLING.items():
@@ -887,9 +897,9 @@ class TestCouplingWords:
         # check's coupling_nilpotent tests; the generator tests no word
         lengths, test = [], is_nilpotent_product
 
-        def recorded(factors, tol=DEFAULT_POLICY):
-            lengths.append(len(factors))
-            return test(factors, tol)
+        def recorded(word, named, tol=DEFAULT_POLICY):
+            lengths.append(len(word))
+            return test(word, named, tol)
 
         monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
         monkeypatch.setattr(linalg, "is_nilpotent_product", recorded)
@@ -909,6 +919,6 @@ class TestCouplingWords:
         # the check's verdict is the nilpotency of A_pc B D_pc
         nilp = next(c for c in report.hypothesis_checks
                     if c.label == "coupling_nilpotent")
-        expected = test([theorems._CoreEP(A).pcore_inverse, B,
-                         theorems._CoreEP(D).pcore_inverse])
+        expected = test(*_as_word([theorems._CoreEP(A).pcore_inverse, B,
+                                    theorems._CoreEP(D).pcore_inverse]))
         assert nilp.passed == expected

@@ -212,15 +212,15 @@ class TestSpectralIdempotent:
         assert approx_equal(spectral_idempotent(A33), np.diag([0.0, 1.0]))
 
     def test_idempotent_and_commutes(self):
-        from geninv.linalg import zero_product
+        from geninv.linalg import _Named, zero_product
         for trial in range(15):
             A = gen_with_index(5, 2, 2, 1400 + trial)
             P = spectral_idempotent(A)
             assert approx_equal(P @ P, P)
             assert np.linalg.norm(P @ A - A @ P) <= 1e-8 * max(
                 1.0, np.linalg.norm(P) * np.linalg.norm(A))
-            k = index(A)
-            assert zero_product([P, np.linalg.matrix_power(A, k)])[1]
+            named = _Named(P=P, A=A)
+            assert zero_product(("P", ("A", index(A))), named)[1]
 
 
 class TestCoreInverse:
@@ -569,11 +569,24 @@ class TestExtremeScale:
 
     @pytest.mark.parametrize("kind", [moore_penrose, one_three])
     def test_overflowed_inverse_is_refused(self, kind):
-        # 1/1e-320 overflows: the inverse was returned with NaN entries
+        # 1/1e-320 overflows: the inverse was returned with NaN entries, and
+        # the division's overflow warning came before the error
         with pytest.raises(ValueError, match="^the Moore-Penrose inverse is "
-                           "not finite: a reciprocal singular value"), \
-                np.errstate(over="ignore", invalid="ignore"):
+                           "not finite: a reciprocal singular value "
+                           "overflowed$"):
             kind(np.diag([1e-320, 0.0, 1e-320]))
+
+    @pytest.mark.parametrize("kind,name", [(pseudo_core, "pseudo core"),
+                                           (drazin, "Drazin")])
+    @pytest.mark.parametrize("k,r,seed", [(2, 2, 4), (2, 2, 9), (3, 1, 3)])
+    def test_underflowed_core_block_is_refused(self, kind, name, k, r, seed):
+        # the LU solve of T failed with numpy's bare "Singular matrix":
+        # its pivots underflowed, so T^{-1} cannot be represented
+        A = 2.0 ** -1070 * gen_with_index(4, k, r, seed)
+        with pytest.raises(ValueError, match=f"^the {name} inverse is not "
+                           "finite: the inverse of the core block T "
+                           "overflowed$"):
+            kind(A)
 
     @pytest.mark.parametrize("kind", [moore_penrose, one_three])
     def test_tiny_invertible_matrix_keeps_its_inverse(self, kind):

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import io
 import itertools
+import math
 import pathlib
 import tokenize
 
@@ -13,6 +14,7 @@ from numpy.linalg import LinAlgError
 import geninv.generators as generators
 import geninv.inverses as inverses
 import geninv.linalg as linalg
+import geninv.theorems as theorems
 from geninv.generators import fuzz_dims, gen_with_index, instance_for, trial_seed
 from geninv.inverses import _CoreEP
 from geninv.linalg import (
@@ -70,10 +72,6 @@ class TestArithmetic:
         with pytest.raises(DimensionError):
             as_matrix(np.zeros((2, 2, 2)))
 
-    def test_nonconforming_product_rejected(self):
-        with pytest.raises(DimensionError):
-            product_with_scale([np.eye(2), np.eye(3)])
-
     @pytest.mark.parametrize("fn", [product_with_scale, zero_product,
                                     is_nilpotent_product])
     def test_overflowed_product_rejected(self, fn):
@@ -81,16 +79,42 @@ class TestArithmetic:
         big = 1e200 * np.eye(3)
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match="matrix entries must all be finite"):
-            fn([big, big])
+            fn(("X", "X"), _Named(X=big))
 
-    @pytest.mark.parametrize("fn", [product_with_scale, zero_product,
-                                    is_nilpotent_product])
-    def test_empty_product_rejected(self, fn):
-        # not the bare IndexError of reading the first factor
-        with pytest.raises(ValueError, match="at least one factor"):
-            fn([])
-        with pytest.raises(ValueError, match="at least one factor"):
-            fn(iter([]))
+
+# Each judged product's table word per id: the words the checks hand to
+# zero_product and is_nilpotent_product.
+_JUDGED_WORDS = {
+    **{tid: [word for _, word in rows]
+       for tid, rows in theorems._VANISHING.items()},
+    **{tid: [word] for tid, word in theorems.COUPLING.items()},
+    "L2_4": list(theorems._ANNIHILATIONS),
+    "T3_1": [theorems._CORNER],
+    "EX3_3": [theorems._CORNER],
+}
+
+
+class TestJudgedWords:
+    """Every word a check judges as a product is nonempty and conforms on
+    its id's fuzz instance, so the product reader needs no shape test."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(_JUDGED_WORDS))
+    def test_words_conform(self, theorem_id):
+        symbols = THEOREM_SYMBOLS[theorem_id]
+        block_dims = [(2, 3), (3, 2)] if len(symbols) == 4 else []
+        for dims in [fuzz_dims(theorem_id), *block_dims]:
+            values = (instance_for(theorem_id, dims, trial_seed(3, 0)).matrices
+                      if symbols else {})
+            named = theorems._Instance(**theorems._VALIDATORS[symbols](
+                *[values[s] for s in symbols], DEFAULT_POLICY))
+            for word in _JUDGED_WORDS[theorem_id]:
+                assert word, theorem_id
+                shapes = [named[key].shape for key in word]
+                assert all(left[1] == right[0] for left, right
+                           in zip(shapes, shapes[1:])), (theorem_id, word)
+                P, scale = product_with_scale(word, named)
+                assert P.shape == (shapes[0][0], shapes[-1][1])
+                assert scale == math.prod(frobenius(named[k]) for k in word)
 
 
 class TestNamed:
@@ -508,8 +532,9 @@ class TestIsNilpotent:
         rg = np.random.default_rng(8)
         S = np.eye(4) + 0.2 * crandn(rg, 4, 4)
         N = np.diag(np.ones(3), 1)
-        assert is_nilpotent_product([S, N, np.linalg.inv(S)])
-        assert not is_nilpotent_product([S, np.eye(4), np.linalg.inv(S)])
+        named = _Named(S=S, N=N, I=np.eye(4), T=np.linalg.inv(S))
+        assert is_nilpotent_product(("S", "N", "T"), named)
+        assert not is_nilpotent_product(("S", "I", "T"), named)
 
 
 class TestRankChain:

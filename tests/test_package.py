@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import geninv
@@ -76,6 +77,46 @@ def test_overflow_leaves_only_the_error_line(tmp_path):
     done = _geninv("verify", "--theorem", "L2_3", "--input", str(path))
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: matrix entries must all be finite\n")
+
+
+def test_underflowed_core_block_leaves_only_the_error_line(tmp_path):
+    # subnormal entries whose core block T has pivots that underflow: the
+    # LU solve of T failed with numpy's bare "Singular matrix"
+    matrices = instance_for("L2_1", fuzz_dims("L2_1"),
+                            trial_seed(5, 0)).matrices
+    path = tmp_path / "inst.json"
+    path.write_text(dumps_report({name: 2.0 ** -1070 * M
+                                  for name, M in matrices.items()}))
+    done = _geninv("verify", "--theorem", "L2_1", "--input", str(path),
+                   flags=("-W", "error::RuntimeWarning"))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: the pseudo core inverse is not finite: the inverse "
+        "of the core block T overflowed\n")
+
+
+def test_readme_library_use_runs():
+    # the README's library example runs as printed, and each value its
+    # comments state holds
+    readme = Path(geninv.__file__).resolve().parents[2] / "README.md"
+    section = readme.read_text().split("## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    claims = dict(re.findall(r"^(\S.*?)\s+# (.*)$", block, re.M))
+    assert claims == {
+        "res.inverse": "0.5 * [[-1j, 1], [-1, -1j]]",
+        "res.residuals": "{'pc1': …, 'pc2': …, 'pc3': …}",
+        "res.certified()": "True",
+        'inst = instance_for("T4_1", (3, 2), seed=7)':
+            "hypotheses hold by construction",
+        "report.verdict": "'pass'",
+    }
+    scope = {}
+    exec(compile(block, str(readme), "exec"), scope)
+    res, report = scope["res"], scope["report"]
+    assert np.allclose(res.inverse, 0.5 * np.array([[-1j, 1], [-1, -1j]]),
+                       rtol=0, atol=1e-14)
+    assert list(res.residuals) == ["pc1", "pc2", "pc3"]
+    assert res.certified() is True
+    assert report.verdict == "pass"
 
 
 def _private(name):
@@ -175,15 +216,41 @@ def test_the_involution_is_named_only_by_the_word_map():
     assert sites == {"linalg.py:_adj", "linalg.py:_Named.__missing__"}
 
 
+# The tables whose parsed words a check judges as vanishing or nilpotent
+# products.
+_PRODUCT_TABLES = {"_VANISHING", "COUPLING", "_CORNER", "_ANNIHILATIONS"}
+
+
+def _table_words(stmt):
+    """The names a definition binds to words of ``_PRODUCT_TABLES``: the
+    targets of each loop or comprehension over one of them."""
+    for node in ast.walk(stmt):
+        if (isinstance(node, (ast.For, ast.comprehension))
+                and _PRODUCT_TABLES & {n.id for n in ast.walk(node.iter)
+                                       if isinstance(n, ast.Name)}):
+            yield from (n.id for n in ast.walk(node.target)
+                        if isinstance(n, ast.Name))
+
+
+def _is_table_word(node, bound):
+    """Is the node a table word: a table, an entry of one, or a name bound
+    to a word of one?"""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and (node.id in _PRODUCT_TABLES
+                                           or node.id in bound)
+
+
 def _judged_outside_the_words(tree):
     """Each site of a module where a product is formed or judged other than
     through the word readers: an @ or matmul outside ``_DERIVED`` and
-    ``_sums``, a zero_product or is_nilpotent_product call on factors that
-    are not ``_factors(...)``, and rel_residual outside EX3_3's comparisons
-    with its constants."""
+    ``_sums``, a zero_product or is_nilpotent_product call on anything but
+    a parsed word of ``_PRODUCT_TABLES`` and the instance ``named``, and
+    rel_residual outside EX3_3's comparisons with its constants."""
     for stmt in tree.body:
         where = getattr(stmt, "name", None) or ast.unparse(
             getattr(stmt, "targets", [stmt])[0])
+        bound = set(_table_words(stmt))
         for node in ast.walk(stmt):
             if ((isinstance(node, ast.BinOp)
                  and isinstance(node.op, ast.MatMult))
@@ -192,9 +259,9 @@ def _judged_outside_the_words(tree):
                     yield f"{node.lineno} {where} @"
             elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
                   in ("zero_product", "is_nilpotent_product")):
-                factors = node.args[0]
-                if getattr(getattr(factors, "func", None), "id",
-                           None) != "_factors":
+                word, named = node.args[:2]
+                if (not _is_table_word(word, bound)
+                        or getattr(named, "id", None) != "named"):
                     yield f"{node.lineno} {where} {node.func.id}"
             elif (isinstance(node, ast.Name) and node.id == "rel_residual"
                   and where != "_example_3_3"):
@@ -207,6 +274,36 @@ def test_every_judged_product_is_a_word():
     src = Path(geninv.__file__).resolve().parent
     tree = ast.parse((src / "theorems.py").read_text())
     assert list(_judged_outside_the_words(tree)) == []
+    calls = [call.func.id for _, call in _calls(tree)
+             if getattr(call.func, "id", None)
+             in ("zero_product", "is_nilpotent_product")]
+    assert sorted(set(calls)) == ["is_nilpotent_product", "zero_product"]
+
+
+def _norm_products(tree):
+    """Each site of a module where a product of norms is formed from
+    ``frobenius`` calls: a ``*`` with one as an operand, or a ``math.prod``
+    whose argument calls or maps it."""
+    for stmt in tree.body:
+        where = getattr(stmt, "name", "")
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "prod"
+                    and any(getattr(n, "id", None) == "frobenius"
+                            for n in ast.walk(node))):
+                yield f"{node.lineno} {where} prod"
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and any(getattr(getattr(side, "func", None), "id", None)
+                          == "frobenius" for side in (node.left, node.right))):
+                yield f"{node.lineno} {where} *"
+
+
+def test_every_factor_norm_is_read_from_the_instance():
+    # a factor's norm in a product scale is read through _Named.norm, which
+    # forms it once per instance, never multiplied from frobenius calls
+    src = Path(geninv.__file__).resolve().parent
+    tree = ast.parse((src / "theorems.py").read_text())
+    assert list(_norm_products(tree)) == []
 
 
 def _catalog_hooks(tree):

@@ -772,6 +772,45 @@ class TestRecordWork:
             run_check(theorem_id, inst.matrices)
             assert len(calls) == count, theorem_id
 
+    # each id's frobenius calls in one check: an instance forms each key's
+    # norm once, so a product scale that reads a factor again reads it
+    # from the instance (before norms were kept, L2_3 made 21, L2_4 6,
+    # T3_1 28, T4_5 21 and C4_6 27)
+    NORMS = {"L2_1": 6, "L2_2": 12, "L2_3": 18, "L2_4": 5, "L2_5a": 34,
+             "L2_5b": 36, "T1_1": 20, "T3_1": 27, "C3_2": 22, "EX3_3": 13,
+             "T4_1": 19, "C4_2": 25, "T4_3": 21, "C4_4": 25, "T4_5": 18,
+             "C4_6": 23}
+
+    def test_norms_per_check(self, monkeypatch):
+        assert set(self.NORMS) == set(THEOREM_SYMBOLS)
+        calls = counting_calls(monkeypatch, [linalg, inverses, theorems],
+                               "frobenius")
+        for theorem_id, count in self.NORMS.items():
+            inst = (instance_for(theorem_id, fuzz_dims(theorem_id),
+                                 trial_seed(1, 0)).matrices
+                    if THEOREM_SYMBOLS[theorem_id] else {})
+            calls.clear()
+            run_check(theorem_id, inst)
+            assert len(calls) == count, theorem_id
+
+    def test_shared_factor_norms_are_formed_once(self, monkeypatch):
+        # T4_5's BC_zero and CB_zero, and its coupling sum's mid word EB,
+        # all scale by B's norm; BC_zero and CB_zero by C's
+        real, normed = linalg.frobenius, []
+
+        def recording(A):
+            normed.append(A)
+            return real(A)
+
+        monkeypatch.setattr(linalg, "frobenius", recording)
+        inst = instance_for("T4_5", fuzz_dims("T4_5"), trial_seed(1, 0))
+        B, C = inst.matrices["B"], inst.matrices["C"]
+        report = run_check("T4_5", inst.matrices)
+        assert [c.label for c in report.hypothesis_checks[:2]] == [
+            "BC_zero", "CB_zero"]
+        assert sum(A is B for A in normed) == 1
+        assert sum(A is C for A in normed) == 1
+
     def test_record_returns_one_read_only_inverse(self):
         record = inverses._CoreEP(gen_with_index(5, 2, 2, seed=3))
         for name in ("pcore_inverse", "drazin_inverse"):
@@ -836,6 +875,22 @@ class TestFirstError:
         tiny = {name: 1e-310 * M for name, M in inst.items()}
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=f"^the {kind} inverse is not finite"):
+            run_check(theorem_id, tiny)
+
+    @pytest.mark.parametrize("theorem_id", [
+        "L2_1", "L2_2", "L2_4", "L2_5b", "T1_1", "C4_2", "T4_5", "C4_6"])
+    def test_underflowed_core_block(self, theorem_id):
+        # at 2^-1070 the LU solve of the first record's core block T fails,
+        # its pivots underflowed: T^{-1} cannot be represented, and the
+        # report raises the not-finite error of the inverse it was forming,
+        # not numpy's bare "Singular matrix"
+        inst = instance_for(theorem_id, fuzz_dims(theorem_id),
+                            trial_seed(5, 0)).matrices
+        tiny = {name: 2.0 ** -1070 * M if isinstance(M, np.ndarray) else M
+                for name, M in inst.items()}
+        with pytest.raises(ValueError, match="^the pseudo core inverse is "
+                           "not finite: the inverse of the core block T "
+                           "overflowed$"):
             run_check(theorem_id, tiny)
 
 
