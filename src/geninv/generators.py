@@ -86,10 +86,15 @@ def trial_seed(master_seed: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master_seed), int(trial)))
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+def _rng(seed, *child):
+    """The generator of a seed, an int i read as SeedSequence(i), or of the
+    child stream keyed ``child`` past its spawn key, leaving the seed as is."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    if child:
+        seed = np.random.SeedSequence(seed.entropy,
+                                      spawn_key=(*seed.spawn_key, *child))
+    return np.random.default_rng(seed)
 
 
 def _crandn(rg, *shape):
@@ -452,13 +457,8 @@ def _l2_4_pair(n, seed):
 
 
 def _c3_2_pair(n, seed):
-    # a comes from gen_star_dmp's stream of the seed, (k, r) and b from a
-    # child stream, the seed's spawn key extended by 1, so b reuses none of
-    # a's normals; spawn() would mutate a passed SeedSequence
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    rg = _rng(np.random.SeedSequence(seed.entropy,
-                                     spawn_key=(*seed.spawn_key, 1)))
+    # (k, r) and b from the seed's child stream: b reuses none of a's normals
+    rg = _rng(seed, 1)
     k, r = _draw_index_rank(rg, n, kmax=2)
     a = gen_star_dmp(n, r, k, seed)
     b = _commutant_sample(rg, a)

@@ -12,7 +12,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from numpy._core._multiarray_umath import vdot as _vdot
@@ -34,8 +33,6 @@ __all__ = [
     "numerical_rank",
     "approx_equal",
     "is_nilpotent",
-    "scaled_power",
-    "power_rank_chain",
     "product_with_scale",
     "zero_product",
     "is_nilpotent_product",
@@ -280,11 +277,7 @@ def _relative(norm, scale):
 
 def rel_residual(X, Y) -> float:
     """``||X - Y||_F`` relative to ``||Y||_F`` - the package-wide residual."""
-    return _residual(np.asarray(X), np.asarray(Y))
-
-
-def _residual(X, Y):
-    """:func:`rel_residual` of two arrays."""
+    X, Y = np.asarray(X), np.asarray(Y)
     return _relative(frobenius(X - Y), frobenius(Y))
 
 
@@ -337,7 +330,7 @@ def _product(word, named):
 def _word_residual(lhs, rhs, named):
     """:func:`rel_residual` of the equation lhs = rhs of two parsed words,
     on the products as they come."""
-    return _residual(_product(lhs, named), _product(rhs, named))
+    return rel_residual(_product(lhs, named), _product(rhs, named))
 
 
 def _rank_cut(s, rtol: float) -> int:
@@ -351,8 +344,6 @@ def _rank_cut(s, rtol: float) -> int:
 def numerical_rank(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Count of singular values above ``rank_rel_tol`` times the largest."""
     A = as_matrix(A)
-    if A.size == 0:
-        return 0
     return _rank_cut(_svdvals(A), tol.rank_rel_tol)
 
 
@@ -413,52 +404,6 @@ def _same_space(A, B, rank_a: int, rank_b: int, tol: TolerancePolicy) -> bool:
     return numerical_rank(np.hstack([A, B]), tol) == rank_a
 
 
-def _scaled_powers(A, tol: TolerancePolicy):
-    """Yield A^1, A^2, ... of a square matrix, each scaled to unit norm.
-
-    Each step is ``P = P @ A`` from ``P = I``, then the collapse test against
-    ``rank_rel_tol * ||A||``, then ``P / ||P||``.  The walk ends at the first
-    collapse: that power and every later one is numerically zero.
-    """
-    nA = frobenius(A)
-    P = np.eye(A.shape[0], dtype=np.complex128)
-    while True:
-        P = P @ A
-        nf = frobenius(P)
-        if nf <= tol.rank_rel_tol * nA:
-            return
-        P = P / nf
-        yield P
-
-
-def scaled_power(A, k: int, tol: TolerancePolicy = DEFAULT_POLICY):
-    """``A^k`` renormalized after each multiply, with collapse detection.
-
-    Returns ``(P, collapsed)``.  ``collapsed`` is True when some intermediate
-    product fell below ``rank_rel_tol * ||A||`` of its predecessor, i.e. the
-    true power is the zero matrix and what remains is rounding noise.  In that
-    case P is exactly zero.  Renormalizing keeps rank decisions meaningful for
-    high powers without overflow or underflow.
-    """
-    A = _require_square(A)
-    P = np.eye(A.shape[0], dtype=np.complex128)
-    powers = _scaled_powers(A, tol)
-    for _ in range(k):
-        P = next(powers, None)
-        if P is None:
-            return np.zeros_like(A), True
-    return P, False
-
-
-def power_rank_chain(A, tol: TolerancePolicy = DEFAULT_POLICY):
-    """Ranks of A^0, A^1, ..., A^n (n = dimension), computed on scaled powers."""
-    A = _require_square(A)
-    n = A.shape[0]
-    ranks = [n] + [numerical_rank(P, tol)
-                   for P in islice(_scaled_powers(A, tol), n)]
-    return ranks + [0] * (n + 1 - len(ranks))
-
-
 def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True iff the staircase deflation of the input ends at rank zero: the
     nilpotency test is the index's own rank chain, so the two cannot
@@ -467,13 +412,21 @@ def is_nilpotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> bool:
     return _staircase(A, tol)[0][-1] == 0
 
 
+def _finite_product(word, named):
+    """A word's :func:`_product`; ValueError naming the word on overflow."""
+    P = _product(word, named)
+    if not np.isfinite(P).all():
+        raise ValueError(f"the product {''.join(word)} overflowed")
+    return P
+
+
 def product_with_scale(word, named):
     """A parsed word's product, its factors read from ``named``, and the
     product of their Frobenius norms, each taken left to right: the scale
     against which the product's norm is judged, as a result far below
     ``eps * scale`` is rounding dust left over from exact cancellation.  A
-    product that overflows raises as :func:`as_matrix`."""
-    return as_matrix(_product(word, named)), math.prod(map(named.norm, word))
+    product that overflowed raises, naming the word."""
+    return _finite_product(word, named), math.prod(map(named.norm, word))
 
 
 def zero_product(word, named, tol: TolerancePolicy = DEFAULT_POLICY):

@@ -30,6 +30,7 @@ from .linalg import (
     TolerancePolicy,
     _assemble,
     _eye,
+    _finite_product,
     _Named,
     _parsed,
     _product,
@@ -217,7 +218,7 @@ class _Instance(_Named):
     def record(self, word) -> _CoreEP:
         """The :class:`_CoreEP` of the product of the word's letters, once."""
         if word not in self.records:
-            self.records[word] = _CoreEP(_product(word, self), self.tol)
+            self.records[word] = _CoreEP(_finite_product(word, self), self.tol)
         return self.records[word]
 
     def result(self, word, method) -> GenInverseResult:
@@ -447,16 +448,15 @@ def _existence_routes(report, named, tol):
     # range comparisons are not polluted by rounding dust; "a*" is X*
     power_range = _same_space(named["K"], X, rAk.rank, rank_x, tol)
     adjoint_range = _same_space(X, named["a*"], rank_x, rank_x, tol)
-    power_index = rAk.k
     # a power of index > 1 has no core inverse; its check reads null
     power_core = (_certified("power_core_certified", rAk.core(), tol)
-                  if power_index <= 1 else
+                  if rAk.k <= 1 else
                   Check("power_core_certified", None, False))
     report.conclusion_checks += [
         _certified("power_one_three_certified", a13, tol),
         Check("range_power_equals_range_pcore", power_range, power_range),
         Check("range_pcore_equals_range_adjoint", adjoint_range, adjoint_range),
-        Check("power_index_at_most_one", power_index, power_index <= 1),
+        Check("power_index_at_most_one", rAk.k, rAk.k <= 1),
         power_core,
     ]
     return {"k": max(rA.k, 1)}

@@ -427,6 +427,25 @@ class TestVerify:
         assert code == 0 and err == ""
         assert out["report"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("theorem,word", [
+        ("L2_2", "ab"), ("T4_3", "CB"), ("C4_4", "BC"),     # a record's word
+        ("L2_3", "ab"), ("T4_5", "BC"), ("C4_6", "BC"),     # a vanishing one
+    ])
+    def test_overflowed_product_is_named(self, capsys, tmp_path, theorem,
+                                         word):
+        # every entry given is finite; a product of them overflows, and the
+        # error names its word instead of blaming the input
+        from geninv.generators import fuzz_dims, instance_for, trial_seed
+        matrices = instance_for(theorem, fuzz_dims(theorem),
+                                trial_seed(0, 0)).matrices
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_report({name: 1e300 * M
+                                      for name, M in matrices.items()}))
+        code, out, err = run(capsys, ["verify", "--theorem", theorem,
+                                      "--input", str(path)])
+        assert (code, out, err) == (
+            2, None, f"error: the product {word} overflowed\n")
+
     def test_generated_block_instance(self, capsys, tmp_path):
         from geninv.generators import gen_intertwined_4_1
         A, B, C, D, _ = gen_intertwined_4_1(3, 2, seed=404)

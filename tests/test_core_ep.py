@@ -2,7 +2,8 @@
 
 Its index and rank chain are checked against a 50-digit oracle on matrices
 whose small core eigenvalues, raised to the index, come close to the
-rounding dust of a float64 power; its index and pseudo core inverse are
+rounding dust of a float64 power, and on random draws, some with two zero
+columns; its index and pseudo core inverse are
 checked for invariance under scaling and unitary similarity.
 """
 
@@ -39,15 +40,30 @@ def _lemma_2_5_x():
     return np.block([[a, b], [np.zeros((3, 3), dtype=np.complex128), d]])
 
 
+def _random_draws():
+    """20 random complex 5 x 5 matrices, about half with two zero columns."""
+    rg = np.random.default_rng(9)
+    for _ in range(20):
+        A = (rg.standard_normal((5, 5))
+             + 1j * rg.standard_normal((5, 5))) / np.sqrt(2)
+        if rg.integers(0, 2):
+            A[:, :2] = 0
+        yield A
+
+
 ILL_SEPARATED = [pytest.param(_lemma_2_5_x, id="lemma_2_5_x")] + [
     pytest.param(partial(_chain_with_small_core, lam, m, 0), id=f"lam{lam}-m{m}")
     for lam in (0.1, 0.02) for m in (5, 7)]
+RANDOM = [pytest.param(partial(np.array, A), id=f"random{i}")
+          for i, A in enumerate(_random_draws())]
 
 
-@pytest.mark.parametrize("make", ILL_SEPARATED)
+@pytest.mark.parametrize("make", ILL_SEPARATED + RANDOM)
 def test_rank_chain_matches_50_digit_oracle(make):
     A = make()
     record = _CoreEP(A)
+    # the rank chain of the powers never rises
+    assert all(b <= a for a, b in zip(record.ranks, record.ranks[1:]))
     ranks = mp_power_ranks(A)
     k = next(j for j in range(len(ranks) - 1) if ranks[j] == ranks[j + 1])
     assert index(A) == record.k == k

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import geninv
-from geninv import inverses, theorems
+from geninv import inverses, linalg, theorems
 from geninv.generators import (fuzz_dims, gen_with_index, instance_for,
                                trial_seed)
 from geninv.matrixio import dumps_report
@@ -76,7 +77,7 @@ def test_overflow_leaves_only_the_error_line(tmp_path):
                                   for name, M in matrices.items()}))
     done = _geninv("verify", "--theorem", "L2_3", "--input", str(path))
     assert (done.returncode, done.stdout, done.stderr) == (
-        2, "", "error: matrix entries must all be finite\n")
+        2, "", "error: the product ab overflowed\n")
 
 
 def test_underflowed_core_block_leaves_only_the_error_line(tmp_path):
@@ -148,6 +149,59 @@ def test_every_private_definition_is_used_in_src():
                 where == name and item.lineno <= line <= item.end_lineno)
                 for where, line, ref in used)]
     assert dead == []
+
+
+def test_every_public_linalg_name_is_read_in_src():
+    # a name linalg exports must be imported from .linalg by a module of
+    # src/geninv (geninv's re-exports among them) or read by another
+    # function there; one that only tests call is dead code
+    src = Path(geninv.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    imported = {alias.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+                for alias in node.names}
+    read = {node.id for tree in trees for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id != fn.name}
+    assert [name for name in linalg.__all__
+            if name not in imported | read] == []
+
+
+def test_readme_names_resolve():
+    # every geninv name the README puts in backticks, alone or called, is
+    # real: a dotted name resolves attribute by attribute from a module or
+    # a name of the package, a bare private name is defined in some module
+    # (__missing__ is _Named's), and a bare snake_case name that no module
+    # defines is at least a word of the source, such as a check's label
+    root = Path(geninv.__file__).resolve().parents[2]
+    text = re.sub(r"```.*?```", "", (root / "README.md").read_text(),
+                  flags=re.S)
+    modules = [importlib.import_module(name) for name in (*MODULES,
+                                                          "geninv.cli")]
+    named = {module.__name__.rpartition(".")[2]: module for module in modules}
+    src = Path(geninv.__file__).resolve().parent
+    words = set(re.findall(r"\w+", "".join(
+        path.read_text() for path in src.glob("*.py"))))
+    unresolved = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", span)
+        if not match:
+            continue
+        head, *rest = match.group(1).split(".")
+        if head == "__missing__":
+            head, rest = "_Named", ["__missing__"]
+        obj = named.get(head) or next(
+            (getattr(m, head) for m in modules if hasattr(m, head)), None)
+        if obj is None:
+            if head.startswith("_") or (not rest and "_" in head
+                                        and head not in words):
+                unresolved.append(span)
+            continue
+        try:
+            functools.reduce(getattr, rest, obj)
+        except AttributeError:
+            unresolved.append(span)
+    assert unresolved == []
 
 
 def _calls(node, where=""):
