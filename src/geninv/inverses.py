@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _eye,
+    _inv,
     _lapack,
     _Named,
     _parsed,
@@ -27,7 +28,6 @@ from .linalg import (
     _rank_cut,
     _require_square,
     _same_space,
-    _solve,
     _staircase,
     _svd,
     _two_eye,
@@ -90,7 +90,7 @@ def index(A, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     The number of steps of the staircase deflation: at most k + 1 SVDs of
     shrinking leading blocks, and no power of A.
     """
-    return _CoreEP(A, tol).k
+    return _CoreEP(_require_square(A), tol).k
 
 
 def _svd_pinv(U, s, Vh, tol):
@@ -160,13 +160,12 @@ def _refined_inverse(Ahat):
     """Inverse of the core restriction with two-sided Newton refinement.
 
     One step on each side squares the right and the left residual of the
-    initial LU solve, pushing ||Ahat Y - I|| and ||Y Ahat - I|| from
+    initial LU inverse, pushing ||Ahat Y - I|| and ||Y Ahat - I|| from
     eps*cond down to the rounding floor; without this a well-posed but
     ill-conditioned core restriction can miss the certificate threshold.
     """
-    n = Ahat.shape[0]
-    two = _two_eye(n)
-    Y = _solve(Ahat, _eye(n))
+    two = _two_eye(Ahat.shape[0])
+    Y = _inv(Ahat)
     Y = Y @ (two - Ahat @ Y)
     return (two - Y @ Ahat) @ Y
 
@@ -187,25 +186,26 @@ def _finite(X, kind):
 class _CoreEP:
     """The core-EP decomposition of one square matrix, and what derives from it.
 
-    Holds the validated matrix A and, from one :func:`_staircase`, the rank
-    chain of its powers, its index k, the unitary Q, whose first r columns
-    span range(A^k), and the blocks of M = Q* A Q = [[T, S], [0, N]].  The
-    staircase's first step is the SVD of A cut at the rule of
-    :func:`numerical_rank`, so rank(A) is its first count, its factors
-    (U, s, Vh) are kept as ``svd`` for the (1,3)-inverse, and A takes one
-    SVD.  Every inverse kind built on range(A^k), the spectral idempotent
-    and the star-DMP test come from here, so a caller that needs several of
-    them builds one record.  T^{-1}, the exact power A^max(k,1) that the
-    certificates use, and the pseudo core and Drazin inverses are cached
-    properties, each formed once on first read; the two inverses are
-    read-only.  A certificate is computed only by the methods that return
-    a :class:`GenInverseResult`.
+    Holds A, a square complex128 matrix its caller has validated, and, from
+    one :func:`_staircase`, the rank chain of its powers, its index k, the
+    unitary Q, whose first r columns span range(A^k), and the blocks of
+    M = Q* A Q = [[T, S], [0, N]].  The staircase's first step is the SVD of
+    A cut at the rule of :func:`numerical_rank`, so rank(A) is its first
+    count, its factors (U, s, Vh) are kept as ``svd`` for the
+    (1,3)-inverse, and A takes one SVD.  Every inverse kind built on
+    range(A^k), the spectral idempotent and the star-DMP test come from
+    here, so a caller that needs several of them builds one record.
+    T^{-1}, the exact power A^max(k,1) that the certificates use, the
+    pseudo core and Drazin inverses and their results ``pseudo_core`` and
+    ``drazin`` are cached properties, each formed once on first read; the
+    two inverses are read-only.  A certificate is computed only by the
+    members that return a :class:`GenInverseResult`.
     """
 
     def __init__(self, A, tol: TolerancePolicy = DEFAULT_POLICY):
-        self.A = _require_square(A)
+        self.A = A
         self.tol = tol
-        self.ranks, self.Q, self.M, self.svd = _staircase(self.A, tol)
+        self.ranks, self.Q, self.M, self.svd = _staircase(A, tol)
         self.k, self.r = len(self.ranks) - 1, self.ranks[-1]
         self.rank = self.ranks[min(self.k, 1)]
         r = self.r
@@ -265,11 +265,13 @@ class _CoreEP:
         """I - A A^D: the projection onto the nilpotent part along the core."""
         return _eye(self.A.shape[0]) - self.A @ self.drazin_inverse
 
+    @cached_property
     def pseudo_core(self) -> GenInverseResult:
         X = self.pcore_inverse
         residuals = _residuals("pseudo_core", self.A, X, self.exact_power)
         return GenInverseResult("pseudo_core", X, self.k, residuals)
 
+    @cached_property
     def drazin(self) -> GenInverseResult:
         X = self.drazin_inverse
         residuals = _residuals("drazin", self.A, X, self.exact_power)
@@ -306,17 +308,17 @@ class _CoreEP:
 
 def drazin(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """The unique X with X A^(k+1) = A^k, A X^2 = X and AX = XA, k = index(A)."""
-    return _CoreEP(A, tol).drazin()
+    return _CoreEP(_require_square(A), tol).drazin
 
 
 def group_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     """Drazin inverse restricted to index <= 1; also commutes with A."""
-    return _CoreEP(A, tol).group()
+    return _CoreEP(_require_square(A), tol).group()
 
 
 def spectral_idempotent(A, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """I - A A^D: the projection onto the nilpotent part along the core."""
-    return _CoreEP(A, tol).spectral_idempotent()
+    return _CoreEP(_require_square(A), tol).spectral_idempotent()
 
 
 def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
@@ -327,7 +329,7 @@ def pseudo_core(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     T nonsingular and N nilpotent, it is X = Q1 T^{-1} Q1*, Q1 the first
     rank(A^k) columns of Q.
     """
-    return _CoreEP(A, tol).pseudo_core()
+    return _CoreEP(_require_square(A), tol).pseudo_core
 
 
 def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
@@ -337,7 +339,7 @@ def core_inverse(A, tol: TolerancePolicy = DEFAULT_POLICY) -> GenInverseResult:
     Equals the group inverse composed with the orthogonal projector onto
     range(A), i.e. the pseudo core inverse at k = 1.
     """
-    return _CoreEP(A, tol).core()
+    return _CoreEP(_require_square(A), tol).core()
 
 
 def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
@@ -348,4 +350,4 @@ def is_star_dmp(A, tol: TolerancePolicy = DEFAULT_POLICY):
     has index <= 1 and the same range and kernel as A^k, so one works
     exactly when A^k does, and the test reads A^D = A^pc instead.
     """
-    return _CoreEP(A, tol).star_dmp()
+    return _CoreEP(_require_square(A), tol).star_dmp()

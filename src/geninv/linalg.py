@@ -67,10 +67,10 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-# Dense kernel.  Every SVD, solve, inverse, QR, matrix power and block
+# Dense kernel.  Every SVD, inverse, QR, matrix power and block
 # assembly in the package goes through these functions.  Each LAPACK call
 # is, for a 2-D complex128 input, the gufunc that ``np.linalg.svd``/
-# ``solve``/``inv``/``qr`` call, with the same signature and under the same
+# ``inv``/``qr`` call, with the same signature and under the same
 # error state; so the result is the same bits, a LinAlgError carries
 # numpy's message, and no new warning escapes.  ``_svd_right`` gives the
 # thin SVD's s and Vh, taking first, for a tall enough matrix, the QR that
@@ -132,14 +132,9 @@ def _svdvals(M):
     return _lapack(_SVD_STATE, _umath_linalg.svd, M, signature="D->d")
 
 
-def _solve(A, B):
-    """``np.linalg.solve(A, B)`` for a 2-D right-hand side B."""
-    return _lapack(_SINGULAR_STATE, _umath_linalg.solve, A, B,
-                   signature="DD->D")
-
-
 def _inv(A):
-    """``np.linalg.inv(A)``."""
+    """``np.linalg.inv(A)``: LAPACK's gesv against the identity, so the
+    bits of ``np.linalg.solve(A, I)``."""
     return _lapack(_SINGULAR_STATE, _umath_linalg.inv, A, signature="D->D")
 
 

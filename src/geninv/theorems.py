@@ -46,7 +46,7 @@ from .linalg import (
     rel_residual,
     zero_product,
 )
-from .inverses import GenInverseResult, _CoreEP, _one_three, _residuals
+from .inverses import _CoreEP, _one_three, _residuals
 
 __all__ = [
     "Check",
@@ -203,11 +203,12 @@ class _Instance(_Named):
     """An instance's matrices by letter.  A letter of ``_DERIVED`` that the
     instance does not name is formed on first read and kept, and
     :meth:`record` builds the core-EP record of a word's product once, for
-    every letter and check that reads it."""
+    every letter and check that reads it; the results that certificates,
+    witnesses and hooks share are cached on the record."""
 
     def __init__(self, tol: TolerancePolicy = DEFAULT_POLICY, **matrices):
         super().__init__(matrices)
-        self.tol, self.records, self.results = tol, {}, {}
+        self.tol, self.records = tol, {}
 
     def __missing__(self, key):
         if key not in _DERIVED:
@@ -220,14 +221,6 @@ class _Instance(_Named):
         if word not in self.records:
             self.records[word] = _CoreEP(_finite_product(word, self), self.tol)
         return self.records[word]
-
-    def result(self, word, method) -> GenInverseResult:
-        """The result of the word's record's ``method``, ``pseudo_core`` or
-        ``drazin``, once: a certificate, a witness and a hook that read it
-        share its residuals."""
-        if (word, method) not in self.results:
-            self.results[word, method] = getattr(self.record(word), method)()
-        return self.results[word, method]
 
 
 def _sums(theorem_id, named):
@@ -282,12 +275,10 @@ def _least_vanishing(theorem_id, named, tol):
 def _report(theorem_id, named, hook=None):
     """The id's report on the instance ``named``.  Hypotheses: the id's
     vanishing products, equations, then ``COUPLING`` nilpotency; the
-    conclusions open with its equalities.  Then the hook, if any, adds its
-    own checks and returns its witness values.  Each certificate is formed
-    when it takes its place: before the hook when the checks ahead of it
-    are rows, else after the hook's checks; on an instance whose inverses
-    overflow, that order decides which error is raised.  The witnesses are
-    read last, in ``_WITNESSES`` order."""
+    conclusions open with its equalities.  The certificates are formed
+    next, in ``_CERTIFICATES`` order.  Then the hook, if any, adds its own
+    checks and returns its witness values, and each certificate is inserted
+    at its place.  The witnesses are read last, in ``_WITNESSES`` order."""
     tol, report = named.tol, TheoremReport(theorem_id)
     checks = report.hypothesis_checks
     for label, word in _VANISHING.get(theorem_id, ()):
@@ -301,28 +292,16 @@ def _report(theorem_id, named, hook=None):
     report.conclusion_checks = [
         _eq(label, _word_residual(lhs, rhs, named), tol)
         for label, lhs, rhs in _EQUALITIES.get(theorem_id, ())]
-
-    def place(rows):
-        """Insert each certificate whose side already reaches its place;
-        return the others."""
-        later = []
-        for row in rows:
-            label, word, method, side, at = row
-            checks = getattr(report, side)
-            if at > len(checks):
-                later.append(row)
-            else:
-                checks.insert(
-                    at, _certified(label, named.result(word, method), tol))
-        return later
-
-    later = place(_CERTIFICATES.get(theorem_id, ()))
+    certificates = [
+        (side, at, _certified(label, getattr(named.record(word), kind), tol))
+        for label, word, kind, side, at in _CERTIFICATES.get(theorem_id, ())]
     values = hook(report, named, tol) if hook else {}
-    place(later)
+    for side, at, check in certificates:
+        getattr(report, side).insert(at, check)
     report.witnesses = {
         key: values[key] if source is None
         else named[source] if isinstance(source, str)
-        else getattr(named.result(source[0], "pseudo_core"), source[1])
+        else getattr(named.record(source[0]).pseudo_core, source[1])
         for key, source in _WITNESSES.get(theorem_id, ())}
     return report
 
@@ -332,12 +311,12 @@ def _report(theorem_id, named, hook=None):
 
 _HYP, _CON = "hypothesis_checks", "conclusion_checks"
 
-# Each id's certificates (label, record word, the _CoreEP method that builds
-# the result, side, place): the result's largest residual against the
-# residual threshold, at that index of the side's checks.  M* is assembled
-# from the starred blocks, as the mirrored theorem assembles its M, so a
-# corollary's dual_arrangement_certified and its theorem's m_certified agree
-# bit for bit.
+# Each id's certificates (label, record word, the _CoreEP result, side,
+# place): the result's largest residual against the residual threshold, at
+# that index of the side's checks once the hook's checks are in.  M* is
+# assembled from the starred blocks, as the mirrored theorem assembles its
+# M, so a corollary's dual_arrangement_certified and its theorem's
+# m_certified agree bit for bit.
 _M_CERTIFIED = ("m_certified", "M", "pseudo_core", _CON, 0)
 _N_CERTIFIED = ("dual_arrangement_certified", "N", "pseudo_core", _CON, 1)
 _CERTIFICATES = {
@@ -422,7 +401,7 @@ def _triangular(report, named, tol):
     block of an inverse, the other is a search.  L2_5b is the converse of
     L2_5a, so the sum test is a hypothesis of L2_5a and a conclusion of
     L2_5b, and the triangular test the other way round."""
-    split, X = len(named["a"]), named.result("x", "pseudo_core").inverse
+    split, X = len(named["a"]), named.record("x").pseudo_core.inverse
     upper = _res("pcore_upper_triangular",
                  _relative(frobenius(X[split:, :split]), frobenius(X)), tol)
     m = _least_vanishing(report.theorem_id, named, tol)
@@ -467,10 +446,10 @@ def _perturbation_equivalence(report, named, tol):
     corner iff the perturbation of the identity 1 + a_pc b has one and a
     coupling sum vanishes for some admissible exponent.  Not a row: both
     sides are evaluated independently and their truth values compared."""
-    spc = named.result("s", "pseudo_core")
+    spc = named.record("s").pseudo_core
     ann_value, ann_zero = zero_product(_CORNER, named, tol)
     lhs = spc.certified(tol) and ann_zero
-    wpc = named.result("w", "pseudo_core")
+    wpc = named.record("w").pseudo_core
     m = _least_vanishing("T3_1", named, tol)
     rhs = wpc.certified(tol) and m > 0
     report.conclusion_checks.append(Check("equivalence", lhs == rhs, lhs == rhs))
@@ -546,28 +525,31 @@ def _nilpotent_powers(report, named, tol):
 
 
 # ---------------------------------------------------------------------------
-# Input validation, one validator per symbol signature.  Each takes the
-# symbols' values and the policy and returns the instance's matrices.
+# Input validation.  Each matrix signature's shapes: one (rows, cols) pair of
+# size letters per symbol, a letter's size read off the square symbols that
+# name it.
+_SHAPES = {
+    ("a", "b"): ("pp", "pp"),
+    ("a", "b", "d"): ("pp", "pq", "qq"),
+    ("A",): ("pp",),
+    ("A", "B", "C", "D"): ("pp", "pq", "qp", "qq"),
+}
 
 
-def _pair(a, b, tol):
-    """a and b, square and of one shape."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected equal square shapes, got {a.shape}, {b.shape}")
-    return {"a": a, "b": b}
-
-
-def _triangle(a, b, d, tol):
-    """The blocks of x = [[a, b], [0, d]], a and d square."""
-    a, d = as_matrix(a), as_matrix(d)
-    b = as_matrix(b)
-    na, nd = a.shape[0], d.shape[0]
-    if a.shape != (na, na) or d.shape != (nd, nd) or b.shape != (na, nd):
+def _shaped(symbols, values):
+    """The values as matrices by symbol, of the shapes ``_SHAPES`` gives
+    the signature; ValueError listing every shape otherwise."""
+    matrices = dict(zip(symbols, map(as_matrix, values)))
+    shapes = _SHAPES[symbols]
+    size = {rows: M.shape[0] for M, (rows, cols)
+            in zip(matrices.values(), shapes) if rows == cols}
+    if any(M.shape != (size[rows], size[cols])
+           for M, (rows, cols) in zip(matrices.values(), shapes)):
         raise ValueError(
-            f"expected shapes (na,na), (na,nd), (nd,nd); got {a.shape}, "
-            f"{b.shape}, {d.shape}")
-    return {"a": a, "b": b, "d": d}
+            f"{', '.join(symbols)} must have shapes "
+            f"{', '.join(f'({rows},{cols})' for rows, cols in shapes)}; got "
+            f"{', '.join(str(M.shape) for M in matrices.values())}")
+    return matrices
 
 
 def _split(x, split, tol):
@@ -586,38 +568,18 @@ def _split(x, split, tol):
             "d": x[split:, split:], "x": x}
 
 
-def _square(A, tol):
-    """T1_1's one square matrix."""
-    return {"A": _require_square(A)}
-
-
-def _blocks(A, B, C, D, tol):
-    """The blocks of M = [[A, B], [C, D]], A and D square."""
-    A, B, C, D = as_matrix(A), as_matrix(B), as_matrix(C), as_matrix(D)
-    nA, nD = A.shape[0], D.shape[0]
-    if A.shape != (nA, nA) or D.shape != (nD, nD):
-        raise ValueError("diagonal blocks must be square")
-    if B.shape != (nA, nD) or C.shape != (nD, nA):
-        raise ValueError(
-            f"off-diagonal blocks must have shapes ({nA},{nD}) and "
-            f"({nD},{nA}); got {B.shape}, {C.shape}")
-    return {"A": A, "B": B, "C": C, "D": D}
-
-
-def _example_pair(tol):
+def _example_pair():
     """EX3_3 takes no symbols: its fixed 2x2 pair."""
     return {"a": np.array([[1j, 0], [0, 0]], dtype=np.complex128),
             "b": np.array([[0, 0], [1, 0]], dtype=np.complex128)}
 
 
-_VALIDATORS = {
-    (): _example_pair,
-    ("a", "b"): _pair,
-    ("a", "b", "d"): _triangle,
-    ("x", "split"): _split,
-    ("A",): _square,
-    ("A", "B", "C", "D"): _blocks,
-}
+def _matrices(symbols, values, tol):
+    """The instance's matrices by letter from the values of its symbols:
+    shaped by ``_SHAPES``, split about ``split``, or EX3_3's fixed pair."""
+    if symbols in _SHAPES:
+        return _shaped(symbols, values)
+    return _split(*values, tol) if symbols else _example_pair()
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +613,7 @@ THEOREM_SYMBOLS = {tid: symbols for tid, (symbols, *_) in _CATALOG.items()}
 def run_check(theorem_id: str, instance: dict,
               tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
     """The id's report on an instance (symbol name -> value), validated by
-    the validator of the id's symbols: the one way into a check."""
+    the id's symbol signature: the one way into a check."""
     if theorem_id not in _CATALOG:
         raise KeyError(f"unknown theorem id {theorem_id!r}; "
                        f"known: {sorted(_CATALOG)}")
@@ -660,7 +622,7 @@ def run_check(theorem_id: str, instance: dict,
     if missing:
         raise ValueError(f"{theorem_id} requires symbols {list(symbols)}; "
                          f"missing {missing}")
-    matrices = _VALIDATORS[symbols](*[instance[s] for s in symbols], tol)
+    matrices = _matrices(symbols, [instance[s] for s in symbols], tol)
     return _report(theorem_id, _Instance(tol, **matrices), *hook)
 
 

@@ -470,6 +470,16 @@ class TestVerify:
                                   "--input", path])
         assert code == 2
 
+    def test_block_shape_mismatch_lists_every_shape(self, capsys, tmp_path):
+        wide = {"rows": 1, "cols": 2, "data": [[[1.0, 0.0], [0.0, 0.0]]]}
+        path = write(tmp_path, "inst.json",
+                     {"A": EYE_OBJ, "B": wide, "C": EYE_OBJ, "D": EYE_OBJ})
+        code, out, err = run(capsys, ["verify", "--theorem", "T4_1",
+                                      "--input", path])
+        assert (code, out, err) == (
+            2, None, "error: A, B, C, D must have shapes (p,p), (p,q), (q,p), "
+            "(q,q); got (2, 2), (1, 2), (2, 2), (2, 2)\n")
+
     def test_unknown_theorem_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["verify", "--theorem", "T7_7"])
         assert code == 2

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import geninv.inverses as inverses
 import geninv.linalg as linalg
+import geninv.theorems as theorems
 from geninv.generators import _random_unitary, gen_with_index, instance_for
 from geninv.inverses import _CoreEP, index, moore_penrose, one_three, pseudo_core
-from geninv.linalg import DEFAULT_POLICY, numerical_rank
+from geninv.linalg import DEFAULT_POLICY, as_matrix, numerical_rank
 
 from oracles import mp_power_ranks
 
@@ -116,21 +117,37 @@ def test_rank_is_the_first_count_of_the_staircase(n, k):
 @pytest.mark.parametrize("A", [np.zeros((4, 4)), np.zeros((0, 0))],
                          ids=["zero", "empty"])
 def test_rank_of_zero_and_empty_matrices(A):
-    assert _CoreEP(A).rank == numerical_rank(A) == 0
+    assert _CoreEP(as_matrix(A)).rank == numerical_rank(A) == 0
 
 
 def test_each_cached_value_is_formed_once(monkeypatch):
     formed = []
-    for name in ("_refined_inverse", "_power", "_finite"):
+    for name in ("_refined_inverse", "_power", "_finite", "_residuals"):
         real = getattr(inverses, name)
         monkeypatch.setattr(inverses, name, lambda *args, real=real, name=name:
                             formed.append(name) or real(*args))
     record = _CoreEP(gen_with_index(6, 2, 3, seed=7))
     for attr in ("t_inverse", "exact_power", "pcore_inverse",
-                 "drazin_inverse"):
+                 "drazin_inverse", "pseudo_core", "drazin"):
         first = getattr(record, attr)
         assert getattr(record, attr) is first
-    assert formed == ["_refined_inverse", "_power", "_finite", "_finite"]
+    assert formed == ["_refined_inverse", "_power", "_finite", "_finite",
+                      "_residuals", "_residuals"]
+
+
+def test_a_record_takes_its_validated_product_unscanned(monkeypatch):
+    # an instance's record is built from the product _finite_product has
+    # just tested for finiteness; the record does not validate it again
+    a, b = gen_with_index(4, 2, 2, seed=5), gen_with_index(4, 1, 3, seed=6)
+    named = theorems._Instance(a=a, b=b)
+
+    def refused(data):
+        raise AssertionError("as_matrix called")
+
+    monkeypatch.setattr(linalg, "as_matrix", refused)
+    record = named.record("ab")
+    assert record.A.tobytes() == (a @ b).tobytes()
+    assert record.pseudo_core is record.pseudo_core
 
 
 def _spy(monkeypatch, modules, name):
@@ -150,7 +167,7 @@ def test_record_keeps_the_svd_of_its_matrix(monkeypatch, A):
     # the staircase's first step is the SVD of A; the record keeps it, and
     # the (1,3)-inverse read from it is one_three's, bit for bit
     svds = _spy(monkeypatch, [linalg, inverses], "_svd")
-    record = _CoreEP(A)
+    record = _CoreEP(as_matrix(A))
     taken = len(svds)
     assert svds[:1] == ([record.A.tobytes()] if A.size else [])
     mine = inverses._one_three(record.A, record.svd, DEFAULT_POLICY)

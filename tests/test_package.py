@@ -407,3 +407,20 @@ def test_checks_are_rows_and_hooks():
         assert sorted(labels) == sorted(rows), theorem_id
         assert list(report.witnesses) == [
             key for key, _ in theorems._WITNESSES[theorem_id]]
+
+
+def test_every_record_takes_a_validated_matrix():
+    # _CoreEP scans no input: each record is built from a matrix that
+    # _require_square or _finite_product has just validated; and every
+    # matrix signature but L2_5b's and EX3_3's is validated by its row of
+    # _SHAPES
+    src = Path(geninv.__file__).resolve().parent
+    unchecked = [f"{path.name}:{call.lineno} {where}"
+                 for path in sorted(src.glob("*.py"))
+                 for where, call in _calls(ast.parse(path.read_text()))
+                 if getattr(call.func, "id", None) == "_CoreEP"
+                 and getattr(getattr(call.args[0], "func", None), "id", None)
+                 not in ("_require_square", "_finite_product")]
+    assert unchecked == []
+    assert set(THEOREM_SYMBOLS.values()) - {(), ("x", "split")} <= set(
+        theorems._SHAPES)

@@ -1,3 +1,4 @@
+import re
 from itertools import islice
 
 import numpy as np
@@ -368,7 +369,9 @@ class TestTheorem41:
             check("T4_1", I2, np.zeros((3, 2)), Z2, I2)
 
     def test_non_square_diagonal_block_rejected(self):
-        with pytest.raises(ValueError, match="diagonal blocks must be square"):
+        with pytest.raises(ValueError, match=re.escape(
+                "A, B, C, D must have shapes (p,p), (p,q), (q,p), (q,q); "
+                "got (2, 3), (2, 2), (2, 2), (2, 2)")):
             check("T4_1", np.zeros((2, 3)), np.zeros((2, 2)),
                               np.zeros((2, 2)), I2)
 
@@ -859,13 +862,50 @@ class TestDispatch:
         assert report.verdict == "hypotheses_not_met"
 
 
+# Each shaped signature, an id that takes it, and its shapes as the error
+# message lists them.
+SHAPED = [("L2_1", "(p,p), (p,p)"), ("L2_5a", "(p,p), (p,q), (q,q)"),
+          ("T1_1", "(p,p)"), ("T4_1", "(p,p), (p,q), (q,p), (q,q)")]
+
+
+class TestShapes:
+    """One table gives the shapes of every matrix signature, and one
+    message lists them against the shapes given."""
+
+    @pytest.mark.parametrize("theorem_id,shapes", SHAPED)
+    def test_each_wrong_shape_is_refused(self, theorem_id, shapes):
+        symbols = THEOREM_SYMBOLS[theorem_id]
+        good = instance_for(theorem_id, (3, 2), trial_seed(0, 0)).matrices
+        for symbol in symbols:
+            for wrong in (np.hstack([good[symbol], good[symbol][:, :1]]),
+                          np.vstack([good[symbol], good[symbol][:1]])):
+                inst = {**good, symbol: wrong}
+                got = ", ".join(str(inst[s].shape) for s in symbols)
+                message = (f"{', '.join(symbols)} must have shapes {shapes}; "
+                           f"got {got}")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run_check(theorem_id, inst)
+
+    def test_every_signature_goes_through_one_call(self):
+        # run_check's one validation call, made here for each signature,
+        # gives the instance's matrices by letter
+        for theorem_id, symbols in THEOREM_SYMBOLS.items():
+            values = (instance_for(theorem_id, (3, 2), trial_seed(0, 0))
+                      .matrices if symbols else {})
+            matrices = theorems._matrices(
+                symbols, [values[s] for s in symbols], linalg.DEFAULT_POLICY)
+            letters = {("x", "split"): "abdx", (): "ab"}.get(symbols, symbols)
+            assert sorted(matrices) == sorted(letters), theorem_id
+            assert all(M.dtype == np.complex128 for M in matrices.values())
+
+
 class TestFirstError:
-    """A certificate is formed when it takes its place, before its id's hook
-    or after the hook's checks, so on an instance where two inverses
+    """Every certificate is formed right after the rows' checks, in row
+    order, and before its id's hook, so on an instance where two inverses
     overflow the report raises the error of the one it reaches first."""
 
     @pytest.mark.parametrize("theorem_id,kind", [
-        ("C3_2", "Drazin"),         # a's star-DMP test, then the certificates
+        ("C3_2", "pseudo core"),    # the certificates, then a's star-DMP test
         ("T4_5", "pseudo core"),    # m_certified, then the sum search
         ("C4_6", "pseudo core"),    # both certificates, then the sum
     ])
