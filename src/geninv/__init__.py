@@ -34,7 +34,6 @@ from .theorems import (
     Check,
     TheoremReport,
     THEOREM_SYMBOLS,
-    reproduce_example_3_3,
     run_check,
 )
 from .generators import Instance, instance_for
@@ -62,7 +61,6 @@ __all__ = [
     "Check",
     "TheoremReport",
     "THEOREM_SYMBOLS",
-    "reproduce_example_3_3",
     "run_check",
     "Instance",
     "instance_for",

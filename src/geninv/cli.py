@@ -36,7 +36,7 @@ from .inverses import (
     pseudo_core,
     spectral_idempotent,
 )
-from .theorems import THEOREM_SYMBOLS, reproduce_example_3_3, run_check
+from .theorems import THEOREM_SYMBOLS, run_check
 from .generators import fuzz_dims, instance_for, trial_seed
 from .matrixio import dumps_report, load_json, parse_instance, parse_matrix
 
@@ -260,7 +260,7 @@ def cmd_fuzz(args, tol: TolerancePolicy) -> int:
 
 
 def cmd_example33(args, tol: TolerancePolicy) -> int:
-    report = reproduce_example_3_3(tol)
+    report = run_check("EX3_3", {}, tol)
     _emit({**_head("example33", tol), "report": _report_obj(report)})
     for check in report.conclusion_checks:
         marker = "ok" if check.passed else "FAIL"

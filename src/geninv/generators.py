@@ -19,6 +19,13 @@ holds by construction of the diagonal blocks (see :func:`_shared_block_pair`),
 so B and C are each drawn once.  A drawn block has unit norm; multiply the
 whole instance to vary its scale.
 
+Every catalog id is drawn through :func:`instance_for`, the 2x2 block ids
+T4_1...C4_6 only there, as their constraints are the rows of the word
+tables.  The other public builders are the planted matrices
+(:func:`gen_with_index`, :func:`gen_star_dmp`) and the pair and triangle
+samplers, which take options ``instance_for`` does not, such as
+:func:`gen_commutant_pair`'s ``target_index``.
+
 Every generator is a pure function of its arguments: equal seeds give
 bit-identical output.
 """
@@ -26,6 +33,7 @@ bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,12 +68,6 @@ __all__ = [
     "gen_star_dmp",
     "gen_annihilating_pair",
     "gen_lemma_2_5_instance",
-    "gen_intertwined_4_1",
-    "gen_intertwined_4_2",
-    "gen_intertwined_4_3",
-    "gen_intertwined_4_4",
-    "gen_zero_product_4_5",
-    "gen_zero_product_4_6",
     "fuzz_dims",
     "instance_for",
 ]
@@ -326,7 +328,8 @@ def gen_lemma_2_5_instance(na: int, nd: int, seed):
     Returns (a, b, d, degenerate); b = 0 with the flag set when the sum map
     has no nonzero solutions.
     """
-    _check_block_dims(na, nd)
+    if not (_int_in(na, 1, MAX_BLOCK_DIM) and _int_in(nd, 1, MAX_BLOCK_DIM)):
+        raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
     rg = _rng(seed)
     ka, ra = _draw_index_rank(rg, na)
     kd, rd = _draw_index_rank(rg, nd)
@@ -380,65 +383,26 @@ def _shared_block_pair(rg, nA, nD, keep_complement=False):
     return A, D
 
 
-def _check_block_dims(nA, nD):
-    if not (_int_in(nA, 1, MAX_BLOCK_DIM) and _int_in(nD, 1, MAX_BLOCK_DIM)):
-        raise ValueError(f"block dims must lie in [1, {MAX_BLOCK_DIM}]")
-
-
-def _blocks(seed, nA, nD, theorem_id, order="BC"):
-    """(A, B, C, D, degenerate): A and D from :func:`_shared_block_pair`,
+def _blocks(theorem_id, order, nA, nD, seed):
+    """(A, B, C, D, degenerate) of a block id at block dims that
+    :func:`fuzz_dims` has checked: A and D from :func:`_shared_block_pair`,
     then B and C each drawn once, in the given order, under the id's words
-    on it.  T4_5 and C4_6 keep an invertible complement in A and D, and
-    their coupling sum, at m = index(A), goes on the block it names, the
-    second drawn.  Degenerate when B or C is zero."""
-    _check_block_dims(nA, nD)
+    on it, the rows of ``theorems._VANISHING``, ``_EQUATIONS`` and ``_SUMS``
+    that state its constraints (``theorems.COUPLING`` holds by
+    construction).  T4_5 and C4_6 keep an invertible complement in A and D,
+    and their coupling sum, at m = index(A), goes on the block it names, the
+    second drawn.  Degenerate when a draw's nullity is 0, its block zero."""
     rg = _rng(seed)
     zero_product = theorem_id in _SUMS
     A, D = _shared_block_pair(rg, nA, nD, keep_complement=zero_product)
     named, shapes = _Instance(A=A, D=D), {"B": (nA, nD), "C": (nD, nA)}
     m = named.record("A").k if zero_product else 0
+    degenerate = False
     for X in order:
-        named[X], _ = _nullspace_sample(
+        named[X], nullity = _nullspace_sample(
             rg, shapes[X], _word_system(theorem_id, X, shapes[X], named, m))
-    B, C = named["B"], named["C"]
-    return A, B, C, D, frobenius(B) == 0.0 or frobenius(C) == 0.0
-
-
-def gen_intertwined_4_1(nA: int, nD: int, seed):
-    """(A, B, C, D) with AB=BD, DC=CA, A*B=BD*, D*C=CA* exact and
-    A_pc B D_pc C nilpotent; returns (..., degenerate)."""
-    return _blocks(seed, nA, nD, "T4_1")
-
-
-def gen_intertwined_4_2(nA: int, nD: int, seed):
-    """Same constraints as :func:`gen_intertwined_4_1`, with B D_pc C A_pc
-    nilpotent; returns (..., degenerate)."""
-    return _blocks(seed, nA, nD, "C4_2")
-
-
-def gen_intertwined_4_3(nA: int, nD: int, seed):
-    """(A, B, C, D) with AB=BD, DC=CA, B*A=DB* exact and
-    B (CB)_pc D C (BC)_pc A nilpotent; returns (..., degenerate)."""
-    return _blocks(seed, nA, nD, "T4_3")
-
-
-def gen_intertwined_4_4(nA: int, nD: int, seed):
-    """(A, B, C, D) with AB=BD, DC=CA, AC*=C*D exact and
-    A (BC)_pc B D (CB)_pc C nilpotent; returns (..., degenerate)."""
-    return _blocks(seed, nA, nD, "C4_4")
-
-
-def gen_zero_product_4_5(nA: int, nD: int, seed):
-    """(A, B, C, D) with BC=0, CB=0, CA=DC, AC*=C*D and a vanishing coupling
-    sum: C is sampled first, then B; returns (..., degenerate)."""
-    return _blocks(seed, nA, nD, "T4_5", "CB")
-
-
-def gen_zero_product_4_6(nA: int, nD: int, seed):
-    """(A, B, C, D) with BC=0, CB=0, AB=BD, A*B=BD* and C annihilating the
-    nilpotent-part powers of A; B sampled first, then C; returns
-    (..., degenerate)."""
-    return _blocks(seed, nA, nD, "C4_6")
+        degenerate |= nullity == 0
+    return A, named["B"], named["C"], D, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +443,8 @@ def _lemma_2_5b(na, nd, seed):
 # id: (default fuzz dims, smallest and largest dim, sampler).  An id takes at
 # most as many dims as its default has; one dim means square blocks.
 # sample(*dims, seed) returns the values of the id's THEOREM_SYMBOLS
-# in order, then the degeneracy flag if the sampler can raise it.
+# in order, then the degeneracy flag if the sampler can raise it; a block
+# id's sampler is _blocks with its id and draw order.
 _SAMPLERS = {
     "L2_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
     "L2_2": ((4,), 1, MAX_DIM, gen_commutant_pair),
@@ -491,12 +456,12 @@ _SAMPLERS = {
     "T3_1": ((4,), 1, MAX_DIM, gen_commutant_pair),
     "C3_2": ((4,), 1, MAX_DIM, _c3_2_pair),
     "EX3_3": ((4,), 1, MAX_DIM, lambda n, seed: ()),
-    "T4_1": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_1),
-    "C4_2": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_2),
-    "T4_3": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_3),
-    "C4_4": ((3, 3), 1, MAX_BLOCK_DIM, gen_intertwined_4_4),
-    "T4_5": ((3, 3), 1, MAX_BLOCK_DIM, gen_zero_product_4_5),
-    "C4_6": ((3, 3), 1, MAX_BLOCK_DIM, gen_zero_product_4_6),
+    "T4_1": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "T4_1", "BC")),
+    "C4_2": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "C4_2", "BC")),
+    "T4_3": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "T4_3", "BC")),
+    "C4_4": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "C4_4", "BC")),
+    "T4_5": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "T4_5", "CB")),
+    "C4_6": ((3, 3), 1, MAX_BLOCK_DIM, partial(_blocks, "C4_6", "BC")),
 }
 
 

@@ -222,7 +222,14 @@ class _CoreEP:
 
     @cached_property
     def exact_power(self) -> np.ndarray:
-        return _power(self.A, max(self.k, 1))
+        """A^max(k,1), the power the certificates use.  Raises ValueError
+        naming the exponent, and no floating-point warning, when an entry
+        is not finite: a power of finite A can overflow."""
+        e = max(self.k, 1)
+        K = _lapack(_QUIET_STATE, _power, self.A, e)
+        if not np.isfinite(K).all():
+            raise ValueError(f"the certificate power A^{e} overflowed")
+        return K
 
     def scaled_power(self) -> np.ndarray:
         """A^max(k,1) = Q [[T^k0, X], [0, 0]] Q* at unit Frobenius norm, read

@@ -13,8 +13,8 @@ statement: failed hypotheses yield verdict ``hypotheses_not_met`` and
 failed conclusions yield ``fail``.
 
 The catalog is keyed by short result ids (``L2_1`` .. ``C4_6`` plus the fixed
-worked instance ``EX3_3``); :data:`THEOREM_SYMBOLS` maps each id to the input
-symbols it consumes.
+worked instance ``EX3_3``, whose report is ``run_check("EX3_3", {})``);
+:data:`THEOREM_SYMBOLS` maps each id to the input symbols it consumes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .inverses import _CoreEP, _one_three, _residuals
 __all__ = [
     "Check",
     "TheoremReport",
-    "reproduce_example_3_3",
     "COUPLING",
     "THEOREM_SYMBOLS",
     "run_check",
@@ -624,9 +623,3 @@ def run_check(theorem_id: str, instance: dict,
                          f"missing {missing}")
     matrices = _matrices(symbols, [instance[s] for s in symbols], tol)
     return _report(theorem_id, _Instance(tol, **matrices), *hook)
-
-
-def reproduce_example_3_3(tol: TolerancePolicy = DEFAULT_POLICY) -> TheoremReport:
-    """The fixed 2x2 instance showing the commutation hypotheses are
-    necessary: the report of EX3_3."""
-    return run_check("EX3_3", {}, tol)

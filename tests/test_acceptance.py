@@ -29,10 +29,7 @@ from geninv.generators import (
     instance_for,
     trial_seed,
 )
-from geninv.theorems import (
-    reproduce_example_3_3,
-    run_check,
-)
+from geninv.theorems import run_check
 
 from oracles import (check, defining_triple_max_residual,
                      pseudo_core_linear_oracle)
@@ -58,7 +55,7 @@ def _draw_structured(rg, n, kmax=3, seed=None):
 
 def test_example_3_3_reproduction():
     started = time.perf_counter()
-    report = reproduce_example_3_3()
+    report = run_check("EX3_3", {})
     elapsed = time.perf_counter() - started
 
     failed = [c.label for c in report.conclusion_checks if not c.passed]

@@ -159,6 +159,23 @@ class TestCompute:
         assert err == (f"error: the {inverse} inverse is not finite: the "
                        f"inverse of the core block T overflowed\n")
 
+    def test_overflowed_certificate_power_exits_2(self, capsys, tmp_path):
+        # finite A and X whose power A^2 overflows: drazin and pseudo_core
+        # printed NaN residuals and exited 1; the kinds that form no power
+        # still certify
+        from geninv.generators import gen_with_index
+        path = write(tmp_path, "big.json",
+                     matrix_to_obj(1e300 * gen_with_index(4, 2, 2, 7)))
+        for kind in ("drazin", "pseudo_core"):
+            code, out, err = run(capsys, ["compute", "--kind", kind,
+                                          "--input", path])
+            assert (code, out, err) == (
+                2, None, "error: the certificate power A^2 overflowed\n")
+        for kind in ("moore_penrose", "spectral_idempotent", "index"):
+            code, out, _ = run(capsys, ["compute", "--kind", kind,
+                                        "--input", path])
+            assert code == 0 and out["kind"] == kind
+
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["compute", "--kind", "pcore",
                                     "--input", str(tmp_path / "missing.json")])
@@ -447,10 +464,9 @@ class TestVerify:
             2, None, f"error: the product {word} overflowed\n")
 
     def test_generated_block_instance(self, capsys, tmp_path):
-        from geninv.generators import gen_intertwined_4_1
-        A, B, C, D, _ = gen_intertwined_4_1(3, 2, seed=404)
-        inst = {name: matrix_to_obj(M)
-                for name, M in zip("ABCD", (A, B, C, D))}
+        from geninv.generators import instance_for
+        matrices = instance_for("T4_1", (3, 2), 404).matrices
+        inst = {name: matrix_to_obj(M) for name, M in matrices.items()}
         path = write(tmp_path, "inst.json", inst)
         code, out, _ = run(capsys, ["verify", "--theorem", "T4_1",
                                     "--input", path])

@@ -15,15 +15,9 @@ from geninv.generators import (
     fuzz_dims,
     gen_annihilating_pair,
     gen_commutant_pair,
-    gen_intertwined_4_1,
-    gen_intertwined_4_2,
-    gen_intertwined_4_3,
-    gen_intertwined_4_4,
     gen_lemma_2_5_instance,
     gen_star_dmp,
     gen_with_index,
-    gen_zero_product_4_5,
-    gen_zero_product_4_6,
     instance_for,
     trial_seed,
 )
@@ -201,11 +195,12 @@ class TestPlantedDimensionCaps:
         (lambda s: gen_commutant_pair(4.0, s), r"n must lie in \[1, 16\]"),
         (lambda s: gen_annihilating_pair(4.0, s), r"n must lie in \[2, 16\]"),
         (lambda s: gen_lemma_2_5_instance(3.0, 3, s), r"block dims must lie"),
-        (lambda s: gen_intertwined_4_1(2.5, 3, s), r"block dims must lie"),
+        (lambda s: instance_for("T4_1", (2.5, 3), s),
+         r"T4_1 takes one or two dims, each in \[1, 8\]"),
         (lambda s: instance_for("L2_1", (4.0,), s), r"L2_1 takes one dim"),
     ], ids=["with_index_k", "star_dmp_r", "with_index_bool_n",
             "commutant_pair_n", "annihilating_pair_n", "lemma_2_5_na",
-            "intertwined_4_1_nA", "instance_for_dims"])
+            "instance_for_block_dims", "instance_for_dims"])
     def test_sizes_are_integers(self, call, match):
         # each raised a numpy or Python TypeError, or drew past the check
         with pytest.raises(ValueError, match=match):
@@ -268,7 +263,7 @@ class TestLemma25Generator:
 
 class TestBlockSamplers:
     def test_41_constraint_replay(self):
-        A, B, C, D, degenerate = gen_intertwined_4_1(3, 2, seed=50)
+        A, B, C, D = instance_for("T4_1", (3, 2), 50).matrices.values()
         st = lambda M: M.conj().T
         tol = DEFAULT_POLICY.residual_tol
         assert rel(A @ B, B @ D) <= tol
@@ -277,28 +272,40 @@ class TestBlockSamplers:
         assert rel(st(D) @ C, C @ st(A)) <= tol
 
     def test_43_conjugate_constraint_replay(self):
-        A, B, C, D, degenerate = gen_intertwined_4_3(3, 3, seed=51)
+        A, B, C, D = instance_for("T4_3", (3, 3), 51).matrices.values()
         st = lambda M: M.conj().T
         tol = DEFAULT_POLICY.residual_tol
         assert rel(A @ B, B @ D) <= tol
         assert rel(st(B) @ A, D @ st(B)) <= tol
 
     def test_45_zero_products_and_sum(self):
-        A, B, C, D, degenerate = gen_zero_product_4_5(3, 3, seed=52)
+        A, B, C, D = instance_for("T4_5", (3, 3), 52).matrices.values()
         named = _Named(B=B, C=C)
         assert zero_product(("B", "C"), named)[1]
         assert zero_product(("C", "B"), named)[1]
 
     def test_degenerate_fraction_bounded(self):
-        for sampler in (gen_intertwined_4_1, gen_intertwined_4_3,
-                        gen_zero_product_4_5):
-            degenerate = sum(
-                sampler(3, 3, seed=5300 + t)[4] for t in range(40))
-            assert degenerate / 40 < 0.5, sampler.__name__
+        for theorem_id in ("T4_1", "T4_3", "T4_5"):
+            degenerate = sum(instance_for(theorem_id, (3, 3), 5300 + t)
+                             .degenerate for t in range(40))
+            assert degenerate / 40 < 0.5, theorem_id
 
     def test_block_dim_cap(self):
         with pytest.raises(ValueError):
-            gen_intertwined_4_1(9, 3, seed=54)
+            instance_for("T4_1", (9, 3), 54)
+
+    def test_degenerate_flag_is_the_zero_draw(self):
+        # the flag, a draw of nullity 0, is set exactly when B or C is zero
+        norm, flags = np.linalg.norm, []
+        for dims, theorem_id, seed in itertools.product(
+                ((1, 1), (1, 2), (2, 1)),
+                ("T4_1", "C4_2", "T4_3", "C4_4", "T4_5", "C4_6"), range(30)):
+            inst = instance_for(theorem_id, dims, seed)
+            B, C = inst.matrices["B"], inst.matrices["C"]
+            assert inst.degenerate == (norm(B) == 0.0 or norm(C) == 0.0), (
+                dims, theorem_id, seed)
+            flags.append(inst.degenerate)
+        assert 0 < sum(flags) < len(flags)
 
 
 class TestSpecAndDispatch:
@@ -492,9 +499,9 @@ class TestNullspaceSample:
         # T4_3 draws B under B*A = DB* first, then C; C4_4 draws B, then C
         # under AC* = C*D
         for make, stated in (
-                (lambda seed: gen_intertwined_4_3(3, 2, seed=710 + seed),
+                (lambda seed: instance_for("T4_3", (3, 2), 710 + seed),
                  lambda i, eqs: _b_star_a(eqs) if i == 0 else _linear(eqs)),
-                (lambda seed: gen_intertwined_4_4(2, 3, seed=720 + seed),
+                (lambda seed: instance_for("C4_4", (2, 3), 720 + seed),
                  lambda i, eqs: _linear(eqs) if i == 0 else _a_c_star(eqs))):
             draws = self._compare_draws(monkeypatch, make, stated)
             assert len(draws) >= 12 and max(draws) > 0
@@ -502,12 +509,13 @@ class TestNullspaceSample:
     @pytest.mark.parametrize("dims", [(3, 3), (3, 2), (4, 4)])
     def test_zero_product_systems(self, monkeypatch, dims):
         # T4_5 draws C under AC* = C*D, then B; C4_6 draws B, then C
-        for sampler, stated in (
-                (gen_zero_product_4_5,
+        for theorem_id, stated in (
+                ("T4_5",
                  lambda i, eqs: _a_c_star(eqs) if i == 0 else _linear(eqs)),
-                (gen_zero_product_4_6, None)):
+                ("C4_6", None)):
             draws = self._compare_draws(
-                monkeypatch, lambda seed: sampler(*dims, seed=740 + seed),
+                monkeypatch,
+                lambda seed: instance_for(theorem_id, dims, 740 + seed),
                 stated)
             assert len(draws) == 12 and max(draws) > 0
 
@@ -536,9 +544,9 @@ class TestNullspaceSample:
     def test_pinned_draws(self):
         # the bits of a draw change only with an announced report change
         _, b = gen_commutant_pair(4, seed=700)
-        _, B3, C3, _, _ = gen_intertwined_4_3(3, 2, seed=710)
-        _, B4, C4, _, _ = gen_intertwined_4_4(2, 3, seed=720)
-        _, B5, C5, _, _ = gen_zero_product_4_5(3, 3, seed=740)
+        _, B3, C3, _ = instance_for("T4_3", (3, 2), 710).matrices.values()
+        _, B4, C4, _ = instance_for("C4_4", (2, 3), 720).matrices.values()
+        _, B5, C5, _ = instance_for("T4_5", (3, 3), 740).matrices.values()
         got = {"commutant": _draw_digest(b), "T4_3": _draw_digest(B3, C3),
                "C4_4": _draw_digest(B4, C4), "T4_5": _draw_digest(B5, C5)}
         assert got == self.PINNED
@@ -653,13 +661,13 @@ class TestWordSystems:
             return sample(rg, shape, equations)
 
         monkeypatch.setattr(generators, "_nullspace_sample", spy)
-        gen_intertwined_4_3(3, 3, seed=780)
+        instance_for("T4_3", (3, 3), 780)
         assert counts[0] == 2
         stated = theorems._EQUATIONS["T4_3"]
         monkeypatch.setitem(theorems._EQUATIONS, "T4_3", tuple(
             e for e in stated if e[0] != "Bstar_A_equals_D_Bstar"))
         counts.clear()
-        gen_intertwined_4_3(3, 3, seed=780)
+        instance_for("T4_3", (3, 3), 780)
         assert counts[0] == 1
 
     def test_commutation_ids_state_the_words_the_commutant_draw_reads(self):
@@ -752,8 +760,7 @@ class TestRejectionSampler:
     rejection loop's bit for bit: the loop's one nilpotency test per call
     always passes on the shared-block construction."""
 
-    SAMPLERS = {"T4_1": gen_intertwined_4_1, "C4_2": gen_intertwined_4_2,
-                "T4_3": gen_intertwined_4_3, "C4_4": gen_intertwined_4_4}
+    IDS = ("T4_1", "C4_2", "T4_3", "C4_4")
     DIMS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 5),
             (6, 6), (8, 8), (2, 8), (8, 2))
 
@@ -771,19 +778,19 @@ class TestRejectionSampler:
             tests.append(None)
             return is_nilpotent_product(word, named)
 
-        for theorem_id, sampler in self.SAMPLERS.items():
+        for theorem_id in self.IDS:
             for nA, nD in self.DIMS:
                 for seed in range(960, 970):
                     made.clear()
-                    out = sampler(nA, nD, seed=seed)
+                    out = instance_for(theorem_id, (nA, nD), seed)
                     tests.clear()
                     ref, ref_rg = _loop_intertwined(seed, nA, nD, theorem_id,
                                                     counted)
                     case = (theorem_id, nA, nD, seed)
                     assert len(tests) == 1, case
-                    for M, M_ref in zip(out[:4], ref[:4]):
+                    for M, M_ref in zip(out.matrices.values(), ref[:4]):
                         assert M.tobytes() == M_ref.tobytes(), case
-                    assert out[4] == ref[4], case
+                    assert out.degenerate == ref[4], case
                     assert (made[0].bit_generator.state
                             == ref_rg.bit_generator.state), case
 
@@ -798,9 +805,10 @@ class TestRejectionSampler:
             return real(rg, shape, equations)
 
         monkeypatch.setattr(generators, "_nullspace_sample", trivial_c)
-        for sampler in self.SAMPLERS.values():
-            A, B, C, D, degenerate = sampler(3, 2, seed=910)
-            assert degenerate and B.any()
+        for theorem_id in self.IDS:
+            inst = instance_for(theorem_id, (3, 2), 910)
+            B, C = inst.matrices["B"], inst.matrices["C"]
+            assert inst.degenerate and B.any()
             assert not C.any() and C.shape == (2, 3)
 
     def test_builds_no_record(self, monkeypatch):
@@ -813,9 +821,9 @@ class TestRejectionSampler:
             return _CoreEP(M, tol)
 
         monkeypatch.setattr(theorems, "_CoreEP", counted)
-        for sampler in self.SAMPLERS.values():
+        for theorem_id in self.IDS:
             for seed in range(920, 924):
-                sampler(3, 3, seed=seed)
+                instance_for(theorem_id, (3, 3), seed)
         assert analysed == []
 
 
@@ -838,11 +846,11 @@ def _hand_zero_product(seed, nA, nD, theorem_id, order, last_terms):
     return A, B, C, D, np.linalg.norm(B) == 0.0 or np.linalg.norm(C) == 0.0
 
 
-# Reference: each zero-product sampler's draw order and its hand-built sum.
+# Reference: each zero-product id's draw order and its hand-built sum.
 _HAND_ZERO_PRODUCT = {
-    "T4_5": (gen_zero_product_4_5, "CB",
+    "T4_5": ("CB",
              lambda rA, D: coupling_terms(rA, D, rA.k)),
-    "C4_6": (gen_zero_product_4_6, "BC",
+    "C4_6": ("BC",
              lambda rA, D: [(linalg._eye(D.shape[0]),
                              nilpotent_power_sum(rA)[0])]),
 }
@@ -856,16 +864,16 @@ class TestZeroProductSampler:
 
     @pytest.mark.parametrize("theorem_id", ["T4_5", "C4_6"])
     def test_matches_hand_built_sums(self, theorem_id):
-        sampler, order, last_terms = _HAND_ZERO_PRODUCT[theorem_id]
+        order, last_terms = _HAND_ZERO_PRODUCT[theorem_id]
         for nA, nD in TestRejectionSampler.DIMS:
             for seed in range(20):
-                out = sampler(nA, nD, seed=seed)
+                out = instance_for(theorem_id, (nA, nD), seed)
                 ref = _hand_zero_product(seed, nA, nD, theorem_id, order,
                                          last_terms)
                 case = (theorem_id, nA, nD, seed)
-                for M, M_ref in zip(out[:4], ref[:4]):
+                for M, M_ref in zip(out.matrices.values(), ref[:4]):
                     assert M.tobytes() == M_ref.tobytes(), case
-                assert out[4] == ref[4], case
+                assert out.degenerate == ref[4], case
 
 
 class TestCouplingWords:
@@ -903,17 +911,17 @@ class TestCouplingWords:
 
         monkeypatch.setattr(theorems, "is_nilpotent_product", recorded)
         monkeypatch.setattr(linalg, "is_nilpotent_product", recorded)
-        A, B, C, D, _ = gen_intertwined_4_1(3, 3, seed=940)
+        A, B, C, D = instance_for("T4_1", (3, 3), 940).matrices.values()
         assert lengths == []
         check("T4_1", A, B, C, D)
         assert lengths == [4]
         monkeypatch.setitem(theorems.COUPLING, "T4_1",
                             theorems.COUPLING["T4_1"][:-1])
         lengths.clear()
-        drawn = gen_intertwined_4_1(3, 3, seed=940)
+        drawn = instance_for("T4_1", (3, 3), 940).matrices.values()
         assert lengths == []
         assert all(M.tobytes() == M0.tobytes()
-                   for M, M0 in zip(drawn[:4], (A, B, C, D)))
+                   for M, M0 in zip(drawn, (A, B, C, D)))
         report = check("T4_1", A, B, C, D)
         assert lengths == [3]
         # the check's verdict is the nilpotency of A_pc B D_pc

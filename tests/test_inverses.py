@@ -588,6 +588,15 @@ class TestExtremeScale:
                            "overflowed$"):
             kind(A)
 
+    @pytest.mark.parametrize("kind", [drazin, pseudo_core])
+    def test_overflowed_power_is_refused(self, kind):
+        # X is finite but A^2 is not: d1 and pc1 read NaN, and the result
+        # came back uncertified, as if an equation had failed
+        A = 1e300 * gen_with_index(4, 2, 2, 7)
+        with pytest.raises(ValueError, match=r"^the certificate power A\^2 "
+                           "overflowed$"):
+            kind(A)
+
     @pytest.mark.parametrize("kind", [moore_penrose, one_three])
     def test_tiny_invertible_matrix_keeps_its_inverse(self, kind):
         # a norm-based zero test underflowed here and returned X = 0

@@ -151,6 +151,28 @@ def test_every_private_definition_is_used_in_src():
     assert dead == []
 
 
+def test_no_public_function_forwards_one_call():
+    # a public function of generators or theorems whose body, after its
+    # docstring, is a single return of a call to a package function is a
+    # second name for that function; callers take the one way in instead
+    src = Path(geninv.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    package = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    aliases = []
+    for name in ("generators.py", "theorems.py"):
+        for node in trees[name].body:
+            if not isinstance(node, ast.FunctionDef) or _private(node.name):
+                continue
+            body = node.body[ast.get_docstring(node) is not None:]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)
+                    and getattr(body[0].value.func, "id", None) in package):
+                aliases.append(f"{name}:{node.lineno} {node.name}")
+    assert aliases == []
+
+
 def test_every_public_linalg_name_is_read_in_src():
     # a name linalg exports must be imported from .linalg by a module of
     # src/geninv (geninv's re-exports among them) or read by another

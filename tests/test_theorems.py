@@ -14,7 +14,6 @@ from geninv.theorems import (
     THEOREM_SYMBOLS,
     Check,
     TheoremReport,
-    reproduce_example_3_3,
     run_check,
 )
 from oracles import (
@@ -26,15 +25,9 @@ from oracles import (
 from geninv.generators import (
     gen_annihilating_pair,
     gen_commutant_pair,
-    gen_intertwined_4_1,
-    gen_intertwined_4_2,
-    gen_intertwined_4_3,
-    gen_intertwined_4_4,
     gen_lemma_2_5_instance,
     gen_star_dmp,
     gen_with_index,
-    gen_zero_product_4_5,
-    gen_zero_product_4_6,
     fuzz_dims,
     instance_for,
     trial_seed,
@@ -259,13 +252,13 @@ class TestCorollary32:
 
 class TestExample33:
     def test_all_checks_pass(self):
-        report = reproduce_example_3_3()
+        report = run_check("EX3_3", {})
         assert report.verdict == "pass"
         labels = [c.label for c in report.conclusion_checks]
         assert "a_pcore_value" in labels and "annihilation_rank_one" in labels
 
     def test_intermediate_witnesses(self):
-        report = reproduce_example_3_3()
+        report = run_check("EX3_3", {})
         expected_sum_pcore = 0.5 * np.array([[-1j, 1], [-1, -1j]], dtype=complex)
         expected_ann = np.array([[0, 0], [-0.5, 0]], dtype=complex)
         assert approx_equal(report.witnesses["sum_pcore"], expected_sum_pcore)
@@ -275,7 +268,7 @@ class TestExample33:
     def test_each_rank_taken_once(self, monkeypatch):
         # one SVD for the commutator's rank and one for the annihilation's
         calls = counting_calls(monkeypatch, [linalg], "_svdvals")
-        reproduce_example_3_3()
+        run_check("EX3_3", {})
         assert len(calls) == 2
 
 
@@ -360,8 +353,8 @@ class TestTheorem41:
         assert report.verdict == "pass"
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_intertwined_4_1(3, 2, seed=313)
-        report = check("T4_1", A, B, C, D)
+        report = run_check("T4_1", instance_for(
+            "T4_1", (3, 2), 313).matrices)
         assert report.verdict == "pass"
 
     def test_shape_validation(self):
@@ -382,8 +375,8 @@ class TestCorollary42:
         assert report.verdict == "pass"
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_intertwined_4_2(3, 3, seed=314)
-        report = check("C4_2", A, B, C, D)
+        report = run_check("C4_2", instance_for(
+            "C4_2", (3, 3), 314).matrices)
         assert report.verdict == "pass"
 
 
@@ -402,8 +395,8 @@ class TestTheorem43:
         assert identity.passed
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_intertwined_4_3(2, 2, seed=316)
-        report = check("T4_3", A, B, C, D)
+        report = run_check("T4_3", instance_for(
+            "T4_3", (2, 2), 316).matrices)
         assert report.verdict == "pass"
 
 
@@ -417,8 +410,8 @@ class TestCorollary44:
         assert report.verdict == "pass"
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_intertwined_4_4(3, 2, seed=317)
-        report = check("C4_4", A, B, C, D)
+        report = run_check("C4_4", instance_for(
+            "C4_4", (3, 2), 317).matrices)
         assert report.verdict == "pass"
 
 
@@ -437,8 +430,8 @@ class TestTheorem45:
         assert report.verdict == "pass"
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_zero_product_4_5(3, 3, seed=321)
-        report = check("T4_5", A, B, C, D)
+        report = run_check("T4_5", instance_for(
+            "T4_5", (3, 3), 321).matrices)
         assert report.verdict == "pass"
 
     def test_sum_vanishes_past_the_index(self):
@@ -835,8 +828,8 @@ class TestCorollary46:
         assert report.verdict == "pass"
 
     def test_generated(self):
-        A, B, C, D, degenerate = gen_zero_product_4_6(3, 3, seed=322)
-        report = check("C4_6", A, B, C, D)
+        report = run_check("C4_6", instance_for(
+            "C4_6", (3, 3), 322).matrices)
         assert report.verdict == "pass"
 
 
